@@ -38,10 +38,11 @@ from .graphs import (
     LayeredGraph,
     build_addition_graph,
     build_restricted_graph,
-    image,
+    image_masks,
+    subset_images,
 )
 from .groups import GSet, fold_sumset, sumset
-from .magnification import Ratio, _vertex_image_masks, magnification_flow
+from .magnification import Ratio, magnification_flow
 from .partition import PartitionResult, partition_graph
 
 __all__ = [
@@ -308,9 +309,10 @@ def _per_vertex_binomial(graph: LayeredGraph) -> tuple[bool, int, int]:
     h = graph.height
     ok = True
     worst: tuple[int, int] | None = None
-    for a in graph.layers[0]:
+    masks, _ = image_masks(graph, h)
+    for a, mask in zip(graph.layers[0], masks):
         deg = len(graph.out_neighbors(a))
-        im_h = len(image(graph, {a}, h))
+        im_h = mask.bit_count()
         cap = math.comb(deg + h - 1, h)
         if im_h > cap:
             ok = False
@@ -341,9 +343,11 @@ def bound_report(
     m, ab, observed = sizes[0], sizes[1], sizes[-1]
     hb = len(fold_sumset(b, h, max_size))
     alpha = Fraction(ab, m)
-    alpha_1 = magnification_flow(graph, 1).value
     beta = pseudo_cardinality(hb, h)
     part = partition_graph(graph)
+    # Every vertex of an addition graph lies on a bottom-to-top path, so the
+    # first block's tight set is the maximal tight set of the whole graph.
+    alpha_1 = part.blocks[0].ratio
     live = [blk for blk in part.blocks if not blk.degenerate]
     ratios = tuple(blk.ratio for blk in live)
     block_sizes = tuple(len(blk.vertices) for blk in live)
@@ -624,7 +628,7 @@ def growth_commutative_bound(graph: LayeredGraph) -> GrowthBound:
     h = graph.height
     n = len(graph.layers[1])
     vh = len(graph.layers[h])
-    m_img = max(len(image(graph, {v}, h)) for v in graph.layers[0])
+    m_img = max(mask.bit_count() for mask in image_masks(graph, h)[0])
     if m_img == 0:
         return GrowthBound(0, None, 0.0, vh, vh == 0)
     beta_m = pseudo_cardinality(m_img, h)
@@ -695,24 +699,18 @@ def large_subset_search(
         raise InputError(f"threshold t = {t} outside [0, {m})")
     n = len(graph.layers[1])
     h = graph.height
-    masks, _ = _vertex_image_masks(graph, h)
+    masks, _ = image_masks(graph, h)
     a1 = magnification_flow(graph, 1).value if with_alpha_1 else None
     scale = (
         ((n - a1 * t) / (m - t)) ** h if with_alpha_1 else (Fraction(n, 1) / (m - t)) ** h
     )
     offset = a1**h * t if with_alpha_1 else Fraction(0)
     checked = 0
-    for mask in range(1, 1 << m):
+    for mask, im in subset_images(masks):
         size = mask.bit_count()
         if size <= t:
             continue
         checked += 1
-        im = 0
-        rest = mask
-        while rest:
-            low = rest & (-rest)
-            im |= masks[low.bit_length() - 1]
-            rest ^= low
         budget = offset + (size - t) * scale
         if im.bit_count() <= budget:
             subset = tuple(bottom[k] for k in range(m) if mask >> k & 1)
@@ -826,13 +824,7 @@ def restricted_sumset_check(
     c = full.bit_count()
     size = len(x)
     hypothesis_ok = True
-    for mask in range(1, 1 << size):
-        im = 0
-        rest = mask
-        while rest:
-            low = rest & (-rest)
-            im |= masks[low.bit_length() - 1]
-            rest ^= low
+    for mask, im in subset_images(masks):
         # minimality: c/|X| <= f(Z)/|Z|
         if c * mask.bit_count() > im.bit_count() * size:
             hypothesis_ok = False

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardError, InputError
-from .groups import Coords, GSet, sumset
+from .groups import Coords, GSet, _raw_sumset
 
 __all__ = [
     "LayeredGraph",
@@ -42,6 +42,8 @@ __all__ = [
     "channel",
     "channel_of",
     "image",
+    "image_masks",
+    "subset_images",
     "check_commutative",
     "graph_to_json",
     "graph_from_json",
@@ -145,6 +147,19 @@ class LayeredGraph:
         return self.labels[v]
 
 
+def _walk(
+    start: Iterable[int], steps: int, neighbors: Callable[[int], Iterable[int]]
+) -> list[set[int]]:
+    """Frontiers F_0 = start, F_1, ..., F_steps, each the neighbours of the last."""
+    frontiers = [set(start)]
+    for _ in range(steps):
+        nxt: set[int] = set()
+        for v in frontiers[-1]:
+            nxt.update(neighbors(v))
+        frontiers.append(nxt)
+    return frontiers
+
+
 def image(graph: LayeredGraph, zset: Iterable[int], steps: int) -> frozenset:
     """Vertices reachable from Z in exactly `steps` edge traversals.
 
@@ -158,31 +173,59 @@ def image(graph: LayeredGraph, zset: Iterable[int], steps: int) -> frozenset:
         raise InputError(
             f"step count {steps} outside 0..{graph.height}"
         )
-    frontier = z
-    for _ in range(steps):
-        nxt: set[int] = set()
-        for v in frontier:
-            nxt.update(graph.out_neighbors(v))
-        frontier = nxt
-    return frozenset(frontier)
+    return frozenset(_walk(z, steps, graph.out_neighbors)[-1])
 
 
-def _image_from_layer(graph: LayeredGraph, zset: set, steps: int) -> set:
-    # Reachability helper that does not insist on starting at the bottom.
-    frontier = set(zset)
-    for _ in range(steps):
-        nxt: set[int] = set()
-        for v in frontier:
-            nxt.update(graph.out_neighbors(v))
-        frontier = nxt
-    return frontier
+def image_masks(graph: LayeredGraph, level: int) -> tuple[list[int], list[int]]:
+    """Per-bottom-vertex `level`-step images as bitmasks over the level layer.
+
+    Returns the masks in bottom-layer order and the level layer, whose k-th
+    vertex is bit k.  Computed in one top-down sweep: a vertex's mask is the
+    union of its out-neighbours' masks, with the level layer seeding
+    identity bits.
+    """
+    top = list(graph.layers[level])
+    masks: dict[int, int] = {v: 1 << k for k, v in enumerate(top)}
+    for lvl in range(level - 1, -1, -1):
+        for v in graph.layers[lvl]:
+            acc = 0
+            for w in graph.out_neighbors(v):
+                acc |= masks[w]
+            masks[v] = acc
+    return [masks[v] for v in graph.layers[0]], top
+
+
+def _or_table(masks: Sequence[int]) -> list[int]:
+    # table[s] is the OR of masks[k] over the bits k of s.
+    table = [0]
+    for mask in masks:
+        table += [acc | mask for acc in table]
+    return table
+
+
+def subset_images(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Yield (subset, image) for every non-empty subset of range(len(masks)).
+
+    Subsets are bitmasks, yielded in ascending order; image is the OR of
+    masks[k] over the bits k of subset.  The images of the low and the high
+    half of the bits come from two precomputed OR tables, so each subset
+    costs one OR.
+    """
+    half = len(masks) // 2
+    low_table = _or_table(masks[:half])
+    start = 1  # skip the empty subset
+    for high, high_image in enumerate(_or_table(masks[half:])):
+        base = high << half
+        for low in range(start, len(low_table)):
+            yield base | low, high_image | low_table[low]
+        start = 0
 
 
 # -- constructions -----------------------------------------------------------
 
 
 def _assign_ids(
-    layer_sets: Sequence[Sequence[Coords]],
+    layer_sets: Sequence[Iterable[Coords]],
 ) -> tuple[tuple[tuple[int, ...], ...], list[dict], dict[int, Coords]]:
     layers = []
     maps: list[dict] = []
@@ -201,6 +244,32 @@ def _assign_ids(
     return tuple(layers), maps, labels
 
 
+def _sum_graph(
+    a: GSet, b: GSet, forbidden: Iterable[Coords], h: int, max_size: int | None
+) -> LayeredGraph:
+    # Layers A and (A+iB) \ (C+(i-1)B) for i = 1..h, C = forbidden, with an
+    # edge x -> x+b wherever both ends are kept.
+    space = a.space
+    sums = set(a.elements)
+    forbidden = set(forbidden)
+    layer_sets: list[Iterable[Coords]] = [a.elements]
+    for _ in range(h):
+        sums = _raw_sumset(space, sums, b.elements, max_size)
+        layer_sets.append(sums - forbidden)
+        if forbidden:
+            forbidden = _raw_sumset(space, forbidden, b.elements, max_size)
+    layers, maps, labels = _assign_ids(layer_sets)
+    edges = set()
+    for i in range(h):
+        nxt_map = maps[i + 1]
+        for coords, u in maps[i].items():
+            for bc in b.elements:
+                v = nxt_map.get(space.add_coords(coords, bc))
+                if v is not None:
+                    edges.add((u, v))
+    return LayeredGraph(h, layers, tuple(edges), labels)
+
+
 def build_addition_graph(
     a: GSet, b: GSet, h: int, max_size: int | None = None
 ) -> LayeredGraph:
@@ -211,21 +280,7 @@ def build_addition_graph(
         raise InputError("A and B must share a space")
     if a.is_empty or b.is_empty:
         raise InputError("addition graph needs non-empty A and B")
-    layer_sets = [a.elements]
-    cur = a
-    for _ in range(h):
-        cur = sumset(cur, b, max_size)
-        layer_sets.append(cur.elements)
-    layers, maps, labels = _assign_ids(layer_sets)
-    space = a.space
-    edges = set()
-    for i in range(h):
-        nxt_map = maps[i + 1]
-        for coords in layer_sets[i]:
-            u = maps[i][coords]
-            for bc in b.elements:
-                edges.add((u, nxt_map[space.add_coords(coords, bc)]))
-    return LayeredGraph(h, layers, tuple(edges), labels)
+    return _sum_graph(a, b, (), h, max_size)
 
 
 def build_restricted_graph(
@@ -245,33 +300,7 @@ def build_restricted_graph(
         raise InputError("A, B and C must share a space")
     if a.is_empty or b.is_empty:
         raise InputError("restricted graph needs non-empty A and B")
-    space = a.space
-    from .groups import _raw_sumset  # internal: tolerates empty accumulators
-
-    sums = set(a.elements)
-    forbidden = set(c.elements)
-    layer_sets: list[list[Coords]] = [list(a.elements)]
-    keep_prev = set(a.elements)
-    edges = set()
-    kept_layers = [keep_prev]
-    for _ in range(h):
-        sums = _raw_sumset(space, sums, b.elements, max_size)
-        keep = sums - forbidden
-        kept_layers.append(keep)
-        layer_sets.append(sorted(keep))
-        if forbidden:
-            forbidden = _raw_sumset(space, forbidden, b.elements, max_size)
-    layers, maps, labels = _assign_ids(layer_sets)
-    for i in range(h):
-        nxt_map = maps[i + 1]
-        nxt_keep = kept_layers[i + 1]
-        for coords in layer_sets[i]:
-            u = maps[i][coords]
-            for bc in b.elements:
-                y = space.add_coords(coords, bc)
-                if y in nxt_keep:
-                    edges.add((u, nxt_map[y]))
-    return LayeredGraph(h, layers, tuple(edges), labels)
+    return _sum_graph(a, b, c.elements, h, max_size)
 
 
 def channel(graph: LayeredGraph, u_set: Iterable[int], w_set: Iterable[int]) -> LayeredGraph:
@@ -295,21 +324,8 @@ def channel(graph: LayeredGraph, u_set: Iterable[int], w_set: Iterable[int]) -> 
         raise InputError("channel target vertices must share one layer")
     if not i < j:
         raise InputError(f"channel needs source layer below target layer ({i} >= {j})")
-    fwd: list[set] = [set(u)]
-    for _ in range(j - i):
-        cur = fwd[-1]
-        nxt: set[int] = set()
-        for v in cur:
-            nxt.update(graph.out_neighbors(v))
-        fwd.append(nxt)
-    bwd: list[set] = [set(w)]
-    for _ in range(j - i):
-        cur = bwd[-1]
-        prv: set[int] = set()
-        for v in cur:
-            prv.update(graph.in_neighbors(v))
-        bwd.append(prv)
-    bwd.reverse()
+    fwd = _walk(u, j - i, graph.out_neighbors)
+    bwd = _walk(w, j - i, graph.in_neighbors)[::-1]
     kept = [f & b for f, b in zip(fwd, bwd)]
     layers = tuple(tuple(sorted(layer)) for layer in kept)
     edges = []
@@ -428,6 +444,11 @@ def graph_to_json(graph: LayeredGraph) -> dict:
     }
 
 
+def _is_int(v: object) -> bool:
+    # JSON true/false load as bool, which Python counts as int.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def graph_from_json(obj: object) -> LayeredGraph:
     if not isinstance(obj, dict):
         raise InputError("graph document must be a JSON object")
@@ -435,14 +456,14 @@ def graph_from_json(obj: object) -> LayeredGraph:
         if key not in obj:
             raise InputError(f"graph document missing key '{key}'")
     height = obj["height"]
-    if not isinstance(height, int) or height < 1:
+    if not _is_int(height) or height < 1:
         raise InputError("'height' must be an integer >= 1")
     layers_raw = obj["layers"]
     if not isinstance(layers_raw, list):
         raise InputError("'layers' must be a list of id lists")
     layers = []
     for layer in layers_raw:
-        if not isinstance(layer, list) or not all(isinstance(v, int) for v in layer):
+        if not isinstance(layer, list) or not all(map(_is_int, layer)):
             raise InputError("'layers' entries must be lists of integer ids")
         layers.append(tuple(layer))
     edges_raw = obj["edges"]
@@ -453,7 +474,7 @@ def graph_from_json(obj: object) -> LayeredGraph:
         if (
             not isinstance(e, list)
             or len(e) != 2
-            or not all(isinstance(v, int) for v in e)
+            or not all(map(_is_int, e))
         ):
             raise InputError("'edges' entries must be [from, to] integer pairs")
         edges.append((e[0], e[1]))
@@ -468,11 +489,14 @@ def graph_from_json(obj: object) -> LayeredGraph:
                 vid = int(key)
             except ValueError:
                 raise InputError(f"label key {key!r} is not a vertex id") from None
-            if not isinstance(coords, list) or not all(
-                isinstance(c, int) for c in coords
-            ):
-                raise InputError("label values must be integer coordinate lists")
+            if not isinstance(coords, list) or not all(map(_is_int, coords)):
+                raise InputError("'labels' values must be integer coordinate lists")
             labels[vid] = tuple(coords)
+        ranks = sorted({len(c) for c in labels.values()})
+        if len(ranks) > 1:
+            raise InputError(
+                f"'labels' coordinate lists differ in length: {ranks[0]} and {ranks[-1]}"
+            )
     try:
         return LayeredGraph(height, tuple(layers), tuple(edges), labels)
     except InputError:

@@ -146,13 +146,6 @@ class GSet:
     def member_set(self) -> frozenset:
         return self._members
 
-    def gelements(self) -> tuple[GElement, ...]:
-        return tuple(GElement(self.space, c) for c in self.elements)
-
-    def union(self, other: "GSet") -> "GSet":
-        _require_same_space(self.space, other.space)
-        return GSet(self.space, self.elements + other.elements)
-
     def translate(self, coords: Sequence[int]) -> "GSet":
         x = self.space.normalize_coords(tuple(coords))
         return GSet(

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import GuardError, InputError
-from .graphs import LayeredGraph
+from .graphs import LayeredGraph, image_masks, subset_images
 from .maxflow import FlowNetwork
 
 __all__ = [
@@ -80,24 +80,6 @@ def _validate_level(graph: LayeredGraph, level: int) -> None:
         raise InputError("magnification of an empty bottom layer is undefined")
 
 
-def _vertex_image_masks(graph: LayeredGraph, level: int) -> tuple[list[int], list[int]]:
-    """Per-bottom-vertex i-step images as bitmasks over the level-i layer.
-
-    Computed in one top-down sweep: a vertex's mask is the union of its
-    out-neighbours' masks, with the level-i layer seeding identity bits.
-    """
-    top = list(graph.layers[level])
-    bit = {v: 1 << k for k, v in enumerate(top)}
-    masks: dict[int, int] = {v: bit[v] for v in top}
-    for lvl in range(level - 1, -1, -1):
-        for v in graph.layers[lvl]:
-            acc = 0
-            for w in graph.out_neighbors(v):
-                acc |= masks[w]
-            masks[v] = acc
-    return [masks[v] for v in graph.layers[0]], top
-
-
 def magnification_bruteforce(graph: LayeredGraph, level: int) -> MagnificationResult:
     """Enumerate every non-empty subset of the bottom layer.
 
@@ -113,17 +95,11 @@ def magnification_bruteforce(graph: LayeredGraph, level: int) -> MagnificationRe
         raise GuardError(
             f"bruteforce subset enumeration guard: |V_0| = {n} exceeds {BRUTEFORCE_GUARD}"
         )
-    vertex_masks, _ = _vertex_image_masks(graph, level)
+    vertex_masks, _ = image_masks(graph, level)
     best_num = None  # |image(Z)| of the current best
     best_den = 0  # |Z| of the current best
     minimizers: list[int] = []
-    for mask in range(1, 1 << n):
-        im = 0
-        rest = mask
-        while rest:
-            low = rest & (-rest)
-            im |= vertex_masks[low.bit_length() - 1]
-            rest ^= low
+    for mask, im in subset_images(vertex_masks):
         num = im.bit_count()
         den = mask.bit_count()
         if best_num is None or num * best_den < best_num * den:
@@ -236,7 +212,7 @@ def magnification_flow(graph: LayeredGraph, level: int) -> MagnificationResult:
     _validate_level(graph, level)
     bottom = list(graph.layers[0])
     n = len(bottom)
-    vertex_masks, top = _vertex_image_masks(graph, level)
+    vertex_masks, top = image_masks(graph, level)
     top_count = len(top)
 
     def feasible(p: int, q: int) -> bool:

@@ -100,16 +100,13 @@ def partition_graph(graph: LayeredGraph) -> PartitionResult:
         remaining &= live
         if not remaining:
             break
-        tight = magnification_flow(sub, 1).maximal_tight_set
+        # Every vertex of sub reaches its top, so the channel keeps the level-1
+        # images of the subsets of tight, and with them the ratio.
+        flow = magnification_flow(sub, 1)
+        tight = flow.maximal_tight_set
         block_graph = channel(sub, set(tight), set(sub.layers[sub.height]))
         blocks.append(
-            PartitionBlock(
-                len(blocks),
-                tight,
-                magnification_flow(block_graph, 1).value,
-                block_graph,
-                False,
-            )
+            PartitionBlock(len(blocks), tight, flow.value, block_graph, False)
         )
         remaining -= set(tight)
         top_left -= set(block_graph.layers[block_graph.height])

@@ -1,15 +1,12 @@
 """Batch verification suite: eleven independent checks over seeded instances.
 
 Each criterion owns its default case count and an isolated stream of random
-instances, so results do not depend on execution order and the whole suite
-can fan out across worker threads.  A criterion reports one CheckResult; the
-suite passes when every criterion does.
+instances, so results do not depend on execution order.  A criterion reports
+one CheckResult; the suite passes when every criterion does.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +22,6 @@ from .bounds import (
     rising_binomial,
 )
 from .constructions import example1, example2
-from .errors import InputError
 from .graphs import build_addition_graph, channel_of
 from .groups import GSet, fold_sumset
 from .instances import random_gset, random_pair, random_triple, rng_for
@@ -37,7 +33,7 @@ from .magnification import (
 )
 from .partition import partition_graph, verify_partition
 
-__all__ = ["CheckResult", "SuiteResult", "CRITERIA", "run_suite", "thread_count"]
+__all__ = ["CheckResult", "SuiteResult", "CRITERIA", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -356,37 +352,7 @@ CRITERIA = (
 )
 
 
-def thread_count() -> int:
-    raw = os.environ.get("SUMSETLAB_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(
-            f"SUMSETLAB_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise InputError(
-            f"SUMSETLAB_THREADS must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
-def run_suite(
-    seed: int, cases: int | None = None, threads: int | None = None
-) -> SuiteResult:
-    """Run all criteria; `cases` overrides each randomized criterion's count.
-
-    Criteria are independent, so they may run on worker threads; results are
-    reassembled in criterion order and are identical for identical
-    (seed, cases) regardless of thread count.
-    """
-    if threads is None:
-        threads = thread_count()
-    if threads == 1:
-        results = [fn(seed, cases) for fn in CRITERIA]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fn, seed, cases) for fn in CRITERIA]
-            results = [f.result() for f in futures]
-    results.sort(key=lambda r: r.cid)
-    return SuiteResult(seed, tuple(results))
+def run_suite(seed: int, cases: int | None = None) -> SuiteResult:
+    """Run all criteria in order; `cases` overrides each randomized
+    criterion's count.  Identical (seed, cases) give identical results."""
+    return SuiteResult(seed, tuple(fn(seed, cases) for fn in CRITERIA))

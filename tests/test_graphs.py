@@ -19,7 +19,14 @@ from sumsetlab import (
     image,
     load_graph,
 )
-from sumsetlab.instances import random_pair, random_triple, rng_for
+from sumsetlab.graphs import image_masks, subset_images
+from sumsetlab.instances import (
+    random_gset,
+    random_pair,
+    random_space,
+    random_triple,
+    rng_for,
+)
 
 from oracles import naive_commutative, naive_image, naive_iterated
 
@@ -190,6 +197,22 @@ def test_graph_json_rejects_malformed():
         graph_from_json("nope")
     with pytest.raises(InputError):
         graph_from_json({"height": 1, "layers": [[0], [1]]})
+    good = {
+        "height": 1,
+        "layers": [[0], [1]],
+        "edges": [[0, 1]],
+        "labels": {"0": [1], "1": [2]},
+    }
+    assert graph_from_json(good).edge_count == 1
+    for field, change in (
+        ("labels", {"labels": {"0": [1], "1": [1, 2]}}),
+        ("layers", {"layers": [[True], [1]]}),
+        ("edges", {"edges": [[0, True]]}),
+        ("height", {"height": True}),
+        ("labels", {"labels": {"0": [True], "1": [2]}}),
+    ):
+        with pytest.raises(InputError, match=f"'{field}'"):
+            graph_from_json({**good, **change})
 
 
 def test_layers_and_images_match_oracle_random():
@@ -227,3 +250,38 @@ def test_restricted_layers_match_definition_random():
                 for p, q, m in zip(g.label_of(u), g.label_of(v), moduli)
             )
             assert diff in b
+
+
+def test_image_masks_and_subset_images_match_oracle_random():
+    # Bottom sizes 1..14 cover odd sizes and size 1, where the low half of
+    # the split is empty.
+    rng = rng_for(20261018, "masks")
+    for n in range(1, 15):
+        space = random_space(rng)
+        while space.is_finite() and space.moduli[0] ** 2 < n:
+            space = random_space(rng)
+        a = random_gset(rng, space, n, n)
+        b = random_gset(rng, space, 1, 4)
+        c = random_gset(rng, space, 1, 6)
+        h = rng.randint(1, 3)
+        for g in (build_addition_graph(a, b, h), build_restricted_graph(a, b, c, h)):
+            bottom = g.layers[0]
+            assert len(bottom) == n
+            for level in range(1, h + 1):
+                masks, top = image_masks(g, level)
+                assert list(top) == list(g.layers[level])
+                for v, mask in zip(bottom, masks):
+                    reached = {w for k, w in enumerate(top) if mask >> k & 1}
+                    assert reached == naive_image(g.edges, {v}, level)
+                pairs = list(subset_images(masks))
+                assert [z for z, _ in pairs] == list(range(1, 1 << n))
+                for z, im in pairs:
+                    direct = 0
+                    for k in range(n):
+                        if z >> k & 1:
+                            direct |= masks[k]
+                    assert im == direct
+                for z, im in rng.sample(pairs, min(5, len(pairs))):
+                    members = {v for k, v in enumerate(bottom) if z >> k & 1}
+                    reached = {w for k, w in enumerate(top) if im >> k & 1}
+                    assert reached == naive_image(g.edges, members, level)

@@ -1,9 +1,7 @@
-"""The self-verification suite runner: determinism, threading, line format."""
+"""The self-verification suite runner: determinism, line format."""
 
-import pytest
-
-from sumsetlab import InputError, run_suite
-from sumsetlab.suite import CRITERIA, thread_count
+from sumsetlab import run_suite
+from sumsetlab.suite import CRITERIA
 
 
 def test_small_run_passes_every_criterion():
@@ -17,12 +15,6 @@ def test_small_run_passes_every_criterion():
 
 def test_criteria_registry_is_complete():
     assert len(CRITERIA) == 11
-
-
-def test_runs_are_deterministic_across_thread_counts():
-    single = run_suite(seed=7, cases=4, threads=1).to_json()
-    threaded = run_suite(seed=7, cases=4, threads=4).to_json()
-    assert single == threaded
 
 
 def test_different_seeds_draw_different_instances():
@@ -39,15 +31,3 @@ def test_json_shape():
     assert len(doc["criteria"]) == 11
     assert {"id", "name", "ok", "cases", "detail"} <= set(doc["criteria"][0])
 
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("SUMSETLAB_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("SUMSETLAB_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("SUMSETLAB_THREADS", "zero")
-    with pytest.raises(InputError):
-        thread_count()
-    monkeypatch.setenv("SUMSETLAB_THREADS", "0")
-    with pytest.raises(InputError):
-        thread_count()
