@@ -300,16 +300,18 @@ def certified_min_sum(
     return CertifiedMinSum(value, ok, slow, fast, float_up(s_iv))
 
 
-def _per_vertex_binomial(graph: LayeredGraph) -> tuple[bool, int, int]:
+def _per_vertex_binomial(
+    graph: LayeredGraph, masks: list[int]
+) -> tuple[bool, int, int]:
     """Check |im^(h)(a)| <= C(|im(a)|+h-1, h) for every bottom vertex.
 
-    Returns (all ok, worst observed, its bound), worst meaning the smallest
-    slack; ties broken by vertex id for determinism.
+    masks are the level-h `image_masks`.  Returns (all ok, worst observed,
+    its bound), worst meaning the smallest slack; ties broken by vertex id
+    for determinism.
     """
     h = graph.height
     ok = True
     worst: tuple[int, int] | None = None
-    masks, _ = image_masks(graph, h)
     for a, mask in zip(graph.layers[0], masks):
         deg = len(graph.out_neighbors(a))
         im_h = mask.bit_count()
@@ -466,14 +468,15 @@ def bound_report(
         )
     )
 
-    growth = growth_commutative_bound(graph)
+    masks, _ = image_masks(graph, h)
+    growth = _growth_bound(graph, masks)
     bounds.append(
         BoundValue(
             "growth_commutative", growth.value, growth.observed, growth.ok, True
         )
     )
 
-    pv_ok, pv_obs, pv_cap = _per_vertex_binomial(graph)
+    pv_ok, pv_obs, pv_cap = _per_vertex_binomial(graph, masks)
     bounds.append(
         BoundValue(
             "per_vertex_binomial",
@@ -625,10 +628,15 @@ def growth_commutative_bound(graph: LayeredGraph) -> GrowthBound:
     """Callers must pass a commutative graph; the bound is unsound otherwise."""
     if not graph.layers[0]:
         raise InputError("growth bound needs a non-empty bottom layer")
+    return _growth_bound(graph, image_masks(graph, graph.height)[0])
+
+
+def _growth_bound(graph: LayeredGraph, masks: list[int]) -> GrowthBound:
+    # masks are the level-h `image_masks` of a non-empty bottom layer.
     h = graph.height
     n = len(graph.layers[1])
     vh = len(graph.layers[h])
-    m_img = max(mask.bit_count() for mask in image_masks(graph, h)[0])
+    m_img = max(mask.bit_count() for mask in masks)
     if m_img == 0:
         return GrowthBound(0, None, 0.0, vh, vh == 0)
     beta_m = pseudo_cardinality(m_img, h)
@@ -875,7 +883,7 @@ def restricted_growth_check(
     beta = pseudo_cardinality(hb, h)
     top_ok = vh == 0 or beta.leq(Fraction(v1 * hb, vh))
     value = float_up(_ival(v1) * _ival(hb) / beta.interval())
-    pv_ok, _, _ = _per_vertex_binomial(graph)
+    pv_ok, _, _ = _per_vertex_binomial(graph, image_masks(graph, h)[0])
     return RestrictedGrowthReport(v1, vh, hb, beta, value, top_ok, pv_ok)
 
 

@@ -299,16 +299,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_name(args) -> str:
+    sub = getattr(args, "graph_cmd", None) or getattr(args, "verify_cmd", None)
+    return f"{args.command} {sub}" if sub else args.command
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, GuardError) as exc:
+    except (InputError, GuardError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print(f"error: {_command_name(args)}: recursion limit reached "
+              "(is the input nested too deeply?)", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: {_command_name(args)}: out of memory", file=sys.stderr)
         return 2
 
 

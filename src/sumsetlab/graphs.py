@@ -361,25 +361,44 @@ class CommutativityReport:
         return self.upward_ok and self.downward_ok
 
 
+def _augment(
+    root: int, candidates: Mapping[int, Sequence[int]], owner: dict[int, int]
+) -> bool:
+    """Give root a candidate along an alternating path, re-assigning each
+    candidate on it; False if none exists.  Walks an explicit stack, since
+    alternating paths can be as long as the target list."""
+    seen: set[int] = set()
+    stack = [(root, iter(candidates[root]))]
+    via: list[int] = []  # via[k] leads from stack[k] to its owner stack[k + 1]
+    while stack:
+        t, cands = stack[-1]
+        for c in cands:
+            if c in seen:
+                continue
+            seen.add(c)
+            if c not in owner:
+                owner[c] = t
+                for (u, _), d in zip(stack, via):
+                    owner[d] = u
+                return True
+            via.append(c)
+            stack.append((owner[c], iter(candidates[owner[c]])))
+            break
+        else:
+            stack.pop()
+            if via:
+                via.pop()
+    return False
+
+
 def _saturating_matching(
     targets: Sequence[int], candidates: Mapping[int, Sequence[int]]
 ) -> int | None:
     """Match every target to a distinct candidate; return an unmatched target
     id if impossible, else None.  Classic augmenting-path search."""
     owner: dict[int, int] = {}
-
-    def try_assign(t: int, seen: set) -> bool:
-        for c in candidates[t]:
-            if c in seen:
-                continue
-            seen.add(c)
-            if c not in owner or try_assign(owner[c], seen):
-                owner[c] = t
-                return True
-        return False
-
     for t in targets:
-        if not try_assign(t, set()):
+        if not _augment(t, candidates, owner):
             return t
     return None
 

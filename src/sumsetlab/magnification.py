@@ -9,15 +9,17 @@ provided:
 
 * a brute-force subset enumeration (the oracle), guarded at |V_0| <= 22,
   which also returns every minimizing subset;
-* a parametric min-cut search (the production path).  For a candidate ratio
-  p/q, the sign of min over Z of (q|image(Z)| - p|Z|) is decided by a min cut
-  in the network  source -(p)-> V_0 -(inf, i-step reachability)-> V_i -(q)->
-  sink:  the candidate is feasible exactly when the maximal minimizer, read
-  off the residual graph as V_0 minus the vertices that still reach the sink,
-  is non-empty.  Feasibility is monotone in p/q, so a Stern-Brocot descent
-  over fractions with denominator <= |V_0| pins down the optimum exactly;
-  same-direction runs are galloped (doubling plus binary search), keeping the
-  number of cut computations logarithmic.
+* Dinkelbach iteration on a parametric min cut (the production path).  For
+  a ratio p/q, min over Z of (q|image(Z)| - p|Z|) is read off a min cut in
+  the network  source -(p)-> V_0 -(inf, i-step reachability)-> V_i -(q)->
+  sink,  whose value is p|V_0| plus that minimum.  The search starts at
+  p/q = |image(V_0)| / |V_0| and takes the maximal minimizer Z, read off the
+  residual graph as V_0 minus the vertices that still reach the sink.  If
+  the cut equals p|V_0|, no subset beats p/q, so p/q is the ratio and Z the
+  maximal tight set; otherwise |image(Z)| / |Z| < p/q becomes the next
+  candidate.  |Z| strictly falls from step to step, so at most |V_0| cuts
+  are made, typically two or three.  The network is built once per (graph,
+  level); each step only resets its capacities.
 
 Minimizing subsets of the cut objective form a lattice (the objective is
 submodular), so the union of all minimizers is itself a minimizer: the
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import GuardError, InputError
 from .graphs import LayeredGraph, image_masks, subset_images
@@ -44,7 +46,6 @@ __all__ = [
     "magnification_flow",
     "plunnecke_chain",
     "tight_channel_power_check",
-    "smallest_feasible_fraction",
     "magnification_to_json",
 ]
 
@@ -80,6 +81,13 @@ def _validate_level(graph: LayeredGraph, level: int) -> None:
         raise InputError("magnification of an empty bottom layer is undefined")
 
 
+def _union(vertex_masks: Sequence[int], idx: Sequence[int]) -> int:
+    image = 0
+    for k in idx:
+        image |= vertex_masks[k]
+    return image
+
+
 def magnification_bruteforce(graph: LayeredGraph, level: int) -> MagnificationResult:
     """Enumerate every non-empty subset of the bottom layer.
 
@@ -111,11 +119,9 @@ def magnification_bruteforce(graph: LayeredGraph, level: int) -> MagnificationRe
     for mask in minimizers:
         union_mask |= mask
     value = Fraction(best_num, best_den)
-    tight = tuple(bottom[k] for k in range(n) if union_mask >> k & 1)
-    union_im = 0
-    for k in range(n):
-        if union_mask >> k & 1:
-            union_im |= vertex_masks[k]
+    tight_idx = [k for k in range(n) if union_mask >> k & 1]
+    tight = tuple(bottom[k] for k in tight_idx)
+    union_im = _union(vertex_masks, tight_idx)
     witness = union_im.bit_count() * value.denominator == value.numerator * len(tight)
     subsets = tuple(
         tuple(bottom[k] for k in range(n) if mask >> k & 1) for mask in minimizers
@@ -123,88 +129,8 @@ def magnification_bruteforce(graph: LayeredGraph, level: int) -> MagnificationRe
     return MagnificationResult(level, value, tight, witness, subsets)
 
 
-def smallest_feasible_fraction(
-    feasible: Callable[[int, int], bool], max_den: int
-) -> Fraction:
-    """Smallest fraction p/q with q <= max_den accepted by a monotone predicate.
-
-    Requires: feasible(p, q) depends only on p/q and is monotone (accepting
-    t implies accepting every t' > t), the infimum D of accepted values is
-    itself a fraction with denominator <= max_den, and feasible(D) is true.
-
-    Walks the Stern-Brocot tree with a rejected left neighbour a/b and an
-    accepted right neighbour c/d (sentinel 1/0).  The mediant is the unique
-    smallest-denominator fraction strictly between tree neighbours, so once
-    its denominator passes max_den the accepted endpoint is the answer.
-    Runs of same-direction steps are replaced by one jump found with
-    doubling plus binary search.
-    """
-    if max_den < 1:
-        raise InputError("denominator bound must be >= 1")
-    if feasible(0, 1):
-        return Fraction(0, 1)
-    a, b = 0, 1  # rejected
-    c, d = 1, 0  # accepted sentinel
-    while b + d <= max_den:
-        if feasible(a + c, b + d):
-            cap = (max_den - d) // b
-            k = _last_true(lambda k: feasible(k * a + c, k * b + d), cap)
-            c, d = k * a + c, k * b + d
-        else:
-            cap = None if d == 0 else (max_den - b) // d
-            k = _last_true(lambda k: not feasible(a + k * c, b + k * d), cap)
-            a, b = a + k * c, b + k * d
-    return Fraction(c, d)
-
-
-def _last_true(pred: Callable[[int], bool], cap: int | None) -> int:
-    """Largest k with pred(k), given pred(1) and that pred is a true prefix.
-
-    cap, when given, is an inclusive upper bound on k (cap >= 1).
-    """
-    k = 1
-    while (cap is None or 2 * k <= cap) and pred(2 * k):
-        k *= 2
-    lo = k
-    hi = 2 * k - 1 if cap is None else min(2 * k - 1, cap)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _maximal_minimizer(
-    vertex_masks: Sequence[int], top_count: int, p: int, q: int
-) -> list[int]:
-    """Indices of the maximal minimizer of q|image(Z)| - p|Z| over Z.
-
-    Min-cut formulation; the maximal minimizer is V_0 minus the vertices
-    that still reach the sink in the residual network.  Empty exactly when
-    p/q lies strictly below the magnification ratio.
-    """
-    n = len(vertex_masks)
-    s, t = 0, 1
-    net = FlowNetwork(2 + n + top_count)
-    inf = p * n + q * top_count + 1
-    for k in range(n):
-        net.add_edge(s, 2 + k, p)
-        rest = vertex_masks[k]
-        while rest:
-            low = rest & (-rest)
-            net.add_edge(2 + k, 2 + n + (low.bit_length() - 1), inf)
-            rest ^= low
-    for w in range(top_count):
-        net.add_edge(2 + n + w, t, q)
-    net.max_flow(s, t)
-    reaches = net.residual_reaches_sink(t)
-    return [k for k in range(n) if (2 + k) not in reaches]
-
-
 def magnification_flow(graph: LayeredGraph, level: int) -> MagnificationResult:
-    """Exact magnification ratio via parametric min cut.
+    """Exact magnification ratio by Dinkelbach iteration on one min-cut network.
 
     Scales to bottom layers far beyond the brute-force guard; agreement with
     the oracle is part of the test suite.
@@ -213,20 +139,36 @@ def magnification_flow(graph: LayeredGraph, level: int) -> MagnificationResult:
     bottom = list(graph.layers[0])
     n = len(bottom)
     vertex_masks, top = image_masks(graph, level)
-    top_count = len(top)
-
-    def feasible(p: int, q: int) -> bool:
-        return bool(_maximal_minimizer(vertex_masks, top_count, p, q))
-
-    value = smallest_feasible_fraction(feasible, n)
-    tight_idx = _maximal_minimizer(
-        vertex_masks, top_count, value.numerator, value.denominator
-    )
-    tight = tuple(bottom[k] for k in tight_idx)
-    union_im = 0
-    for k in tight_idx:
-        union_im |= vertex_masks[k]
-    witness = union_im.bit_count() * value.denominator == value.numerator * len(tight)
+    m = len(top)
+    s, t = 0, 1
+    net = FlowNetwork(2 + n + m)
+    for k in range(n):
+        net.add_edge(s, 2 + k, 0)
+    middle = 0
+    for k, rest in enumerate(vertex_masks):
+        while rest:
+            low = rest & (-rest)
+            net.add_edge(2 + k, 2 + n + (low.bit_length() - 1), 0)
+            rest ^= low
+            middle += 1
+    for w in range(m):
+        net.add_edge(2 + n + w, t, 0)
+    # Start from Z = V_0; each cut at Z's ratio p/q yields the maximal
+    # minimizer of q|image(Z')| - p|Z'|, which becomes the next Z.
+    z = list(range(n))
+    z_image = _union(vertex_masks, z)
+    while True:
+        value = Fraction(z_image.bit_count(), len(z))
+        p, q = value.numerator, value.denominator
+        net.reset([p] * n + [p * n + q * m + 1] * middle + [q] * m)
+        cut = net.max_flow(s, t)
+        reaches = net.residual_reaches_sink(t)
+        z = [k for k in range(n) if 2 + k not in reaches]
+        z_image = _union(vertex_masks, z)
+        if cut == p * n:
+            break
+    tight = tuple(bottom[k] for k in z)
+    witness = z_image.bit_count() * q == p * len(tight)
     return MagnificationResult(level, value, tight, witness)
 
 

@@ -123,3 +123,57 @@ def naive_min_cut(n, cap_edges, s, t):
             if best is None or val < best:
                 best = val
     return best
+
+
+def smallest_feasible_fraction(feasible, max_den):
+    """Smallest fraction p/q with q <= max_den accepted by a monotone predicate.
+
+    The reference ratio search: fed a min-cut feasibility test, it finds a
+    magnification ratio independently of the Dinkelbach iteration.
+
+    Requires: feasible(p, q) depends only on p/q and is monotone (accepting
+    t implies accepting every t' > t), the infimum D of accepted values is
+    itself a fraction with denominator <= max_den, and feasible(D) is true.
+
+    Walks the Stern-Brocot tree with a rejected left neighbour a/b and an
+    accepted right neighbour c/d (sentinel 1/0).  The mediant is the unique
+    smallest-denominator fraction strictly between tree neighbours, so once
+    its denominator passes max_den the accepted endpoint is the answer.
+    Runs of same-direction steps are replaced by one jump found with
+    doubling plus binary search.
+    """
+    if max_den < 1:
+        raise ValueError("denominator bound must be >= 1")
+    if feasible(0, 1):
+        return Fraction(0, 1)
+    a, b = 0, 1  # rejected
+    c, d = 1, 0  # accepted sentinel
+    while b + d <= max_den:
+        if feasible(a + c, b + d):
+            cap = (max_den - d) // b
+            k = _last_true(lambda k: feasible(k * a + c, k * b + d), cap)
+            c, d = k * a + c, k * b + d
+        else:
+            cap = None if d == 0 else (max_den - b) // d
+            k = _last_true(lambda k: not feasible(a + k * c, b + k * d), cap)
+            a, b = a + k * c, b + k * d
+    return Fraction(c, d)
+
+
+def _last_true(pred, cap):
+    """Largest k with pred(k), given pred(1) and that pred is a true prefix.
+
+    cap, when given, is an inclusive upper bound on k (cap >= 1).
+    """
+    k = 1
+    while (cap is None or 2 * k <= cap) and pred(2 * k):
+        k *= 2
+    lo = k
+    hi = 2 * k - 1 if cap is None else min(2 * k - 1, cap)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo

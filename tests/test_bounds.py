@@ -218,6 +218,25 @@ def test_bound_report_validation():
         bound_report(a, GSet.from_coords(Z, []), 2)
 
 
+def test_bound_report_sweeps_level_h_masks_once(monkeypatch):
+    import sumsetlab.bounds as bounds_mod
+
+    calls = []
+    sweep = bounds_mod.image_masks
+
+    def counted(graph, level):
+        calls.append(level)
+        return sweep(graph, level)
+
+    monkeypatch.setattr(bounds_mod, "image_masks", counted)
+    a, b = gs(0, 1, 4, 9), gs(0, 2, 3)
+    rep = bound_report(a, b, 3)
+    assert calls == [3]
+    growth = growth_commutative_bound(build_addition_graph(a, b, 3))
+    row = next(bv for bv in rep.bounds if bv.name == "growth_commutative")
+    assert (row.value, row.observed, row.ok) == (growth.value, growth.observed, growth.ok)
+
+
 def test_report_rows_complete_and_deterministic(grid_report):
     assert tuple(bv.name for bv in grid_report.bounds) == BOUND_NAMES
     doc = bound_report_to_json(grid_report)

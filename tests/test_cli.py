@@ -122,6 +122,50 @@ def test_partition_payload(workdir, capsys):
     assert all(doc["checks"].values())
 
 
+def zigzag_graph(n):
+    # Bottom i reaches tops i and i + 1; top ids run backwards, so each
+    # bottom vertex lists top i + 1 first and the flow must re-route along
+    # augmenting paths about 2n edges long.
+    top = [2 * n + 1 - j for j in range(n + 1)]
+    edges = [[i, top[i]] for i in range(n)] + [[i, top[i + 1]] for i in range(n)]
+    return {"height": 1, "layers": [list(range(n)), sorted(top)], "edges": edges}
+
+
+def test_mag_on_long_zigzag_exits_0(tmp_path, capsys):
+    n = 600
+    gpath = tmp_path / "Z.json"
+    gpath.write_text(json.dumps(zigzag_graph(n)))
+    code, out, _ = run(capsys, "mag", gpath, "--level", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ratio"] == [n + 1, n]
+    assert doc["tight_set"] == list(range(n))
+
+
+def test_recursion_error_exits_2(tmp_path, capsys):
+    gpath = tmp_path / "deep.json"
+    gpath.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "mag", gpath, "--level", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: mag: ")
+    assert "Traceback" not in err
+
+
+def test_memory_error_exits_2(workdir, capsys, monkeypatch):
+    import sumsetlab.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_addition_graph", exhausted)
+    code, _, err = run(
+        capsys, "graph", "build", workdir / "A.json", workdir / "B.json", "--h", "2"
+    )
+    assert code == 2
+    assert err == "error: graph build: out of memory\n"
+
+
 def test_bounds_report_and_determinism(workdir, capsys):
     out1 = workdir / "r1.json"
     out2 = workdir / "r2.json"

@@ -19,7 +19,7 @@ from sumsetlab import (
     image,
     load_graph,
 )
-from sumsetlab.graphs import image_masks, subset_images
+from sumsetlab.graphs import _saturating_matching, image_masks, subset_images
 from sumsetlab.instances import (
     random_gset,
     random_pair,
@@ -176,6 +176,18 @@ def test_cofan_violates_downward_exchange():
     report = check_commutative(g)
     assert report.upward_ok
     assert not report.downward_ok
+
+
+def test_saturating_matching_long_alternating_path():
+    # Target i < n takes candidate i first; the last target wants candidate
+    # 0 only, so its augmenting path shifts every earlier target by one.
+    n = 3000
+    cand = {i: (i, i + 1) for i in range(n)}
+    cand[n] = (0,)
+    assert _saturating_matching(range(n + 1), cand) is None
+    # one more target that also wants only candidate 0 cannot be matched
+    cand[n + 1] = (0,)
+    assert _saturating_matching(range(n + 2), cand) == n + 1
 
 
 def test_commutativity_edge_guard(g253):

@@ -1,5 +1,6 @@
 """Magnification ratios: enumeration, parametric flow, chains, power checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,12 +18,12 @@ from sumsetlab import (
     magnification_flow,
     magnification_to_json,
     plunnecke_chain,
-    smallest_feasible_fraction,
     tight_channel_power_check,
 )
 from sumsetlab.instances import random_pair, rng_for
+from sumsetlab.maxflow import FlowNetwork
 
-from oracles import naive_magnification
+from oracles import naive_image, naive_magnification, smallest_feasible_fraction
 
 Z = GroupSpace((0,))
 
@@ -154,6 +155,84 @@ def test_flow_agrees_with_independent_oracle_random():
         r = magnification_flow(g, level)
         assert r.value == value
         assert frozenset(r.maximal_tight_set) == union
+
+
+def random_layered_graph(rng):
+    h = rng.randint(1, 3)
+    sizes = [rng.randint(1, 9) for _ in range(h + 1)]
+    ids = rng.sample(range(100), sum(sizes))
+    layers, at = [], 0
+    for size in sizes:
+        layers.append(tuple(ids[at:at + size]))
+        at += size
+    density = rng.random()
+    edges = tuple(
+        (u, v)
+        for lower, upper in zip(layers, layers[1:])
+        for u in lower
+        for v in upper
+        if rng.random() < density
+    )
+    return LayeredGraph(h, tuple(layers), edges)
+
+
+def cut_minimizer(masks, top_count, p, q):
+    """Maximal minimizer of q|image(Z)| - p|Z|, from a freshly built network."""
+    n = len(masks)
+    net = FlowNetwork(2 + n + top_count)
+    for k, mask in enumerate(masks):
+        net.add_edge(0, 2 + k, p)
+        for w in range(top_count):
+            if mask >> w & 1:
+                net.add_edge(2 + k, 2 + n + w, p * n + q * top_count + 1)
+    for w in range(top_count):
+        net.add_edge(2 + n + w, 1, q)
+    net.max_flow(0, 1)
+    reaches = net.residual_reaches_sink(1)
+    return [k for k in range(n) if 2 + k not in reaches]
+
+
+def test_dinkelbach_matches_oracles_on_general_graphs(monkeypatch):
+    cuts = []
+    max_flow = FlowNetwork.max_flow
+
+    def counted(self, s, t):
+        cuts.append(1)
+        return max_flow(self, s, t)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    rng = random.Random("mag:dinkelbach")
+    zero_ratio = most_cuts = 0
+    for _ in range(500):
+        g = random_layered_graph(rng)
+        level = rng.randint(1, g.height)
+        bottom = g.layers[0]
+        cuts.clear()
+        flow = magnification_flow(g, level)
+        flow_cuts = len(cuts)
+        assert flow_cuts <= len(bottom) + 1
+        brute = magnification_bruteforce(g, level)
+        assert flow.value == brute.value
+        assert flow.maximal_tight_set == brute.maximal_tight_set
+        assert flow.witness_check
+        # Stern-Brocot descent with a min-cut feasibility test, on masks
+        # taken from the plain-set image oracle
+        top = sorted(g.layers[level])
+        masks = [
+            sum(1 << top.index(w) for w in naive_image(g.edges, [v], level))
+            for v in bottom
+        ]
+        value = smallest_feasible_fraction(
+            lambda p, q: bool(cut_minimizer(masks, len(top), p, q)), len(bottom)
+        )
+        tight = cut_minimizer(masks, len(top), value.numerator, value.denominator)
+        assert flow.value == value
+        assert flow.maximal_tight_set == tuple(bottom[k] for k in tight)
+        zero_ratio += value == 0
+        most_cuts = max(most_cuts, flow_cuts)
+    # a bottom vertex with an empty image makes D = 0
+    assert 0 < zero_ratio < 500
+    assert most_cuts >= 3
 
 
 def test_plunnecke_chain_frozen():

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from sumsetlab.maxflow import FlowNetwork
 
 from oracles import naive_min_cut
@@ -104,3 +106,48 @@ def test_residual_cut_is_minimum_random():
         # complement of the reaching side is a source-side cut of value = flow
         cut = sum(c for u, v, c in edges if u not in reach and v in reach)
         assert cut == flow
+
+
+def test_long_zigzag_augmenting_path():
+    # Bottom i (node 2 + i) lists top i + 1 before top i, so the first phase
+    # matches bottom i to top i + 1 and strands bottom n - 1; its augmenting
+    # path then zig-zags through every reverse edge, about 2n edges long.
+    n = 2000
+    net = FlowNetwork(2 + 2 * n)
+    top = [2 + n + j for j in range(n)]
+    for i in range(n):
+        net.add_edge(0, 2 + i, 1)
+        if i + 1 < n:
+            net.add_edge(2 + i, top[i + 1], 1)
+        net.add_edge(2 + i, top[i], 1)
+    for w in top:
+        net.add_edge(w, 1, 1)
+    assert net.max_flow(0, 1) == n
+    assert net.residual_reaches_sink(1) == {1}
+
+
+def test_reset_matches_fresh_network_random():
+    rng = random.Random("maxflow:reset")
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        pairs = [
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if u != v and v != 0 and u != 1 and rng.random() < 0.45
+        ]
+        net = FlowNetwork(n)
+        for u, v in pairs:
+            net.add_edge(u, v, 0)
+        for _ in range(3):
+            caps = [rng.randint(0, 5) for _ in pairs]
+            net.reset(caps)
+            edges = [(u, v, c) for (u, v), c in zip(pairs, caps)]
+            fresh = build(n, edges)
+            assert net.max_flow(0, 1) == fresh.max_flow(0, 1)
+            assert net.residual_reaches_sink(1) == fresh.residual_reaches_sink(1)
+        with pytest.raises(ValueError):
+            net.reset([1] * (len(pairs) + 1))
+        if pairs:
+            with pytest.raises(ValueError):
+                net.reset([1] * (len(pairs) - 1) + [-1])
