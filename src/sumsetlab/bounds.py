@@ -817,15 +817,15 @@ def restricted_sumset_check(
             f"subset enumeration guard: |X| = {len(x)} exceeds cap {guard}"
         )
     space = x.space
+    kb = {k: fold_sumset(b, k) for k in {j - 1, j, h}}
 
     def shifted(base: GSet, steps: int) -> frozenset:
         if base.is_empty:
             return frozenset()
-        return sumset(base, fold_sumset(b, steps)).member_set()
+        return sumset(base, kb[steps]).member_set()
 
-    jb = fold_sumset(b, j)
     forbidden_j = shifted(j_set, j)
-    masks, _ = _masked_difference(x, jb, forbidden_j)
+    masks, _ = _masked_difference(x, kb[j], forbidden_j)
     full = 0
     for mask in masks:
         full |= mask

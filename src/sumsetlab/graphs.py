@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardError, InputError
-from .groups import Coords, GSet, _raw_sumset
+from .groups import Coords, GSet, _layers
 
 __all__ = [
     "LayeredGraph",
@@ -224,50 +225,32 @@ def subset_images(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
 # -- constructions -----------------------------------------------------------
 
 
-def _assign_ids(
-    layer_sets: Sequence[Iterable[Coords]],
-) -> tuple[tuple[tuple[int, ...], ...], list[dict], dict[int, Coords]]:
-    layers = []
-    maps: list[dict] = []
-    labels: dict[int, Coords] = {}
-    nxt = 0
-    for elems in layer_sets:
-        id_map = {}
-        ids = []
-        for coords in sorted(elems):
-            id_map[coords] = nxt
-            labels[nxt] = coords
-            ids.append(nxt)
-            nxt += 1
-        layers.append(tuple(ids))
-        maps.append(id_map)
-    return tuple(layers), maps, labels
-
-
 def _sum_graph(
-    a: GSet, b: GSet, forbidden: Iterable[Coords], h: int, max_size: int | None
+    a: GSet, b: GSet, forbidden: Sequence[Coords], h: int, max_size: int | None
 ) -> LayeredGraph:
     # Layers A and (A+iB) \ (C+(i-1)B) for i = 1..h, C = forbidden, with an
-    # edge x -> x+b wherever both ends are kept.
+    # edge x -> x+b wherever both ends are kept.  Ids run layer by layer, in
+    # sorted label order inside a layer, as the fold yields each layer.
     space = a.space
-    sums = set(a.elements)
-    forbidden = set(forbidden)
-    layer_sets: list[Iterable[Coords]] = [a.elements]
-    for _ in range(h):
-        sums = _raw_sumset(space, sums, b.elements, max_size)
-        layer_sets.append(sums - forbidden)
-        if forbidden:
-            forbidden = _raw_sumset(space, forbidden, b.elements, max_size)
-    layers, maps, labels = _assign_ids(layer_sets)
-    edges = set()
-    for i in range(h):
-        nxt_map = maps[i + 1]
-        for coords, u in maps[i].items():
-            for bc in b.elements:
-                v = nxt_map.get(space.add_coords(coords, bc))
+    rule = space._add
+    sums_layers = _layers(space, a.elements, b.elements, h, max_size)
+    removed = chain([()], _layers(space, forbidden, b.elements, h - 1, max_size))
+    layers: list[tuple[int, ...]] = []
+    labels: dict[int, Coords] = {}
+    edges: list[tuple[int, int]] = []
+    prev: dict[Coords, int] = {}
+    for sums, cut in zip(sums_layers, removed):
+        ids: dict[Coords, int] = {}
+        for coords in sorted(sums.difference(cut)):
+            ids[coords] = len(labels)
+            labels[len(labels)] = coords
+        layers.append(tuple(ids.values()))
+        for coords, u in prev.items():
+            for v in map(ids.get, map(rule, repeat(coords), b.elements)):
                 if v is not None:
-                    edges.add((u, v))
-    return LayeredGraph(h, layers, tuple(edges), labels)
+                    edges.append((u, v))
+        prev = ids
+    return LayeredGraph(h, tuple(layers), edges, labels)
 
 
 def build_addition_graph(

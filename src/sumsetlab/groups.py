@@ -7,16 +7,23 @@ arithmetic happens on normalized coordinate tuples, so equality and hashing
 are structural.
 
 The sumset A+B is {a+b : a in A, b in B}; iterated sumsets A+hB fold B in one
-layer at a time, which also yields hB itself via A = {0}.  Cardinality streams
-keep only the current layer alive, so |A+iB| profiles of deep iterates do not
-require storing every intermediate set.
+layer at a time, which also yields hB itself via A = {0}.  One private fold
+walks the layers A, A+B, ..., A+hB for every entry point (sumset, iterated
+sumset, hB, cardinality stream, and the graph layers in `graphs`), with one
+addition rule per space and an optional cardinality guard (`max_size`, off
+by default).  The fold keeps only the current layer alive, so |A+iB| profiles
+of deep iterates do not store every intermediate set.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, partial
+from itertools import repeat
+from math import inf
+from operator import add
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GuardError, InputError
 
@@ -37,6 +44,14 @@ __all__ = [
 ]
 
 Coords = tuple[int, ...]
+
+
+def _add_free(x: Coords, y: Coords) -> Coords:
+    return tuple(map(add, x, y))
+
+
+def _add_cyclic(moduli: tuple[int, ...], x: Coords, y: Coords) -> Coords:
+    return tuple([(a + b) % m if m else a + b for a, b, m in zip(x, y, moduli)])
 
 
 @dataclass(frozen=True)
@@ -70,10 +85,14 @@ class GroupSpace:
             out.append(c % m if m else c)
         return tuple(out)
 
+    @cached_property
+    def _add(self) -> Callable[[Coords, Coords], Coords]:
+        # The addition rule on normalized coordinates, chosen once per space
+        # from module-level functions, so a space stays picklable.
+        return partial(_add_cyclic, self.moduli) if any(self.moduli) else _add_free
+
     def add_coords(self, x: Coords, y: Coords) -> Coords:
-        return tuple(
-            (a + b) % m if m else a + b for a, b, m in zip(x, y, self.moduli)
-        )
+        return self._add(x, y)
 
     def zero_coords(self) -> Coords:
         return (0,) * self.rank
@@ -162,84 +181,76 @@ def _require_same_space(a: GroupSpace, b: GroupSpace) -> None:
         raise InputError(f"operands live in different spaces: {a.moduli} vs {b.moduli}")
 
 
-def _raw_sumset(
-    space: GroupSpace,
-    a_elems: Iterable[Coords],
-    b_elems: Sequence[Coords],
-    max_size: int | None,
-) -> set:
-    # Internal workhorse on plain coordinate sets; guards the accumulator size
-    # after every insertion so a tiny cap fails before large allocation.
-    moduli = space.moduli
-    free = not any(moduli)
-    out: set = set()
-    add = out.add
-    for a in a_elems:
-        if free:
-            for b in b_elems:
-                add(tuple(x + y for x, y in zip(a, b)))
-                if max_size is not None and len(out) > max_size:
-                    raise GuardError(
-                        f"sumset cardinality guard: result exceeds cap {max_size}"
-                    )
-        else:
-            for b in b_elems:
-                add(
-                    tuple(
-                        (x + y) % m if m else x + y
-                        for x, y, m in zip(a, b, moduli)
-                    )
-                )
-                if max_size is not None and len(out) > max_size:
-                    raise GuardError(
-                        f"sumset cardinality guard: result exceeds cap {max_size}"
-                    )
-    return out
-
-
-def sumset(a: GSet, b: GSet, max_size: int | None = None) -> GSet:
-    """A+B = {a+b : a in A, b in B}.  Both operands must be non-empty."""
-    _require_same_space(a.space, b.space)
-    if a.is_empty or b.is_empty:
-        raise InputError("sumset operands must be non-empty")
-    return GSet(a.space, tuple(_raw_sumset(a.space, a.elements, b.elements, max_size)))
-
-
-def iterated_sumset(a: GSet, b: GSet, h: int, max_size: int | None = None) -> GSet:
-    """A+hB, folding one copy of B at a time; h=0 returns A unchanged."""
+def _check_fold(a: GSet, b: GSet, h: int) -> None:
+    # The one argument check of every A+hB entry point.
     if not isinstance(h, int) or h < 0:
         raise InputError(f"iteration count must be an integer >= 0, got {h!r}")
     _require_same_space(a.space, b.space)
     if a.is_empty or (h > 0 and b.is_empty):
-        raise InputError("iterated sumset operands must be non-empty")
-    cur = a
+        raise InputError("sumset operands must be non-empty")
+
+
+def _layers(
+    space: GroupSpace,
+    start: Iterable[Coords],
+    b_elems: Sequence[Coords],
+    h: int,
+    max_size: int | None,
+) -> Iterator[set]:
+    """The layers X, X+B, ..., X+hB of X = start, as coordinate sets.
+
+    Each layer is built from the last and yielded before the next is built.
+    The guard checks each layer after every row x+B, so a tiny cap fails
+    before a large allocation; layer 0 is never checked.
+    """
+    rule = space._add
+    cap = inf if max_size is None else max_size
+    cur = set(start)
+    yield cur
     for _ in range(h):
-        cur = sumset(cur, b, max_size)
-    return cur
+        nxt: set = set()
+        grow = nxt.update
+        for x in cur:
+            grow(map(rule, repeat(x), b_elems))
+            if len(nxt) > cap:
+                raise GuardError(
+                    f"sumset cardinality guard: result exceeds cap {max_size}"
+                )
+        cur = nxt
+        yield cur
+
+
+def _top_layer(a: GSet, b: GSet, h: int, max_size: int | None) -> GSet:
+    _check_fold(a, b, h)
+    for layer in _layers(a.space, a.elements, b.elements, h, max_size):
+        pass
+    return GSet(a.space, tuple(layer))
+
+
+def sumset(a: GSet, b: GSet, max_size: int | None = None) -> GSet:
+    """A+B = {a+b : a in A, b in B}.  Both operands must be non-empty."""
+    return _top_layer(a, b, 1, max_size)
+
+
+def iterated_sumset(a: GSet, b: GSet, h: int, max_size: int | None = None) -> GSet:
+    """A+hB, folding one copy of B at a time; h=0 returns A."""
+    return _top_layer(a, b, h, max_size)
 
 
 def fold_sumset(b: GSet, h: int, max_size: int | None = None) -> GSet:
     """hB = B + ... + B (h copies); h=0 gives the zero singleton."""
     if b.is_empty:
         raise InputError("fold_sumset needs a non-empty set")
-    return iterated_sumset(zero_set(b.space), b, h, max_size)
+    return _top_layer(zero_set(b.space), b, h, max_size)
 
 
 def cardinality_stream(
     a: GSet, b: GSet, h: int, max_size: int | None = None
 ) -> list[int]:
     """[|A|, |A+B|, ..., |A+hB|], holding only one layer in memory at a time."""
-    if not isinstance(h, int) or h < 0:
-        raise InputError(f"iteration count must be an integer >= 0, got {h!r}")
-    _require_same_space(a.space, b.space)
-    if a.is_empty or (h > 0 and b.is_empty):
-        raise InputError("cardinality stream operands must be non-empty")
-    cur = set(a.elements)
-    sizes = [len(cur)]
-    for _ in range(h):
-        cur = _raw_sumset(a.space, cur, b.elements, max_size)
-        sizes.append(len(cur))
-    return sizes
+    _check_fold(a, b, h)
+    layers = _layers(a.space, a.elements, b.elements, h, max_size)
+    return [len(layer) for layer in layers]
 
 
 # --- JSON interchange ------------------------------------------------------

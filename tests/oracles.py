@@ -29,6 +29,19 @@ def naive_iterated(a, b, h, moduli):
     return cur
 
 
+def naive_layer_edges(layers, b, moduli):
+    """Edges (i, x, x+b) of a layered sum graph whose layer i holds the label
+    set layers[i]: one for every x in layer i and b in B with x+b kept in
+    layer i+1."""
+    return {
+        (i, x, y)
+        for i in range(len(layers) - 1)
+        for x in layers[i]
+        for y in naive_sumset([x], b, moduli)
+        if y in layers[i + 1]
+    }
+
+
 def successor_map(edges):
     succ = {}
     for u, v in edges:

@@ -28,7 +28,12 @@ from sumsetlab.instances import (
     rng_for,
 )
 
-from oracles import naive_commutative, naive_image, naive_iterated
+from oracles import (
+    naive_commutative,
+    naive_image,
+    naive_iterated,
+    naive_layer_edges,
+)
 
 Z = GroupSpace((0,))
 
@@ -297,3 +302,28 @@ def test_image_masks_and_subset_images_match_oracle_random():
                     members = {v for k, v in enumerate(bottom) if z >> k & 1}
                     reached = {w for k, w in enumerate(top) if im >> k & 1}
                     assert reached == naive_image(g.edges, members, level)
+
+
+def test_sum_graph_edges_complete_random():
+    # Both builders against the naive rule {(x, x+b) : both ends kept}, in
+    # the drawn spaces and in free and mixed two-coordinate ones.
+    rng = rng_for(20261018, "edges")
+    for k in range(120):
+        shape = rng.choice([(0, 0), (0, rng.randint(2, 9))])
+        space = random_space(rng) if k % 2 else GroupSpace(shape)
+        a = random_gset(rng, space, 1, 6, spread=6)
+        b = random_gset(rng, space, 1, 4, spread=3)
+        c = random_gset(rng, space, 1, 5, spread=6)
+        h = rng.randint(1, 3)
+        moduli = space.moduli
+        grown = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
+        kept = grown[:1] + [
+            grown[i] - naive_iterated(c.elements, b.elements, i - 1, moduli)
+            for i in range(1, h + 1)
+        ]
+        for g, layers in (
+            (build_addition_graph(a, b, h), grown),
+            (build_restricted_graph(a, b, c, h), kept),
+        ):
+            got = {(g.layer_of(u), g.label_of(u), g.label_of(v)) for u, v in g.edges}
+            assert got == naive_layer_edges(layers, b.elements, moduli)

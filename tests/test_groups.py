@@ -1,5 +1,7 @@
 """Group spaces, set arithmetic, and the JSON interchange format."""
 
+import pickle
+
 import pytest
 
 from sumsetlab import (
@@ -7,6 +9,8 @@ from sumsetlab import (
     GSet,
     GuardError,
     InputError,
+    build_addition_graph,
+    build_restricted_graph,
     cardinality_stream,
     dump_gset,
     fold_sumset,
@@ -18,9 +22,9 @@ from sumsetlab import (
     sumset,
     zero_set,
 )
-from sumsetlab.instances import random_pair, rng_for
+from sumsetlab.instances import random_gset, random_pair, rng_for
 
-from oracles import naive_iterated, naive_sumset
+from oracles import naive_iterated, naive_normalize, naive_sumset
 
 Z = GroupSpace((0,))
 
@@ -168,3 +172,74 @@ def test_translate_preserves_cardinality():
         shift = b.elements[0]
         assert len(a.translate(shift)) == len(a)
         assert a.translate(a.space.zero_coords()) == a
+
+
+def test_fold_in_free_and_mixed_multi_coordinate_spaces():
+    # random_space draws only Z and Z_m^2, so the free rule on several
+    # coordinates and the modular rule with a free coordinate run here.
+    rng = rng_for(20261018, "multi")
+    for _ in range(120):
+        m = rng.randint(2, 9)
+        space = GroupSpace(rng.choice([(0, 0), (0, m), (m, 0), (0, m, 0)]))
+        a = random_gset(rng, space, 1, 7, spread=6)
+        b = random_gset(rng, space, 1, 4, spread=3)
+        h = rng.randint(0, 3)
+        moduli = space.moduli
+        want = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
+        assert iterated_sumset(a, b, h).member_set() == want[-1]
+        assert cardinality_stream(a, b, h) == [len(layer) for layer in want]
+        zero = [space.zero_coords()]
+        hb = naive_iterated(zero, b.elements, h, moduli)
+        assert fold_sumset(b, h).member_set() == hb
+        x, y = a.elements[-1], b.elements[-1]
+        assert space.add_coords(x, y) == naive_normalize(
+            [p + q for p, q in zip(x, y)], moduli
+        )
+
+
+def test_sets_stay_picklable_after_a_fold():
+    # A fold caches the space's addition rule on the space.
+    for moduli in ((0, 0), (0, 5)):
+        a = GSet.from_coords(GroupSpace(moduli), [(1, 2), (3, 4)])
+        s = sumset(a, a)
+        assert pickle.loads(pickle.dumps(s)) == s
+
+
+# Fold entry points beyond sumset and cardinality_stream (tested above), with
+# the sets X whose folds X+iB (i = 1..h) each builds and guards; layer 0 is
+# never guarded.  In the restricted graph C+B outgrows every A+iB, so the
+# guard on the C+iB fold is what trips there.
+A_CAP, B_CAP, C_CAP = gs(0, 2, 7), gs(0, 1, 5), gs(*range(0, 100, 10))
+ZERO = ((0,),)
+GUARD_CASES = [
+    pytest.param(
+        lambda cap: iterated_sumset(A_CAP, B_CAP, 3, cap),
+        [(A_CAP.elements, 3)],
+        id="iterated_sumset",
+    ),
+    pytest.param(lambda cap: fold_sumset(B_CAP, 3, cap), [(ZERO, 3)], id="fold_sumset"),
+    pytest.param(
+        lambda cap: build_addition_graph(A_CAP, B_CAP, 3, cap),
+        [(A_CAP.elements, 3)],
+        id="build_addition_graph",
+    ),
+    pytest.param(
+        lambda cap: build_restricted_graph(A_CAP, B_CAP, C_CAP, 2, cap),
+        [(A_CAP.elements, 2), (C_CAP.elements, 1)],
+        id="build_restricted_graph",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, folds", GUARD_CASES)
+def test_guard_boundary_every_fold_entry_point(call, folds):
+    sizes = [
+        len(naive_iterated(start, B_CAP.elements, i, (0,)))
+        for start, h in folds
+        for i in range(1, h + 1)
+    ]
+    if len(folds) > 1:
+        assert max(sizes) == sizes[-1] > max(sizes[:-1])
+    call(max(sizes))
+    with pytest.raises(GuardError, match="sumset cardinality guard"):
+        call(max(sizes) - 1)
