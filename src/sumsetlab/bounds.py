@@ -491,11 +491,7 @@ def bound_report(
     t_value: float | None = None
     if h >= 2 and beta.lt(Fraction(hb) / alpha_1 ** (h - 1)):
         # alpha_1 < s^(1/(h-1)) guaranteed; intervals cannot hit the pole.
-        root = s_iv ** _ival(Fraction(1, h - 1))
-        t_iv = (s_iv ** _ival(Fraction(h, h - 1)) - _ival(alpha_1) ** h) / (
-            root - _ival(alpha_1)
-        )
-        t_value = float_up(t_iv)
+        t_value = float_up(_slope(s_iv, alpha_1, h))
 
     return BoundReport(
         h,
@@ -526,6 +522,14 @@ class LinearMajorant:
     t_exact: Fraction | None
     samples_checked: int
     samples_ok: bool
+
+
+def _slope(s_iv, alpha_1: Fraction, h: int):
+    """Interval slope t = (s^(h/(h-1)) - alpha_1^h) / (s^(1/(h-1)) - alpha_1)."""
+    root = s_iv ** _ival(Fraction(1, h - 1))
+    return (s_iv ** _ival(Fraction(h, h - 1)) - _ival(alpha_1) ** h) / (
+        root - _ival(alpha_1)
+    )
 
 
 def majorant_from_root(alpha_1: Fraction | int, sigma: Fraction | int, h: int):
@@ -588,11 +592,7 @@ def linear_majorant(
         t_val = float_up(_ival(t_exact))
         t_iv = _ival(t_exact)
     else:
-        s_iv = _ival(s_f)
-        root = s_iv ** _ival(Fraction(1, h - 1))
-        t_iv = (s_iv ** _ival(Fraction(h, h - 1)) - _ival(a1) ** h) / (
-            root - _ival(a1)
-        )
+        t_iv = _slope(_ival(s_f), a1, h)
         t_val = float_up(t_iv)
     hi = a1 + 2 * (s_f + 1)
     step = (hi - a1) / max(1, samples - 1)

@@ -1,17 +1,17 @@
 """Command-line interface: every operation behind one deterministic binary.
 
 Exit codes: 0 when all requested checks pass, 1 when a verdict fails (the
-report names what failed), 2 on input, usage, or guard errors.  Reports are
-JSON with a "schema": 1 marker and sorted keys, so identical configuration
-(including the seed) produces byte-identical output.  Set data files use the
-plain GSet / graph schemas without the marker.
+report names what failed), 2 on input, output, usage, or guard errors.
+Reports are JSON with a "schema": 1 marker and sorted keys, so identical
+configuration (including the seed) produces byte-identical output.  Set
+data files use the plain GSet / graph schemas without the marker.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .bounds import (
@@ -26,7 +26,6 @@ from .graphs import (
     build_addition_graph,
     build_restricted_graph,
     check_commutative,
-    dump_graph,
     graph_to_json,
     load_graph,
 )
@@ -37,6 +36,8 @@ from .groups import (
     gset_to_json,
     iterated_sumset,
     load_gset,
+    _write_json,
+    _write_text,
 )
 from .magnification import (
     magnification_bruteforce,
@@ -51,13 +52,9 @@ __all__ = ["main"]
 SCHEMA = 1
 
 
-def _emit(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _report(payload: dict, path: str | None) -> None:
+    payload["schema"] = SCHEMA
+    _write_json(payload, path)
 
 
 def _cmd_sumset(args) -> int:
@@ -65,10 +62,10 @@ def _cmd_sumset(args) -> int:
     b = load_gset(args.b)
     if args.cardinality_only:
         stream = cardinality_stream(a, b, args.h, args.max_size)
-        _emit({"schema": SCHEMA, "h": args.h, "cardinalities": list(stream)}, args.out)
+        _report({"h": args.h, "cardinalities": list(stream)}, args.out)
         return 0
     total = iterated_sumset(a, b, args.h, args.max_size)
-    _emit(gset_to_json(total), args.out)
+    _write_json(gset_to_json(total), args.out)
     return 0
 
 
@@ -77,26 +74,19 @@ def _cmd_graph(args) -> int:
         a = load_gset(args.a)
         b = load_gset(args.b)
         graph = build_addition_graph(a, b, args.h, args.max_size)
-        if args.out:
-            dump_graph(graph, args.out)
-        else:
-            _emit(graph_to_json(graph), None)
+        _write_json(graph_to_json(graph), args.out)
         return 0
     if args.graph_cmd == "restrict":
         a = load_gset(args.a)
         b = load_gset(args.b)
         c = load_gset(args.c)
         graph = build_restricted_graph(a, b, c, args.h, args.max_size)
-        if args.out:
-            dump_graph(graph, args.out)
-        else:
-            _emit(graph_to_json(graph), None)
+        _write_json(graph_to_json(graph), args.out)
         return 0
     graph = load_graph(args.graph)
     report = check_commutative(graph, args.max_edges)
-    _emit(
+    _report(
         {
-            "schema": SCHEMA,
             "commutative": report.is_commutative,
             "upward_ok": report.upward_ok,
             "downward_ok": report.downward_ok,
@@ -117,10 +107,9 @@ def _cmd_mag(args) -> int:
     else:
         result = magnification_flow(graph, args.level)
     payload = magnification_to_json(result)
-    payload["schema"] = SCHEMA
     payload["method"] = "bruteforce" if args.oracle else "flow"
     payload["witness_check"] = result.witness_check
-    _emit(payload, args.out)
+    _report(payload, args.out)
     return 0
 
 
@@ -129,16 +118,9 @@ def _cmd_partition(args) -> int:
     result = partition_graph(graph)
     checks = verify_partition(result)
     payload = partition_to_json(result)
-    payload["schema"] = SCHEMA
     payload["degenerate"] = [b.index for b in result.blocks if b.degenerate]
-    payload["checks"] = {
-        "disjoint_cover": checks.disjoint_cover,
-        "blocks_tight": checks.blocks_tight,
-        "ratios_increasing": checks.ratios_increasing,
-        "subgraphs_disjoint": checks.subgraphs_disjoint,
-        "top_accounted": checks.top_accounted,
-    }
-    _emit(payload, args.out)
+    payload["checks"] = asdict(checks)
+    _report(payload, args.out)
     return 0 if checks.ok else 1
 
 
@@ -146,13 +128,9 @@ def _cmd_bounds(args) -> int:
     a = load_gset(args.a)
     b = load_gset(args.b)
     report = bound_report(a, b, args.h, args.max_size)
-    payload = bound_report_to_json(report)
-    payload["schema"] = SCHEMA
-    _emit(payload, args.out)
+    _report(bound_report_to_json(report), args.out)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(csv_header())
-            fh.write(csv_row(report))
+        _write_text(csv_header() + csv_row(report), args.csv)
     return 0 if report.all_ok else 1
 
 
@@ -166,7 +144,6 @@ def _cmd_construct(args) -> int:
     dump_gset(a, args.out_a)
     dump_gset(b, args.out_b)
     payload = construction_spec_to_json(spec)
-    payload["schema"] = SCHEMA
     verdict = True
     if args.check:
         graph = build_addition_graph(a, b, spec.h)
@@ -190,7 +167,7 @@ def _cmd_construct(args) -> int:
                 and measured["hb"] == pred["hb"]
             )
         payload["check_ok"] = verdict
-    _emit(payload, args.out)
+    _report(payload, args.out)
     return 0 if verdict else 1
 
 
@@ -198,10 +175,8 @@ def _cmd_verify(args) -> int:
     result = run_suite(args.seed, args.cases)
     for r in result.results:
         print(r.line)
-    payload = result.to_json()
-    payload["schema"] = SCHEMA
     if args.out:
-        _emit(payload, args.out)
+        _report(result.to_json(), args.out)
     return 0 if result.ok else 1
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .groups import GroupSpace, GSet
+from .groups import GroupSpace, GSet, _is_int
 
 __all__ = [
     "ConstructionSpec",
@@ -70,7 +70,7 @@ def construction_spec_to_json(spec: ConstructionSpec) -> dict:
 
 
 def _check_positive_int(name: str, value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if not _is_int(value) or value < 1:
         raise InputError(f"{name} must be a positive integer, got {value!r}")
     return value
 

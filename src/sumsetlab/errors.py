@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 InputError covers malformed or inconsistent user input (wrong space, empty
-operand, bad JSON shape, out-of-range parameter).  GuardError covers refusals
+operand, bad JSON shape, out-of-range parameter, a file path that cannot be
+read or written).  GuardError covers refusals
 of resource guards (subset-enumeration caps, sumset cardinality caps, edge
 caps); its message always names the guard that fired so callers can decide
 whether to raise the cap and retry.

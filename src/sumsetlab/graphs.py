@@ -27,13 +27,12 @@ keeping original vertex ids and labels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardError, InputError
-from .groups import Coords, GSet, _layers
+from .groups import Coords, GSet, _document, _is_int, _layers, _read_json, _write_json
 
 __all__ = [
     "LayeredGraph",
@@ -386,6 +385,25 @@ def _saturating_matching(
     return None
 
 
+def _exchange_failures(
+    pairs: Iterable[tuple[int, int]],
+    fwd: Callable[[int], Sequence[int]],
+    bwd: Callable[[int], Sequence[int]],
+) -> Iterator[tuple[int, int, int]]:
+    """(x, y, t) for each pair whose targets fwd(y) cannot take distinct
+    middles, target t from fwd(x) & bwd(t); t is the one left unmatched.
+    Upward reads edges (u, v) with fwd = out, bwd = in; downward reads
+    (w, v) for each edge (v, w) with the roles swapped."""
+    for x, y in pairs:
+        targets = fwd(y)
+        if targets:
+            mid_set = set(fwd(x))
+            cand = {t: tuple(m for m in bwd(t) if m in mid_set) for t in targets}
+            unmatched = _saturating_matching(targets, cand)
+            if unmatched is not None:
+                yield x, y, unmatched
+
+
 def check_commutative(
     graph: LayeredGraph, max_edges: int = DEFAULT_EDGE_GUARD
 ) -> CommutativityReport:
@@ -398,36 +416,15 @@ def check_commutative(
         raise GuardError(
             f"commutativity edge guard: {graph.edge_count} edges exceed cap {max_edges}"
         )
-    violations = []
-    upward_ok = True
-    downward_ok = True
-    for u, v in graph.edges:
-        targets = graph.out_neighbors(v)
-        if targets:
-            mids = graph.out_neighbors(u)
-            mid_set = set(mids)
-            cand = {
-                w: tuple(x for x in graph.in_neighbors(w) if x in mid_set)
-                for w in targets
-            }
-            unmatched = _saturating_matching(targets, cand)
-            if unmatched is not None:
-                upward_ok = False
-                violations.append(((u, v, unmatched), "upward"))
-    for v, w in graph.edges:
-        sources = graph.in_neighbors(v)
-        if sources:
-            mids = graph.in_neighbors(w)
-            mid_set = set(mids)
-            cand = {
-                s: tuple(x for x in graph.out_neighbors(s) if x in mid_set)
-                for s in sources
-            }
-            unmatched = _saturating_matching(sources, cand)
-            if unmatched is not None:
-                downward_ok = False
-                violations.append(((unmatched, v, w), "downward"))
-    return CommutativityReport(upward_ok, downward_ok, tuple(violations))
+    out, inn = graph.out_neighbors, graph.in_neighbors
+    upward = [
+        ((u, v, t), "upward") for u, v, t in _exchange_failures(graph.edges, out, inn)
+    ]
+    flipped = ((w, v) for v, w in graph.edges)
+    downward = [
+        ((t, v, w), "downward") for w, v, t in _exchange_failures(flipped, inn, out)
+    ]
+    return CommutativityReport(not upward, not downward, tuple(upward + downward))
 
 
 # -- JSON interchange ---------------------------------------------------------
@@ -446,21 +443,12 @@ def graph_to_json(graph: LayeredGraph) -> dict:
     }
 
 
-def _is_int(v: object) -> bool:
-    # JSON true/false load as bool, which Python counts as int.
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def graph_from_json(obj: object) -> LayeredGraph:
-    if not isinstance(obj, dict):
-        raise InputError("graph document must be a JSON object")
-    for key in ("height", "layers", "edges"):
-        if key not in obj:
-            raise InputError(f"graph document missing key '{key}'")
-    height = obj["height"]
+    height, layers_raw, edges_raw = _document(
+        obj, "graph", ("height", "layers", "edges")
+    )
     if not _is_int(height) or height < 1:
         raise InputError("'height' must be an integer >= 1")
-    layers_raw = obj["layers"]
     if not isinstance(layers_raw, list):
         raise InputError("'layers' must be a list of id lists")
     layers = []
@@ -468,7 +456,6 @@ def graph_from_json(obj: object) -> LayeredGraph:
         if not isinstance(layer, list) or not all(map(_is_int, layer)):
             raise InputError("'layers' entries must be lists of integer ids")
         layers.append(tuple(layer))
-    edges_raw = obj["edges"]
     if not isinstance(edges_raw, list):
         raise InputError("'edges' must be a list of [from, to] pairs")
     edges = []
@@ -508,17 +495,8 @@ def graph_from_json(obj: object) -> LayeredGraph:
 
 
 def dump_graph(graph: LayeredGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(graph), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(graph_to_json(graph), path)
 
 
 def load_graph(path: str) -> LayeredGraph:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read graph file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}") from exc
-    return graph_from_json(obj)
+    return graph_from_json(_read_json(path, "graph"))

@@ -18,6 +18,7 @@ of deep iterates do not store every intermediate set.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import repeat
@@ -46,6 +47,11 @@ __all__ = [
 Coords = tuple[int, ...]
 
 
+def _is_int(v: object) -> bool:
+    # JSON true/false load as bool, which Python counts as int.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _add_free(x: Coords, y: Coords) -> Coords:
     return tuple(map(add, x, y))
 
@@ -66,7 +72,7 @@ class GroupSpace:
         if len(moduli) == 0:
             raise InputError("a group space needs rank >= 1")
         for m in moduli:
-            if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+            if not _is_int(m) or m < 0:
                 raise InputError(f"moduli must be integers >= 0, got {m!r}")
 
     @property
@@ -80,7 +86,7 @@ class GroupSpace:
             )
         out = []
         for c, m in zip(coords, self.moduli):
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not _is_int(c):
                 raise InputError(f"coordinates must be integers, got {c!r}")
             out.append(c % m if m else c)
         return tuple(out)
@@ -257,6 +263,44 @@ def cardinality_stream(
 #
 # {"moduli": [m_1, ..., m_k], "elements": [[c_1, ..., c_k], ...]}
 # Input need not be normalized; output always is (sorted, deduplicated).
+# Set and graph files and CLI reports are all read by `_read_json` and
+# written by `_write_json`.
+
+
+def _read_json(path: str, kind: str) -> object:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def _document(obj: object, kind: str, keys: Sequence[str]) -> list:
+    """The values of `keys` in a JSON object document."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{kind} document must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise InputError(f"{kind} document missing key '{key}'")
+    return [obj[key] for key in keys]
+
+
+def _write_text(text: str, path: str | None) -> None:
+    """Write text to path, or to standard output when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_json(obj: object, path: str | None) -> None:
+    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
 def gset_to_json(a: GSet) -> dict:
@@ -267,13 +311,7 @@ def gset_to_json(a: GSet) -> dict:
 
 
 def gset_from_json(obj: object) -> GSet:
-    if not isinstance(obj, dict):
-        raise InputError("set document must be a JSON object")
-    try:
-        moduli = obj["moduli"]
-        elements = obj["elements"]
-    except KeyError as missing:
-        raise InputError(f"set document missing key {missing}") from None
+    moduli, elements = _document(obj, "set", ("moduli", "elements"))
     if not isinstance(moduli, list) or not moduli:
         raise InputError("'moduli' must be a non-empty list of integers")
     space = GroupSpace(tuple(moduli))
@@ -287,22 +325,9 @@ def gset_from_json(obj: object) -> GSet:
     return GSet.from_coords(space, coords)
 
 
-def _dump_json(obj: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def dump_gset(a: GSet, path: str) -> None:
-    _dump_json(gset_to_json(a), path)
+    _write_json(gset_to_json(a), path)
 
 
 def load_gset(path: str) -> GSet:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read set file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}") from exc
-    return gset_from_json(obj)
+    return gset_from_json(_read_json(path, "set"))

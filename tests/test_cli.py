@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from sumsetlab import GroupSpace, GSet, dump_gset
+from sumsetlab import (
+    GroupSpace,
+    GSet,
+    build_addition_graph,
+    build_restricted_graph,
+    dump_gset,
+    dump_graph,
+)
 from sumsetlab.cli import main
 
 Z = GroupSpace((0,))
@@ -78,6 +85,99 @@ def test_graph_build_restrict_check(workdir, capsys):
     assert doc["height"] == 2
     # V_1 = (A+B) \ C drops the label 1
     assert [1] not in [doc["labels"][k] for k in doc["labels"]][: len(doc["layers"][1])]
+
+
+def test_graph_check_reports_violations_in_order(tmp_path, capsys):
+    # Vertices 1, 6 and 9 each fan out to two tops, and 6 and 9 each have
+    # two parents.  Upward violations come first, then downward ones, each
+    # direction in sorted edge order.
+    gpath = tmp_path / "NC.json"
+    gpath.write_text(json.dumps({
+        "height": 2,
+        "layers": [[0, 4, 5, 8], [1, 6, 9], [2, 3, 7, 10, 11]],
+        "edges": [[0, 1], [1, 2], [1, 3], [4, 6], [5, 6], [6, 7], [8, 9],
+                  [5, 9], [9, 10], [9, 11], [6, 11]],
+    }))
+    code, out, _ = run(capsys, "graph", "check", gpath)
+    assert code == 1
+    expected = {
+        "commutative": False,
+        "downward_ok": False,
+        "schema": 1,
+        "upward_ok": False,
+        "violations": [
+            {"direction": "upward", "vertices": [0, 1, 3]},
+            {"direction": "upward", "vertices": [4, 6, 11]},
+            {"direction": "upward", "vertices": [8, 9, 11]},
+            {"direction": "downward", "vertices": [5, 6, 7]},
+            {"direction": "downward", "vertices": [8, 9, 10]},
+        ],
+    }
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_graph_outputs_match_dump_graph(workdir, capsys):
+    a = GSet.from_coords(Z, [(0,), (2,)])
+    b = GSet.from_coords(Z, [(0,), (1,), (3,)])
+    c = GSet.from_coords(Z, [(1,)])
+    dump_gset(c, str(workdir / "C.json"))
+    dump_graph(build_addition_graph(a, b, 2), str(workdir / "ref-build.json"))
+    dump_graph(build_restricted_graph(a, b, c, 2), str(workdir / "ref-restrict.json"))
+    code, out, _ = run(
+        capsys, "graph", "build", workdir / "A.json", workdir / "B.json", "--h", "2"
+    )
+    assert code == 0
+    assert out.encode() == (workdir / "ref-build.json").read_bytes()
+    code, out, _ = run(
+        capsys, "graph", "restrict", workdir / "A.json", workdir / "B.json",
+        workdir / "C.json", "--h", "2", "--out", workdir / "restrict.json",
+    )
+    assert (code, out) == (0, "")
+    assert (workdir / "restrict.json").read_bytes() == (
+        workdir / "ref-restrict.json"
+    ).read_bytes()
+
+
+UNWRITABLE = {
+    "sumset --out": ["sumset", "A.json", "B.json", "--out", "{bad}"],
+    "sumset --cardinality-only --out": [
+        "sumset", "A.json", "B.json", "--cardinality-only", "--out", "{bad}"],
+    "graph build --out": [
+        "graph", "build", "A.json", "B.json", "--h", "1", "--out", "{bad}"],
+    "graph restrict --out": [
+        "graph", "restrict", "A.json", "B.json", "A.json", "--h", "1",
+        "--out", "{bad}"],
+    "graph check --out": ["graph", "check", "G.json", "--out", "{bad}"],
+    "mag --out": ["mag", "G.json", "--level", "1", "--out", "{bad}"],
+    "partition --out": ["partition", "G.json", "--out", "{bad}"],
+    "bounds --out": ["bounds", "A.json", "B.json", "--h", "1", "--out", "{bad}"],
+    "bounds --csv": ["bounds", "A.json", "B.json", "--h", "1", "--csv", "{bad}"],
+    "construct --out-a": [
+        "construct", "example1", "--h", "2", "--a", "2", "--out-a", "{bad}"],
+    "construct --out-b": [
+        "construct", "example1", "--h", "2", "--a", "2", "--out-a", "CA.json",
+        "--out-b", "{bad}"],
+    "construct --out": [
+        "construct", "example1", "--h", "2", "--a", "2", "--out-a", "CA.json",
+        "--out-b", "CB.json", "--out", "{bad}"],
+    "verify suite --out": ["verify", "suite", "--cases", "1", "--out", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_unwritable_output_exits_2(workdir, capsys, argv):
+    dump_graph(build_addition_graph(GSet.from_coords(Z, [(0,), (2,)]),
+                                    GSet.from_coords(Z, [(0,), (1,)]), 1),
+               str(workdir / "G.json"))
+    bad = workdir / "no-such-dir" / "out.txt"
+    code, _, err = run(capsys, *[
+        bad if x == "{bad}" else workdir / x if x.endswith(".json") else x
+        for x in argv
+    ])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {bad}: ")
+    assert "Traceback" not in err
+    assert not bad.parent.exists()
 
 
 def test_graph_file_roundtrips_through_mag(workdir, capsys):

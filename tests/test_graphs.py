@@ -1,5 +1,7 @@
 """Addition graphs, restricted graphs, channels, commutativity."""
 
+import re
+
 import pytest
 
 from sumsetlab import (
@@ -130,6 +132,32 @@ def test_layered_graph_validation():
         LayeredGraph(2, ((0,), (1,), (2,)), ((0, 2),))
     with pytest.raises(InputError):
         LayeredGraph(1, ((0,),), ())
+    with pytest.raises(InputError, match="height must be >= 1"):
+        LayeredGraph(0, ((0,),), ())
+    with pytest.raises(InputError, match=r"labels missing for vertex ids \[1\]"):
+        LayeredGraph(1, ((0,), (1,)), ((0, 1),), {0: (0,)})
+    with pytest.raises(InputError, match="duplicate label"):
+        LayeredGraph(1, ((0, 1), (2,)), ((0, 2),), {0: (5,), 1: (5,), 2: (6,)})
+
+
+def test_graph_builders_check_arguments():
+    a, b = gs(0, 1), gs(0, 2)
+    other = GSet.from_coords(GroupSpace((0, 0)), [(0, 0)])
+    empty = GSet.from_coords(Z, [])
+    for h in (0, -1, 1.0, "2"):
+        with pytest.raises(InputError, match="graph height must be an integer >= 1"):
+            build_addition_graph(a, b, h)
+        with pytest.raises(InputError, match="graph height must be an integer >= 1"):
+            build_restricted_graph(a, b, empty, h)
+    with pytest.raises(InputError, match="A and B must share a space"):
+        build_addition_graph(a, other, 1)
+    with pytest.raises(InputError, match="A, B and C must share a space"):
+        build_restricted_graph(a, b, other, 1)
+    for x, y in ((empty, b), (a, empty)):
+        with pytest.raises(InputError, match="addition graph needs non-empty A and B"):
+            build_addition_graph(x, y, 1)
+        with pytest.raises(InputError, match="restricted graph needs non-empty A and B"):
+            build_restricted_graph(x, y, empty, 1)
 
 
 def test_channel_reroots_and_prunes(g253):
@@ -227,9 +255,27 @@ def test_graph_json_rejects_malformed():
         ("edges", {"edges": [[0, True]]}),
         ("height", {"height": True}),
         ("labels", {"labels": {"0": [True], "1": [2]}}),
+        ("layers", {"layers": {"0": [0], "1": [1]}}),
+        ("edges", {"edges": "0-1"}),
+        ("labels", {"labels": [[1], [2]]}),
+        ("labels", {"labels": {"0": "1", "1": [2]}}),
     ):
         with pytest.raises(InputError, match=f"'{field}'"):
             graph_from_json({**good, **change})
+    with pytest.raises(InputError, match="label key 'x' is not a vertex id"):
+        graph_from_json({**good, "labels": {"x": [1], "1": [2]}})
+    with pytest.raises(InputError, match="graph document missing key 'edges'"):
+        graph_from_json({"height": 1, "layers": [[0], [1]]})
+
+
+def test_load_graph_reports_unreadable_and_malformed_files(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(InputError, match=re.escape(f"cannot read graph file {missing}")):
+        load_graph(str(missing))
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"height": 1, "layers": [[0], [1]], "edges": [[0, 1]')
+    with pytest.raises(InputError, match=re.escape(f"malformed JSON in {broken}")):
+        load_graph(str(broken))
 
 
 def test_layers_and_images_match_oracle_random():

@@ -1,6 +1,7 @@
 """Group spaces, set arithmetic, and the JSON interchange format."""
 
 import pickle
+import re
 
 import pytest
 
@@ -145,8 +146,27 @@ def test_json_rejects_malformed_documents():
         gset_from_json({"moduli": [0]})
     with pytest.raises(InputError):
         gset_from_json({"moduli": [], "elements": []})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="'elements' entries"):
         gset_from_json({"moduli": [0], "elements": [3]})
+    with pytest.raises(InputError, match="'elements' must be a list"):
+        gset_from_json({"moduli": [0], "elements": {"0": [1]}})
+    with pytest.raises(InputError, match="set document missing key 'elements'"):
+        gset_from_json({"moduli": [0]})
+    with pytest.raises(InputError, match="length 2 in a rank-1 space"):
+        gset_from_json({"moduli": [0], "elements": [[1, 2]]})
+    for bad in ("1", 1.5, True, None):
+        with pytest.raises(InputError, match="coordinates must be integers"):
+            gset_from_json({"moduli": [0], "elements": [[bad]]})
+
+
+def test_load_gset_reports_unreadable_and_malformed_files(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(InputError, match=re.escape(f"cannot read set file {missing}")):
+        load_gset(str(missing))
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"moduli": [0], "elements": [[1]')
+    with pytest.raises(InputError, match=re.escape(f"malformed JSON in {broken}")):
+        load_gset(str(broken))
 
 
 def test_sumset_properties_random():
