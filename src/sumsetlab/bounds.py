@@ -41,7 +41,7 @@ from .graphs import (
     image_masks,
     subset_images,
 )
-from .groups import GSet, fold_sumset, sumset
+from .groups import GSet, _is_int, fold_sumset, sumset
 from .magnification import Ratio, magnification_flow
 from .partition import PartitionResult, partition_graph
 
@@ -105,7 +105,7 @@ def float_up(x) -> float:
 
 def rising_binomial(x: Fraction | int, h: int) -> Fraction:
     """Generalized binomial C(x+h-1, h) = prod_{i=0}^{h-1} (x+i) / h!."""
-    if not isinstance(h, int) or h < 0:
+    if not _is_int(h) or h < 0:
         raise InputError(f"binomial order must be a non-negative integer, got {h!r}")
     prod = Fraction(1)
     x = Fraction(x)
@@ -161,9 +161,9 @@ def pseudo_cardinality(
     bracket of width <= rel_tol * max(1, beta) with rational endpoints, each
     certified by evaluating the binomial exactly.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError(f"pseudo-cardinality needs a positive integer count, got {n!r}")
-    if not isinstance(h, int) or h < 1:
+    if not _is_int(h) or h < 1:
         raise InputError(f"pseudo-cardinality needs a positive integer h, got {h!r}")
     hi_int = 1
     while rising_binomial(hi_int, h) < n:
@@ -334,7 +334,7 @@ def bound_report(
     main terms are always reported with ok=None.  All other verdicts are
     outward-safe: pass/fail can be trusted bit-for-bit.
     """
-    if not isinstance(h, int) or h < 1:
+    if not _is_int(h) or h < 1:
         raise InputError(f"bound report needs an integer h >= 1, got {h!r}")
     if a.space != b.space:
         raise InputError("A and B must share a space")
@@ -538,7 +538,7 @@ def majorant_from_root(alpha_1: Fraction | int, sigma: Fraction | int, h: int):
     t = (sigma^h - alpha_1^h) / (sigma - alpha_1) telescopes to the rational
     sum of sigma^i alpha_1^(h-1-i), so a rational sigma gives exact values.
     """
-    if not isinstance(h, int) or h < 2:
+    if not _is_int(h) or h < 2:
         raise InputError(f"linear majorant needs h >= 2, got {h!r}")
     alpha_1 = Fraction(alpha_1)
     sigma = Fraction(sigma)
@@ -576,7 +576,7 @@ def linear_majorant(
     up, which preserves domination for a >= alpha_1.  The sampled pointwise
     check never reports a violation caused by rounding.
     """
-    if not isinstance(h, int) or h < 2:
+    if not _is_int(h) or h < 2:
         raise InputError(f"linear majorant needs h >= 2, got {h!r}")
     a1 = Fraction(alpha_1)
     s_f = Fraction(s)
@@ -657,9 +657,9 @@ class GrowthGeneralReport:
 
 def growth_general_bound(m: int, n: int, h: int) -> GrowthGeneralReport:
     for name, val in (("m", m), ("n", n)):
-        if not isinstance(val, int) or val < 1:
+        if not _is_int(val) or val < 1:
             raise InputError(f"growth bound needs positive integer {name}, got {val!r}")
-    if not isinstance(h, int) or h < 1:
+    if not _is_int(h) or h < 1:
         raise InputError(f"growth bound needs positive integer h, got {h!r}")
     pre_ok = n**h >= m ** (h - 1)  # n >= m^(1-1/h) cross-powered
     contraction = math.comb(n + h - 1, h)
@@ -806,9 +806,9 @@ def restricted_sumset_check(
         raise InputError("X, B and J must share a space")
     if x.is_empty or b.is_empty:
         raise InputError("restricted sumset check needs non-empty X and B")
-    if not isinstance(h, int) or h < 1:
+    if not _is_int(h) or h < 1:
         raise InputError(f"restricted sumset check needs integer h >= 1, got {h!r}")
-    if not isinstance(j, int) or not 1 <= j <= h:
+    if not _is_int(j) or not 1 <= j <= h:
         raise InputError(f"level j = {j!r} outside 1..{h}")
     if x.member_set() & j_set.member_set():
         raise InputError("X and J must be disjoint")

@@ -28,11 +28,21 @@ keeping original vertex ids and labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import is_not
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardError, InputError
-from .groups import Coords, GSet, _document, _is_int, _layers, _read_json, _write_json
+from .groups import (
+    Coords,
+    GSet,
+    _document,
+    _is_int,
+    _layers,
+    _layout,
+    _read_json,
+    _write_json,
+)
 
 __all__ = [
     "LayeredGraph",
@@ -228,27 +238,30 @@ def _sum_graph(
     a: GSet, b: GSet, forbidden: Sequence[Coords], h: int, max_size: int | None
 ) -> LayeredGraph:
     # Layers A and (A+iB) \ (C+(i-1)B) for i = 1..h, C = forbidden, with an
-    # edge x -> x+b wherever both ends are kept.  Ids run layer by layer, in
-    # sorted label order inside a layer, as the fold yields each layer.
-    space = a.space
-    rule = space._add
-    sums_layers = _layers(space, a.elements, b.elements, h, max_size)
-    removed = chain([()], _layers(space, forbidden, b.elements, h - 1, max_size))
-    layers: list[tuple[int, ...]] = []
+    # edge x -> x+b wherever both ends are kept.  C's fold starts one level
+    # up, so C+(i-1)B shares the layout of A+iB.  Ids run layer by layer, in
+    # sorted label order inside a layer, as the layout yields each layer.
+    layout = _layout(a.space, b.elements, h, ((a.elements, 0), (forbidden, 1)))
+    grown = _layers(layout, a.elements, 0, h, max_size)
+    cuts = _layers(layout, forbidden, 1, h - 1, max_size)
+    removed = chain([layout.encode((), 0)], cuts)
+    layers: list[range] = []
     labels: dict[int, Coords] = {}
     edges: list[tuple[int, int]] = []
-    prev: dict[Coords, int] = {}
-    for sums, cut in zip(sums_layers, removed):
-        ids: dict[Coords, int] = {}
-        for coords in sorted(sums.difference(cut)):
-            ids[coords] = len(labels)
-            labels[len(labels)] = coords
-        layers.append(tuple(ids.values()))
-        for coords, u in prev.items():
-            for v in map(ids.get, map(rule, repeat(coords), b.elements)):
-                if v is not None:
-                    edges.append((u, v))
-        prev = ids
+    prev_keys: list = []
+    prev_ids = range(0)
+    for level, (layer, cut) in enumerate(zip(grown, removed)):
+        kept = layout.minus(layer, cut)
+        keys, coords = layout.members(kept, level)
+        ids = range(len(labels), len(labels) + len(keys))
+        labels.update(zip(ids, coords))
+        layers.append(ids)
+        get = layout.lookup(dict(zip(keys, ids)), kept).get
+        for targets in layout.sums(prev_keys):
+            found = list(map(get, targets))
+            hits = map(is_not, found, repeat(None))
+            edges.extend(compress(zip(prev_ids, found), hits))
+        prev_keys, prev_ids = keys, ids
     return LayeredGraph(h, tuple(layers), edges, labels)
 
 
@@ -256,7 +269,7 @@ def build_addition_graph(
     a: GSet, b: GSet, h: int, max_size: int | None = None
 ) -> LayeredGraph:
     """Layered graph with V_i = A+iB and edges x -> x+b."""
-    if not isinstance(h, int) or h < 1:
+    if not _is_int(h) or h < 1:
         raise InputError(f"graph height must be an integer >= 1, got {h!r}")
     if a.space != b.space:
         raise InputError("A and B must share a space")
@@ -276,7 +289,7 @@ def build_restricted_graph(
     has an in-edge, because a fully orphaned sum would itself lie in the
     forbidden region one level up.
     """
-    if not isinstance(h, int) or h < 1:
+    if not _is_int(h) or h < 1:
         raise InputError(f"graph height must be an integer >= 1, got {h!r}")
     if a.space != b.space or a.space != c.space:
         raise InputError("A, B and C must share a space")

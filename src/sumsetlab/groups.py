@@ -9,21 +9,32 @@ are structural.
 The sumset A+B is {a+b : a in A, b in B}; iterated sumsets A+hB fold B in one
 layer at a time, which also yields hB itself via A = {0}.  One private fold
 walks the layers A, A+B, ..., A+hB for every entry point (sumset, iterated
-sumset, hB, cardinality stream, and the graph layers in `graphs`), with one
-addition rule per space and an optional cardinality guard (`max_size`, off
-by default).  The fold keeps only the current layer alive, so |A+iB| profiles
-of deep iterates do not store every intermediate set.
+sumset, hB, cardinality stream, and the graph layers in `graphs`), with an
+optional cardinality guard (`max_size`, off by default).  The fold keeps
+only the current layer alive, so |A+iB| profiles of deep iterates do not
+store every intermediate set.
+
+The fold is a bitset kernel.  Each layer is one Python int over a Kronecker
+layout of the bounding box of every layer: a free coordinate gets the width
+of the box of A+hB, a cyclic coordinate of modulus m gets width 2m-1 and is
+folded back once per layer with a precomputed mask.  X+B is then the OR of
+|B| shifts of X, |X| is its popcount, and the set bits decode in ascending
+position, which is sorted coordinate order.  Inputs whose box would need
+more than 2**14 bits per element of the larger of A and B (such as
+{0, 10**12} in Z) keep the tuple-set loop instead; the choice depends on the
+input sizes alone.  Either way the guard trips exactly when some |A+iB|
+exceeds the cap.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import repeat
-from math import inf
-from operator import add
+from itertools import accumulate, chain, repeat
+from math import inf, prod
+from operator import add, floordiv, mod, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GuardError, InputError
@@ -144,12 +155,23 @@ class GSet:
 
     space: GroupSpace
     elements: tuple[Coords, ...]
-    _members: frozenset = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         norm = sorted({self.space.normalize_coords(c) for c in self.elements})
         object.__setattr__(self, "elements", tuple(norm))
-        object.__setattr__(self, "_members", frozenset(norm))
+
+    @classmethod
+    def _trusted(cls, space: GroupSpace, elements: tuple[Coords, ...]) -> "GSet":
+        # For elements already normalized, sorted and distinct, as every
+        # fold decodes them: skips the constructor's checks.
+        gset = object.__new__(cls)
+        object.__setattr__(gset, "space", space)
+        object.__setattr__(gset, "elements", elements)
+        return gset
+
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.elements)
 
     @classmethod
     def from_coords(cls, space: GroupSpace, coords: Iterable[Sequence[int]]) -> "GSet":
@@ -189,48 +211,269 @@ def _require_same_space(a: GroupSpace, b: GroupSpace) -> None:
 
 def _check_fold(a: GSet, b: GSet, h: int) -> None:
     # The one argument check of every A+hB entry point.
-    if not isinstance(h, int) or h < 0:
+    if not _is_int(h) or h < 0:
         raise InputError(f"iteration count must be an integer >= 0, got {h!r}")
     _require_same_space(a.space, b.space)
     if a.is_empty or (h > 0 and b.is_empty):
         raise InputError("sumset operands must be non-empty")
 
 
-def _layers(
-    space: GroupSpace,
-    start: Iterable[Coords],
-    b_elems: Sequence[Coords],
-    h: int,
-    max_size: int | None,
-) -> Iterator[set]:
-    """The layers X, X+B, ..., X+hB of X = start, as coordinate sets.
+# --- the fold ----------------------------------------------------------------
+#
+# `_layers` walks X, X+B, ..., X+hB for every entry point, on a layout that
+# `_layout` picks from the input sizes alone: `_Lift` keeps a layer as one
+# int, `_Tuples` as a set of coordinate tuples.  Both answer the same calls:
+# `encode` a start set, `step` (add B), `size`, `minus` (set difference),
+# `members` (sorted keys with their coordinates), and, for the graph
+# builders, `sums` (the keys of x+b for each b) and `lookup` (key to id).
 
-    Each layer is built from the last and yielded before the next is built.
-    The guard checks each layer after every row x+B, so a tiny cap fails
-    before a large allocation; layer 0 is never checked.
+# A lift may spend this many bits per element of the larger of X and B.  On
+# CPython a shift-or of an int costs about as much per 2**14 bits as one
+# tuple addition, and the tuple loop builds X+(i+1)B from X+iB with
+# |X+iB| >= |X| additions per element of B (and >= |B| once i >= 1), so
+# within this budget a lift is never much slower than the loop it replaces.
+# `{0, 10**12}` in Z stays on tuples.
+_LIFT_BITS_PER_ELEMENT = 1 << 14
+
+
+# `_bit_positions` reads this many bytes of an int at a time, so its text
+# (one character per bit) stays small next to the int itself.
+_DECODE_BYTES = 1 << 16
+
+
+def _bit_positions(n: int) -> list[int]:
+    """The positions of the set bits of n, ascending."""
+    data = n.to_bytes((n.bit_length() + 7) // 8, "little")
+    out: list[int] = []
+    for start in range(0, len(data), _DECODE_BYTES):
+        chunk = int.from_bytes(data[start : start + _DECODE_BYTES], "little")
+        gaps = bin(chunk)[:1:-1].split("1")
+        gaps.pop()
+        ends = accumulate(map((1).__add__, map(len, gaps)), initial=8 * start - 1)
+        next(ends)
+        out.extend(ends)
+    return out
+
+
+def _every(pattern: int, period: int, count: int) -> int:
+    """`pattern` repeated `count` times, `period` bits apart."""
+    out = width = 0
+    while count:
+        if count & 1:
+            out |= pattern << width
+            width += period
+        pattern |= pattern << period
+        period *= 2
+        count >>= 1
+    return out
+
+
+class _Lift:
+    """Layers as ints over a Kronecker layout: bit p set means point p is in.
+
+    A point's position is the sum of digit_j * stride_j, with stride 1 on
+    the last coordinate, so ascending positions are ascending coordinate
+    tuples.  On a free coordinate the digit of c at level i is
+    c - low - i * min(B) over the width of the bounding box of every fold,
+    so adding b shifts by b - min(B) and no position is ever negative.  On a
+    cyclic coordinate of modulus m the digit is c itself over width 2m - 1,
+    which holds the sum of two residues; each layer folds the digits >= m
+    back by m with one precomputed mask per cyclic coordinate.
     """
-    rule = space._add
-    cap = inf if max_size is None else max_size
-    cur = set(start)
-    yield cur
-    for _ in range(h):
+
+    size = staticmethod(int.bit_count)
+
+    def __init__(
+        self,
+        space: GroupSpace,
+        b_elems: Sequence[Coords],
+        widths: list[int],
+        lows: list[int],
+        b_lows: list[int],
+    ) -> None:
+        self.widths, self.lows, self.b_lows = widths, lows, b_lows
+        strides = [1] * len(widths)
+        for j in range(len(widths) - 1, 0, -1):
+            strides[j - 1] = strides[j] * widths[j]
+        self.strides = strides
+        self.bits = strides[0] * widths[0]
+        # A point's position is its coordinates dotted with the strides plus
+        # the base of its level, origin + level * drift.
+        self.origin = -sum(map(mul, lows, strides))
+        self.drift = -sum(map(mul, b_lows, strides))
+        self.shifts = self._positions(b_elems, self.drift)
+        # Per cyclic coordinate: the positions whose digit is m or more, one
+        # run of (m - 1) * stride bits in every block of w * stride, and the
+        # jump of m * stride that folds them back.
+        self.folds = []
+        for s, m, w in zip(strides, space.moduli, widths):
+            if m:
+                run = ((1 << ((m - 1) * s)) - 1) << (m * s)
+                self.folds.append((_every(run, w * s, self.bits // (w * s)), m * s))
+
+    def _positions(self, coords: Sequence[Coords], base: int) -> list[int]:
+        strides = self.strides
+        return [sum(map(mul, c, strides), base) for c in coords]
+
+    def encode(self, coords: Sequence[Coords], level: int) -> int:
+        bits = bytearray(self.bits // 8 + 1)
+        for p in self._positions(coords, self.origin + level * self.drift):
+            bits[p >> 3] |= 1 << (p & 7)
+        return int.from_bytes(bits, "little")
+
+    def step(self, cur: int, cap: float) -> int:
+        nxt = 0
+        for shift in self.shifts:
+            nxt |= cur << shift
+        for high, jump in self.folds:
+            top = nxt & high
+            nxt ^= top
+            nxt |= top >> jump
+        return nxt
+
+    @staticmethod
+    def minus(layer: int, cut: int) -> int:
+        return layer & ~cut
+
+    def _coords(self, positions: list[int], level: int) -> list[Coords]:
+        offsets = [low + level * b for low, b in zip(self.lows, self.b_lows)]
+        cols = []
+        rest = positions
+        for w, off in zip(self.widths[:0:-1], offsets[:0:-1]):
+            cols.append(map(add, map(mod, rest, repeat(w)), repeat(off)))
+            rest = list(map(floordiv, rest, repeat(w)))
+        cols.append(map(add, rest, repeat(offsets[0])))
+        return list(zip(*cols[::-1]))
+
+    def members(self, layer: int, level: int) -> tuple[list[int], list[Coords]]:
+        positions = _bit_positions(layer)
+        return positions, self._coords(positions, level)
+
+    def sums(self, keys: list[int]) -> list[Iterator[int]]:
+        return [map(add, keys, repeat(shift)) for shift in self.shifts]
+
+    def lookup(self, ids: dict[int, int], layer: int) -> dict[int, int]:
+        # A sum x+b lands on a cyclic digit in [m, 2m - 2] before the fold;
+        # give every such unfolded position the id of the point it folds to.
+        if not self.folds:
+            return ids
+        ids = dict(ids)
+        for high, jump in self.folds:
+            low = layer & (high >> jump)
+            moved = _bit_positions(low)
+            ids.update(zip(map(add, moved, repeat(jump)), map(ids.__getitem__, moved)))
+            layer |= low << jump
+        return ids
+
+
+class _Tuples:
+    """Layers as sets of normalized coordinate tuples: the fallback for
+    inputs whose box is too sparse to lift."""
+
+    size = staticmethod(len)
+
+    def __init__(self, space: GroupSpace, b_elems: Sequence[Coords]) -> None:
+        self.rule, self.b_elems = space._add, b_elems
+
+    def encode(self, coords: Sequence[Coords], level: int) -> set:
+        return set(coords)
+
+    def step(self, cur: set, cap: float) -> set:
+        # Checks the size after every row x+B, so a tiny cap trips before a
+        # large allocation; every row is a subset of the layer.
         nxt: set = set()
         grow = nxt.update
         for x in cur:
-            grow(map(rule, repeat(x), b_elems))
+            grow(map(self.rule, repeat(x), self.b_elems))
             if len(nxt) > cap:
-                raise GuardError(
-                    f"sumset cardinality guard: result exceeds cap {max_size}"
-                )
-        cur = nxt
+                break
+        return nxt
+
+    @staticmethod
+    def minus(layer: set, cut: set) -> set:
+        return layer - cut
+
+    def members(self, layer: set, level: int) -> tuple[list[Coords], list[Coords]]:
+        keys = sorted(layer)
+        return keys, keys
+
+    def sums(self, keys: list[Coords]) -> list[Iterator[Coords]]:
+        return [map(self.rule, keys, repeat(y)) for y in self.b_elems]
+
+    def lookup(self, ids: dict[Coords, int], layer: set) -> dict[Coords, int]:
+        return ids
+
+
+def _layout(
+    space: GroupSpace,
+    b_elems: Sequence[Coords],
+    h: int,
+    starts: Sequence[tuple[Sequence[Coords], int]],
+) -> _Lift | _Tuples:
+    """One layout for the folds X, ..., X+(h-level)B of every (X, level).
+
+    A fold that starts at level 1 shares its layers' positions with the
+    level-0 fold one layer up, so the two can be subtracted.  The lift is
+    chosen when its box needs at most `_LIFT_BITS_PER_ELEMENT` bits per
+    element of the largest of B and the start sets.
+    """
+    b_cols = list(zip(*b_elems)) or [(0,)] * space.rank
+    start_cols = [(list(zip(*coords)), level) for coords, level in starts if coords]
+    widths, lows, b_lows = [], [], []
+    for j, m in enumerate(space.moduli):
+        if m:
+            widths.append(2 * m - 1)
+            lows.append(0)
+            b_lows.append(0)
+            continue
+        b_low = min(b_cols[j])
+        spread = max(b_cols[j]) - b_low
+        low = min([min(cols[j]) - level * b_low for cols, level in start_cols])
+        high = max(
+            [max(cols[j]) - level * b_low + (h - level) * spread
+             for cols, level in start_cols]
+        )
+        widths.append(high - low + 1)
+        lows.append(low)
+        b_lows.append(b_low)
+    largest = max(len(b_elems), *(len(coords) for coords, _ in starts))
+    if prod(widths) <= _LIFT_BITS_PER_ELEMENT * largest:
+        return _Lift(space, b_elems, widths, lows, b_lows)
+    return _Tuples(space, b_elems)
+
+
+def _layers(
+    layout: _Lift | _Tuples,
+    start: Sequence[Coords],
+    level: int,
+    h: int,
+    max_size: int | None,
+) -> Iterator:
+    """The layers X, X+B, ..., X+hB of X = start, in the layout's form.
+
+    Each layer is built from the last and yielded before the next is built.
+    The guard compares each layer's size with the cap, so it trips exactly
+    when some |X+iB| exceeds it; layer 0 is never checked.
+    """
+    cap = inf if max_size is None else max_size
+    cur = layout.encode(start, level)
+    yield cur
+    for _ in range(h):
+        cur = layout.step(cur, cap)
+        if layout.size(cur) > cap:
+            raise GuardError(
+                f"sumset cardinality guard: result exceeds cap {max_size}"
+            )
         yield cur
 
 
 def _top_layer(a: GSet, b: GSet, h: int, max_size: int | None) -> GSet:
     _check_fold(a, b, h)
-    for layer in _layers(a.space, a.elements, b.elements, h, max_size):
+    layout = _layout(a.space, b.elements, h, ((a.elements, 0),))
+    for layer in _layers(layout, a.elements, 0, h, max_size):
         pass
-    return GSet(a.space, tuple(layer))
+    _, coords = layout.members(layer, h)
+    return GSet._trusted(a.space, tuple(coords))
 
 
 def sumset(a: GSet, b: GSet, max_size: int | None = None) -> GSet:
@@ -255,8 +498,8 @@ def cardinality_stream(
 ) -> list[int]:
     """[|A|, |A+B|, ..., |A+hB|], holding only one layer in memory at a time."""
     _check_fold(a, b, h)
-    layers = _layers(a.space, a.elements, b.elements, h, max_size)
-    return [len(layer) for layer in layers]
+    layout = _layout(a.space, b.elements, h, ((a.elements, 0),))
+    return [layout.size(layer) for layer in _layers(layout, a.elements, 0, h, max_size)]
 
 
 # --- JSON interchange ------------------------------------------------------
@@ -299,8 +542,57 @@ def _write_text(text: str, path: str | None) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _int_rows(rows: Iterable) -> bool:
+    # Non-empty lists of plain ints only (no bool, float or nesting).
+    return (
+        set(map(type, rows)) == {list}
+        and all(rows)
+        and set(map(type, chain.from_iterable(rows))) == {int}
+    )
+
+
+def _compact(obj: object) -> str:
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+
+
+def _json_text(obj: object, pad: str) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, each line after the
+    first indented by `pad` more.
+
+    With an indent, `json` runs its pure-Python encoder, several times
+    slower than the compact C one.  Int lists, lists of int lists and
+    objects of int lists under plain keys, the bulk of every set and graph
+    document, are therefore written by the C encoder and respaced with
+    `str.replace`: their compact text has commas only between ints or rows,
+    so each replacement is exact.  Other objects recurse key by key, and
+    every other value goes to `json.dumps` as it is.
+    """
+    inner = pad + "  "
+    rows = inner + "  "
+    if type(obj) is list and obj:
+        if set(map(type, obj)) == {int}:
+            body = _compact(obj)[1:-1].replace(",", ",\n" + inner)
+            return f"[\n{inner}{body}\n{pad}]"
+        if _int_rows(obj):
+            body = _compact(obj)[2:-2].replace(",", ",\n" + rows)
+            body = body.replace(f"],\n{rows}[", f"\n{inner}],\n{inner}[\n{rows}")
+            return f"[\n{inner}[\n{rows}{body}\n{inner}]\n{pad}]"
+    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        if _int_rows(obj.values()) and set(",\"[]:").isdisjoint("".join(obj)):
+            body = _compact(obj)[1:-2].replace(",", ",\n" + rows)
+            body = body.replace(f'],\n{rows}"', f'\n{inner}],\n{inner}"')
+            body = body.replace('":[', '": [\n' + rows)
+            return f"{{\n{inner}{body}\n{inner}]\n{pad}}}"
+        items = (
+            f"{inner}{json.dumps(key)}: {_json_text(value, inner)}"
+            for key, value in sorted(obj.items())
+        )
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _write_json(obj: object, path: str | None) -> None:
-    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
+    _write_text(_json_text(obj, "") + "\n", path)
 
 
 def gset_to_json(a: GSet) -> dict:

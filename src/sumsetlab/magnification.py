@@ -35,6 +35,7 @@ from typing import Sequence
 
 from .errors import GuardError, InputError
 from .graphs import LayeredGraph, image_masks, subset_images
+from .groups import _is_int
 from .maxflow import FlowNetwork
 
 __all__ = [
@@ -73,7 +74,7 @@ def magnification_to_json(result: MagnificationResult) -> dict:
 
 
 def _validate_level(graph: LayeredGraph, level: int) -> None:
-    if not isinstance(level, int) or not 1 <= level <= graph.height:
+    if not _is_int(level) or not 1 <= level <= graph.height:
         raise InputError(
             f"magnification level {level!r} outside 1..{graph.height}"
         )

@@ -326,6 +326,16 @@ def test_construct_invalid_parameters_exit_2(workdir, capsys):
     assert "divisibility" in err
 
 
+def test_construct_example2_needs_alpha(workdir, capsys):
+    code, _, err = run(
+        capsys, "construct", "example2", "--h", "2", "--a", "8",
+        "--out-a", workdir / "EA.json", "--out-b", workdir / "EB.json",
+    )
+    assert code == 2
+    assert "construct example2 requires --alpha" in err
+    assert not (workdir / "EA.json").exists()
+
+
 def test_verify_suite_exit_and_lines(workdir, capsys):
     spath = workdir / "suite.json"
     code, out, _ = run(

@@ -373,3 +373,63 @@ def test_sum_graph_edges_complete_random():
         ):
             got = {(g.layer_of(u), g.label_of(u), g.label_of(v)) for u, v in g.edges}
             assert got == naive_layer_edges(layers, b.elements, moduli)
+
+
+@pytest.mark.parametrize(
+    "moduli", [(0,), (7,), (5, 5), (0, 4), (3, 0), (0, 3, 0), (2, 3, 4)], ids=str
+)
+def test_sum_graphs_match_oracle_on_every_space(moduli):
+    # Cyclic coordinates make sums land on unfolded positions, which the
+    # builder maps back to the folded vertex.
+    rng = rng_for(20261018, f"sum graphs {moduli}")
+    space = GroupSpace(moduli)
+    for _ in range(20):
+        a = random_gset(rng, space, 1, 6, spread=rng.choice([3, 15]))
+        b = random_gset(rng, space, 1, 4, spread=4)
+        c = random_gset(rng, space, 0, 4, spread=6)
+        h = rng.randint(1, 3)
+        grown = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
+        shadow = [frozenset()] + [
+            naive_iterated(c.elements, b.elements, i, moduli) for i in range(h)
+        ]
+        kept = [x - y for x, y in zip(grown, shadow)]
+        for g, want in (
+            (build_addition_graph(a, b, h), grown),
+            (build_restricted_graph(a, b, c, h), kept),
+        ):
+            labels = [[g.label_of(v) for v in layer] for layer in g.layers]
+            assert labels == [sorted(layer) for layer in want]
+            ids = [v for layer in g.layers for v in layer]
+            assert ids == list(range(g.vertex_count))
+            edges = {(g.layer_of(u), g.label_of(u), g.label_of(v)) for u, v in g.edges}
+            assert edges == naive_layer_edges(want, b.elements, moduli)
+
+
+def test_label_of_needs_labels():
+    g = LayeredGraph(1, ((0,), (1,)), ((0, 1),))
+    with pytest.raises(InputError, match="graph carries no labels"):
+        g.label_of(0)
+
+
+def test_channel_targets_share_one_layer(g253):
+    mixed = {g253.layers[1][0], g253.layers[2][0]}
+    with pytest.raises(InputError, match="target vertices must share one layer"):
+        channel(g253, g253.layers[0], mixed)
+
+
+def test_channel_of_needs_a_top_layer():
+    g = LayeredGraph(1, ((0,), ()), ())
+    with pytest.raises(InputError, match="channel target layer is empty"):
+        channel_of(g, {0})
+
+
+def test_graph_document_maps_constructor_failures(monkeypatch):
+    # Every check of a graph document raises InputError itself; any other
+    # failure of the constructor still comes out as an InputError.
+    def broken(*args):
+        raise TypeError("unhashable vertex")
+
+    monkeypatch.setattr("sumsetlab.graphs.LayeredGraph", broken)
+    doc = {"height": 1, "layers": [[0], [1]], "edges": [[0, 1]]}
+    with pytest.raises(InputError, match="inconsistent graph document: unhashable"):
+        graph_from_json(doc)

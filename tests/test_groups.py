@@ -1,5 +1,6 @@
 """Group spaces, set arithmetic, and the JSON interchange format."""
 
+import json
 import pickle
 import re
 
@@ -23,7 +24,29 @@ from sumsetlab import (
     sumset,
     zero_set,
 )
+from sumsetlab.bounds import (
+    bound_report,
+    growth_general_bound,
+    linear_majorant,
+    majorant_from_root,
+    pseudo_cardinality,
+    restricted_sumset_check,
+    rising_binomial,
+)
+from sumsetlab.groups import (
+    _DECODE_BYTES,
+    _bit_positions,
+    _layout,
+    _Lift,
+    _Tuples,
+    _write_json,
+)
 from sumsetlab.instances import random_gset, random_pair, rng_for
+from sumsetlab.magnification import (
+    magnification_bruteforce,
+    magnification_flow,
+    tight_channel_power_check,
+)
 
 from oracles import naive_iterated, naive_normalize, naive_sumset
 
@@ -263,3 +286,205 @@ def test_guard_boundary_every_fold_entry_point(call, folds):
     call(max(sizes))
     with pytest.raises(GuardError, match="sumset cardinality guard"):
         call(max(sizes) - 1)
+
+
+def test_fold_sumset_refuses_the_empty_set():
+    with pytest.raises(InputError, match="fold_sumset needs a non-empty set"):
+        fold_sumset(GSet.from_coords(Z, []), 2)
+
+
+# The bitset kernel against the naive fold, on every kind of space: free
+# coordinates with negative entries, cyclic ones, and mixtures up to rank 3.
+KERNEL_SPACES = [(0,), (7,), (5, 5), (0, 4), (3, 0), (0, 0, 0), (0, 3, 0), (2, 3, 4)]
+
+
+def _kernel_case(rng, moduli):
+    space = GroupSpace(moduli)
+    a = random_gset(rng, space, 1, 7, spread=rng.choice([3, 20]))
+    b = random_gset(rng, space, 1, rng.choice([1, 4]), spread=rng.choice([2, 9]))
+    return a, b
+
+
+@pytest.mark.parametrize("moduli", KERNEL_SPACES, ids=str)
+def test_kernel_matches_naive_fold(moduli):
+    rng = rng_for(20261018, f"kernel {moduli}")
+    lifted = 0
+    for _ in range(25):
+        a, b = _kernel_case(rng, moduli)
+        h = rng.randint(0, 5)
+        lifted += isinstance(_layout(a.space, b.elements, h, ((a.elements, 0),)), _Lift)
+        want = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
+        top = iterated_sumset(a, b, h)
+        assert top.elements == tuple(sorted(want[-1]))
+        assert top == GSet.from_coords(a.space, want[-1])
+        assert cardinality_stream(a, b, h) == [len(layer) for layer in want]
+        zero = [a.space.zero_coords()]
+        hb = naive_iterated(zero, b.elements, h, moduli)
+        assert fold_sumset(b, h).member_set() == hb
+    # Wide rank-3 boxes at h = 5 may exceed the lift budget; most cases lift.
+    assert lifted >= 20
+
+
+def test_kernel_singleton_b_and_h_zero():
+    space = GroupSpace((0, 6))
+    a = GSet.from_coords(space, [(-4, 5), (2, 0), (9, 3)])
+    b = GSet.from_coords(space, [(-3, 4)])
+    assert iterated_sumset(a, b, 0) == a
+    assert cardinality_stream(a, b, 0) == [3]
+    for h in range(6):
+        want = naive_iterated(a.elements, b.elements, h, space.moduli)
+        assert iterated_sumset(a, b, h).member_set() == want
+        assert len(want) == 3
+
+
+@pytest.mark.parametrize(
+    "moduli, a_coords, b_coords",
+    [
+        ((0,), [(0,), (10**12,)], [(0,), (1,), (5,)]),
+        ((10**12,), [(3,), (10**11,), (10**12 - 1,)], [(0,), (2,), (10**12 - 7,)]),
+        ((0, 10**12), [(0, 1), (4, 10**12 - 1)], [(1, 0), (0, 10**9)]),
+    ],
+    ids=["Z", "Z_1e12", "Z x Z_1e12"],
+)
+def test_sparse_boxes_stay_on_tuples(moduli, a_coords, b_coords):
+    # Checked before any fold runs, so a wrong choice fails here instead of
+    # allocating a 10**12-bit integer.
+    space = GroupSpace(moduli)
+    a = GSet.from_coords(space, a_coords)
+    b = GSet.from_coords(space, b_coords)
+    for h in range(4):
+        layout = _layout(space, b.elements, h or 1, ((a.elements, 0),))
+        assert isinstance(layout, _Tuples)
+        want = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
+        assert iterated_sumset(a, b, h).elements == tuple(sorted(want[-1]))
+        assert cardinality_stream(a, b, h) == [len(layer) for layer in want]
+
+
+def test_bit_positions_across_decode_chunks():
+    # The decoder reads 2**19 bits at a time; bits on both sides of each
+    # chunk boundary, and the first and last bit, come back in order.
+    rng = rng_for(20261018, "bits")
+    edge = 8 * _DECODE_BYTES
+    for size in (1, 7, edge - 1, edge, edge + 1, 3 * edge + 5):
+        want = sorted({0, size - 1} | {rng.randrange(size) for _ in range(200)})
+        want += [p for p in (edge - 1, edge, 2 * edge) if p < size and p not in want]
+        want.sort()
+        assert _bit_positions(sum(1 << p for p in want)) == want
+    assert _bit_positions(0) == []
+
+
+def test_lift_budget_boundary():
+    # A two-point set in Z lifts while its box holds at most 2**14 bits per
+    # element of the larger input set, and falls back one bit later.
+    b = gs(0, 1)
+    budget = 2 * 2**14
+    inside, outside = gs(0, budget - 2), gs(0, budget - 1)
+    assert isinstance(_layout(Z, b.elements, 1, ((inside.elements, 0),)), _Lift)
+    assert isinstance(_layout(Z, b.elements, 1, ((outside.elements, 0),)), _Tuples)
+    for a in (inside, outside):
+        want = naive_iterated(a.elements, b.elements, 3, (0,))
+        assert members(iterated_sumset(a, b, 3)) == {c[0] for c in want}
+
+
+def _random_document(rng, depth=0):
+    pick = rng.random()
+    if depth > 3 or pick < 0.3:
+        return rng.choice(
+            [0, -7, 12, 10**20, -(10**30), True, False, None, 1.5, -0.0,
+             float("inf"), "a,[]:\"b", "", "x\ny", "é"]
+        )
+    if pick < 0.5:
+        return [rng.randint(-50, 50) for _ in range(rng.randint(0, 4))]
+    if pick < 0.65:
+        return [
+            [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+            for _ in range(rng.randint(0, 3))
+        ]
+    if pick < 0.8:
+        keys = ["0", "1", "10", "2", "a", "b,c", "d]", "e:", 'f"', "[g", "h\\"]
+        return {
+            rng.choice(keys): _random_document(rng, depth + 1)
+            if rng.random() < 0.3
+            else [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+            for _ in range(rng.randint(0, 4))
+        }
+    return [_random_document(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+
+
+WRITER_CASES = [
+    [],
+    {},
+    [[]],
+    [-3, 0, 4],
+    [1, True, 2],
+    [[1, 2], [True, 0]],
+    [[1, -2], [], [3]],
+    [[1, 2.5]],
+    {"elements": [[-1, 2], [3, -4]], "moduli": [0, 0]},
+    {
+        "height": 2,
+        "labels": {"0": [1], "10": [-2], "2": [3]},
+        "layers": [[0], [], [1, 2]],
+    },
+    {"labels": {"0": [1], "1": []}},
+    {"labels": {"a,b": [1], "c": [2]}},
+    {"x": {"y": {"z": [[1], [2]]}, "w": [0.5, -1e300]}},
+    {"s": 'q,[]:"', 'k,[]:"': [1, 2], "t": True, "f": 2.25},
+]
+
+
+def test_writer_matches_json_dumps(tmp_path):
+    rng = rng_for(20261018, "writer")
+    docs = WRITER_CASES + [
+        {"k": _random_document(rng), "z": _random_document(rng)} for _ in range(400)
+    ]
+    path = tmp_path / "doc.json"
+    for doc in docs:
+        _write_json(doc, str(path))
+        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _graph():
+    return build_addition_graph(gs(0, 1), gs(0), 2)
+
+
+# Every integer count or level parameter refuses True, which is an int to
+# Python but a bool in a JSON document.
+TRUE_AS_INT = [
+    ("iterated_sumset h", lambda: iterated_sumset(gs(0, 1), gs(0), True)),
+    ("fold_sumset h", lambda: fold_sumset(gs(0, 1), True)),
+    ("cardinality_stream h", lambda: cardinality_stream(gs(0, 1), gs(0), True)),
+    ("build_addition_graph h", lambda: build_addition_graph(gs(0, 1), gs(0), True)),
+    (
+        "build_restricted_graph h",
+        lambda: build_restricted_graph(gs(0, 1), gs(0), gs(), True),
+    ),
+    ("rising_binomial h", lambda: rising_binomial(3, True)),
+    ("pseudo_cardinality n", lambda: pseudo_cardinality(True, 2)),
+    ("pseudo_cardinality h", lambda: pseudo_cardinality(3, True)),
+    ("bound_report h", lambda: bound_report(gs(0, 1), gs(0, 1), True)),
+    ("majorant_from_root h", lambda: majorant_from_root(2, 3, True)),
+    ("linear_majorant h", lambda: linear_majorant(2, 3, True)),
+    ("growth_general_bound m", lambda: growth_general_bound(True, 2, 2)),
+    ("growth_general_bound h", lambda: growth_general_bound(2, 2, True)),
+    (
+        "restricted_sumset_check j",
+        lambda: restricted_sumset_check(gs(0, 1), gs(0, 1), gs(), True, 2),
+    ),
+    (
+        "restricted_sumset_check h",
+        lambda: restricted_sumset_check(gs(0, 1), gs(0, 1), gs(), 1, True),
+    ),
+    ("magnification_flow level", lambda: magnification_flow(_graph(), True)),
+    ("magnification_bruteforce level", lambda: magnification_bruteforce(_graph(), True)),
+    (
+        "tight_channel_power_check level",
+        lambda: tight_channel_power_check(_graph(), True),
+    ),
+]
+
+
+@pytest.mark.parametrize("call", [pytest.param(c, id=name) for name, c in TRUE_AS_INT])
+def test_true_is_not_an_integer_count(call):
+    with pytest.raises(InputError):
+        call()
