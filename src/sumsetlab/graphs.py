@@ -241,7 +241,9 @@ def _sum_graph(
     # edge x -> x+b wherever both ends are kept.  C's fold starts one level
     # up, so C+(i-1)B shares the layout of A+iB.  Ids run layer by layer, in
     # sorted label order inside a layer, as the layout yields each layer.
-    layout = _layout(a.space, b.elements, h, ((a.elements, 0), (forbidden, 1)))
+    layout = _layout(
+        a.space, b.elements, h, ((a.elements, 0), (forbidden, 1)), h + 1
+    )
     grown = _layers(layout, a.elements, 0, h, max_size)
     cuts = _layers(layout, forbidden, 1, h - 1, max_size)
     removed = chain([layout.encode((), 0)], cuts)

@@ -19,11 +19,11 @@ layout of the bounding box of every layer: a free coordinate gets the width
 of the box of A+hB, a cyclic coordinate of modulus m gets width 2m-1 and is
 folded back once per layer with a precomputed mask.  X+B is then the OR of
 |B| shifts of X, |X| is its popcount, and the set bits decode in ascending
-position, which is sorted coordinate order.  Inputs whose box would need
-more than 2**14 bits per element of the larger of A and B (such as
-{0, 10**12} in Z) keep the tuple-set loop instead; the choice depends on the
-input sizes alone.  Either way the guard trips exactly when some |A+iB|
-exceeds the cap.
+position, which is sorted coordinate order.  Inputs whose box would cost
+more in full-width int passes than the least work the tuple-set loop could
+do (such as {0, 10**12} in Z, or a small A with a large sparse B) keep that
+loop instead; the choice depends on the input sizes alone.  Either way the
+guard trips exactly when some |A+iB| exceeds the cap.
 """
 
 from __future__ import annotations
@@ -227,14 +227,15 @@ def _check_fold(a: GSet, b: GSet, h: int) -> None:
 # `members` (sorted keys with their coordinates), and, for the graph
 # builders, `sums` (the keys of x+b for each b) and `lookup` (key to id).
 
-# A lift may spend this many bits per element of the larger of X and B.  On
-# CPython a shift-or of an int costs about as much per 2**14 bits as one
-# tuple addition, and the tuple loop builds X+(i+1)B from X+iB with
-# |X+iB| >= |X| additions per element of B (and >= |B| once i >= 1), so
-# within this budget a lift is never much slower than the loop it replaces.
-# `{0, 10**12}` in Z stays on tuples.
-_LIFT_BITS_PER_ELEMENT = 1 << 14
-
+# What a lift costs, in tuple additions of the fallback loop (about 1.1 us
+# each in Z, 1.8 us with a cyclic coordinate, on CPython 3.11 on one x86-64
+# core): a full-width pass over a layer (a shift-or, a cyclic fold, a
+# popcount) costs one per `_PASS_BITS` bits (0.05-0.17 ns a bit, the more
+# the wider the int), and decoding a layer to coordinates one per
+# `_DECODE_BITS` bits (2-3.5 ns a bit, plus a share per point that the tuple
+# loop's sort pays as well).  Both round the measured cost up.
+_PASS_BITS = 1 << 13
+_DECODE_BITS = 1 << 8
 
 # `_bit_positions` reads this many bytes of an int at a time, so its text
 # (one character per bit) stays small next to the int itself.
@@ -404,18 +405,50 @@ class _Tuples:
         return ids
 
 
+def _lift_pays(
+    space: GroupSpace,
+    b_size: int,
+    h: int,
+    starts: Sequence[tuple[int, int]],
+    bits: int,
+    decoded: int,
+) -> bool:
+    """Whether lifting the folds of `starts` ((|X|, level) pairs) to
+    `bits`-bit ints costs at most the least work the tuple loop could do.
+
+    The loop adds each element of B to each point of X+iB for i < h - level,
+    and |X+iB| >= max(|X|, |B|) once i >= 1: that many tuple additions at
+    least.  The lift encodes each start set (about 3 passes) and makes
+    |B| + 2 passes per step, plus 2 per cyclic coordinate for the fold; the
+    caller decodes `decoded` layers.  Each step costs more than |B| passes
+    against at most |B| * max(|X|, |B|) additions, so a lifted layer never
+    holds more than `_PASS_BITS` bits per element of the larger of X and B.
+    """
+    cyclic = sum(1 for m in space.moduli if m)
+    passes = pairs = 0
+    for size, level in starts:
+        passes += 3
+        steps = h - level
+        if size and steps:
+            passes += steps * (b_size + 2 * cyclic + 2)
+            pairs += b_size * (size + (steps - 1) * max(size, b_size))
+    per_decode = _PASS_BITS // _DECODE_BITS
+    return bits * (passes + decoded * per_decode) <= pairs * _PASS_BITS
+
+
 def _layout(
     space: GroupSpace,
     b_elems: Sequence[Coords],
     h: int,
     starts: Sequence[tuple[Sequence[Coords], int]],
+    decoded: int,
 ) -> _Lift | _Tuples:
-    """One layout for the folds X, ..., X+(h-level)B of every (X, level).
+    """One layout for the folds X, ..., X+(h-level)B of every (X, level),
+    of which the caller decodes `decoded` layers.
 
     A fold that starts at level 1 shares its layers' positions with the
     level-0 fold one layer up, so the two can be subtracted.  The lift is
-    chosen when its box needs at most `_LIFT_BITS_PER_ELEMENT` bits per
-    element of the largest of B and the start sets.
+    chosen when `_lift_pays` for its box.
     """
     b_cols = list(zip(*b_elems)) or [(0,)] * space.rank
     start_cols = [(list(zip(*coords)), level) for coords, level in starts if coords]
@@ -436,8 +469,8 @@ def _layout(
         widths.append(high - low + 1)
         lows.append(low)
         b_lows.append(b_low)
-    largest = max(len(b_elems), *(len(coords) for coords, _ in starts))
-    if prod(widths) <= _LIFT_BITS_PER_ELEMENT * largest:
+    sizes = [(len(coords), level) for coords, level in starts]
+    if _lift_pays(space, len(b_elems), h, sizes, prod(widths), decoded):
         return _Lift(space, b_elems, widths, lows, b_lows)
     return _Tuples(space, b_elems)
 
@@ -469,7 +502,7 @@ def _layers(
 
 def _top_layer(a: GSet, b: GSet, h: int, max_size: int | None) -> GSet:
     _check_fold(a, b, h)
-    layout = _layout(a.space, b.elements, h, ((a.elements, 0),))
+    layout = _layout(a.space, b.elements, h, ((a.elements, 0),), 1)
     for layer in _layers(layout, a.elements, 0, h, max_size):
         pass
     _, coords = layout.members(layer, h)
@@ -498,7 +531,7 @@ def cardinality_stream(
 ) -> list[int]:
     """[|A|, |A+B|, ..., |A+hB|], holding only one layer in memory at a time."""
     _check_fold(a, b, h)
-    layout = _layout(a.space, b.elements, h, ((a.elements, 0),))
+    layout = _layout(a.space, b.elements, h, ((a.elements, 0),), 0)
     return [layout.size(layer) for layer in _layers(layout, a.elements, 0, h, max_size)]
 
 

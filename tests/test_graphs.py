@@ -21,6 +21,7 @@ from sumsetlab import (
     image,
     load_graph,
 )
+from sumsetlab import groups
 from sumsetlab.graphs import _saturating_matching, image_masks, subset_images
 from sumsetlab.instances import (
     random_gset,
@@ -375,12 +376,14 @@ def test_sum_graph_edges_complete_random():
             assert got == naive_layer_edges(layers, b.elements, moduli)
 
 
+@pytest.mark.parametrize("lift", [True, False], ids=["lift", "tuples"])
 @pytest.mark.parametrize(
     "moduli", [(0,), (7,), (5, 5), (0, 4), (3, 0), (0, 3, 0), (2, 3, 4)], ids=str
 )
-def test_sum_graphs_match_oracle_on_every_space(moduli):
+def test_sum_graphs_match_oracle_on_every_space(moduli, lift, monkeypatch):
     # Cyclic coordinates make sums land on unfolded positions, which the
-    # builder maps back to the folded vertex.
+    # builder maps back to the folded vertex.  Both layouts run every case.
+    monkeypatch.setattr(groups, "_lift_pays", lambda *args: lift)
     rng = rng_for(20261018, f"sum graphs {moduli}")
     space = GroupSpace(moduli)
     for _ in range(20):

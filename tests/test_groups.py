@@ -24,6 +24,7 @@ from sumsetlab import (
     sumset,
     zero_set,
 )
+from sumsetlab import groups
 from sumsetlab.bounds import (
     bound_report,
     growth_general_bound,
@@ -305,14 +306,17 @@ def _kernel_case(rng, moduli):
     return a, b
 
 
+@pytest.mark.parametrize("lift", [True, False], ids=["lift", "tuples"])
 @pytest.mark.parametrize("moduli", KERNEL_SPACES, ids=str)
-def test_kernel_matches_naive_fold(moduli):
+def test_kernel_matches_naive_fold(moduli, lift, monkeypatch):
+    # Both layouts on every case, whichever the cost rule would pick.
+    monkeypatch.setattr(groups, "_lift_pays", lambda *args: lift)
     rng = rng_for(20261018, f"kernel {moduli}")
-    lifted = 0
     for _ in range(25):
         a, b = _kernel_case(rng, moduli)
         h = rng.randint(0, 5)
-        lifted += isinstance(_layout(a.space, b.elements, h, ((a.elements, 0),)), _Lift)
+        layout = _layout(a.space, b.elements, h, ((a.elements, 0),), 1)
+        assert isinstance(layout, _Lift if lift else _Tuples)
         want = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
         top = iterated_sumset(a, b, h)
         assert top.elements == tuple(sorted(want[-1]))
@@ -321,8 +325,6 @@ def test_kernel_matches_naive_fold(moduli):
         zero = [a.space.zero_coords()]
         hb = naive_iterated(zero, b.elements, h, moduli)
         assert fold_sumset(b, h).member_set() == hb
-    # Wide rank-3 boxes at h = 5 may exceed the lift budget; most cases lift.
-    assert lifted >= 20
 
 
 def test_kernel_singleton_b_and_h_zero():
@@ -353,7 +355,7 @@ def test_sparse_boxes_stay_on_tuples(moduli, a_coords, b_coords):
     a = GSet.from_coords(space, a_coords)
     b = GSet.from_coords(space, b_coords)
     for h in range(4):
-        layout = _layout(space, b.elements, h or 1, ((a.elements, 0),))
+        layout = _layout(space, b.elements, h or 1, ((a.elements, 0),), 1)
         assert isinstance(layout, _Tuples)
         want = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
         assert iterated_sumset(a, b, h).elements == tuple(sorted(want[-1]))
@@ -373,17 +375,58 @@ def test_bit_positions_across_decode_chunks():
     assert _bit_positions(0) == []
 
 
-def test_lift_budget_boundary():
-    # A two-point set in Z lifts while its box holds at most 2**14 bits per
-    # element of the larger input set, and falls back one bit later.
-    b = gs(0, 1)
-    budget = 2 * 2**14
-    inside, outside = gs(0, budget - 2), gs(0, budget - 1)
-    assert isinstance(_layout(Z, b.elements, 1, ((inside.elements, 0),)), _Lift)
-    assert isinstance(_layout(Z, b.elements, 1, ((outside.elements, 0),)), _Tuples)
-    for a in (inside, outside):
-        want = naive_iterated(a.elements, b.elements, 3, (0,))
-        assert members(iterated_sumset(a, b, 3)) == {c[0] for c in want}
+# (moduli, w, h, decoded layers, lifts) for A = {0, w} and B = {0, 1}, one
+# bit on each side of the cost rule.  In Z the box holds w + 1 + h bits, in
+# Z_m it holds 2m - 1.
+LIFT_EDGES = [
+    # h = 1, one decode: 3 + 4 passes, and 32 for the decode, against the 4
+    # additions of A+B: 4 * 2**13 // 39 = 840 bits.
+    ((0,), 838, 1, 1, True),
+    ((0,), 839, 1, 1, False),
+    # No decode (a cardinality stream): 4 * 2**13 // 7 = 4681 bits.
+    ((0,), 4679, 1, 0, True),
+    ((0,), 4680, 1, 0, False),
+    # h = 2: the second step adds |B| * max(|A|, |B|) = 4 additions and 4
+    # passes: 8 * 2**13 // 43 = 1524 bits.
+    ((0,), 1521, 2, 1, True),
+    ((0,), 1522, 2, 1, False),
+    # The fold of a cyclic coordinate adds 2 passes a step: 4 * 2**13 // 41 = 799.
+    ((400,), 1, 1, 1, True),
+    ((401,), 1, 1, 1, False),
+]
+
+
+@pytest.mark.parametrize("moduli, w, h, decoded, lifts", LIFT_EDGES)
+def test_lift_cost_boundary(moduli, w, h, decoded, lifts):
+    space = GroupSpace(moduli)
+    a = GSet.from_coords(space, [(0,), (w,)])
+    b = GSet.from_coords(space, [(0,), (1,)])
+    layout = _layout(space, b.elements, h, ((a.elements, 0),), decoded)
+    assert isinstance(layout, _Lift if lifts else _Tuples)
+    want = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
+    assert iterated_sumset(a, b, h).elements == tuple(sorted(want[-1]))
+    assert cardinality_stream(a, b, h) == [len(layer) for layer in want]
+
+
+def test_small_a_with_large_sparse_b_stays_on_tuples():
+    # |A| = 2 and |B| = 2000 spread over 10**7: a lift would make 2000
+    # shift-ors of a 10**7-bit int where the tuple loop makes 4000
+    # additions.  Dense B over a narrow box lifts.
+    rng = rng_for(20261018, "sparse b")
+    a = gs(0, 1)
+    sparse = GSet.from_coords(Z, [(x,) for x in rng.sample(range(10**7), 2000)])
+    dense = GSet.from_coords(Z, [(x,) for x in rng.sample(range(4000), 2000)])
+    for decoded in (0, 1, 2):
+        start = ((a.elements, 0),)
+        assert isinstance(_layout(Z, sparse.elements, 1, start, decoded), _Tuples)
+        assert isinstance(_layout(Z, dense.elements, 1, start, decoded), _Lift)
+    zero = ((Z.zero_coords(),), 0)
+    assert isinstance(_layout(Z, sparse.elements, 1, (zero,), 1), _Tuples)
+    for b in (sparse, dense):
+        want = {x + y for x in (0, 1) for (y,) in b.elements}
+        assert members(sumset(a, b)) == want
+        assert cardinality_stream(a, b, 1) == [2, len(want)]
+        assert fold_sumset(b, 1) == b
 
 
 def _random_document(rng, depth=0):
