@@ -10,6 +10,7 @@ data files use the plain GSet / graph schemas without the marker.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -274,6 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    # Fail on an unwritable output path before any work or output: append
+    # nothing to each path, and remove the files that this created.
+    for path in map(vars(args).get, ("out_a", "out_b", "csv", "out")):
+        if path is not None:
+            existed = os.path.lexists(path)
+            _write_text("", path, "a")
+            if not existed:
+                os.remove(path)
+
+
 def _command_name(args) -> str:
     sub = getattr(args, "graph_cmd", None) or getattr(args, "verify_cmd", None)
     return f"{args.command} {sub}" if sub else args.command
@@ -283,6 +295,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (InputError, GuardError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -186,23 +186,23 @@ def image(graph: LayeredGraph, zset: Iterable[int], steps: int) -> frozenset:
     return frozenset(_walk(z, steps, graph.out_neighbors)[-1])
 
 
-def image_masks(graph: LayeredGraph, level: int) -> tuple[list[int], list[int]]:
-    """Per-bottom-vertex `level`-step images as bitmasks over the level layer.
-
-    Returns the masks in bottom-layer order and the level layer, whose k-th
-    vertex is bit k.  Computed in one top-down sweep: a vertex's mask is the
-    union of its out-neighbours' masks, with the level layer seeding
-    identity bits.
-    """
-    top = list(graph.layers[level])
-    masks: dict[int, int] = {v: 1 << k for k, v in enumerate(top)}
+def _sweep(graph: LayeredGraph, level: int) -> dict[int, int]:
+    """Each vertex of layers 0..level to its image in the level layer as a
+    bitmask (bit k: that layer's k-th vertex), in one top-down sweep."""
+    masks = {v: 1 << k for k, v in enumerate(graph.layers[level])}
     for lvl in range(level - 1, -1, -1):
         for v in graph.layers[lvl]:
             acc = 0
             for w in graph.out_neighbors(v):
                 acc |= masks[w]
             masks[v] = acc
-    return [masks[v] for v in graph.layers[0]], top
+    return masks
+
+
+def image_masks(graph: LayeredGraph, level: int) -> tuple[list[int], list[int]]:
+    """The `_sweep` masks of the bottom layer, in order, and the level layer."""
+    masks = _sweep(graph, level)
+    return [masks[v] for v in graph.layers[0]], list(graph.layers[level])
 
 
 def _or_table(masks: Sequence[int]) -> list[int]:

@@ -563,13 +563,13 @@ def _document(obj: object, kind: str, keys: Sequence[str]) -> list:
     return [obj[key] for key in keys]
 
 
-def _write_text(text: str, path: str | None) -> None:
-    """Write text to path, or to standard output when path is None."""
+def _write_text(text: str, path: str | None, mode: str = "w") -> None:
+    """Write (or with mode "a" append) text to path; to stdout if path is None."""
     if path is None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc

@@ -1,27 +1,30 @@
-"""Peeling a layered graph into channels with increasing magnification.
+"""Peeling a layered graph into channels by level-1 magnification.
 
-Repeatedly take the maximal tight set Z at level 1 of the working graph,
-record the channel it spans to the top layer, then restart on the rest of
-the bottom layer with the already-claimed top vertices removed.  Each block
-is tight for its own subgraph (|image(Z, 1)| = alpha |Z| exactly), the
-ratios strictly increase, and distinct blocks share no vertices at any
-level, so top-layer images can be summed block by block.
-
-A bottom vertex whose image becomes empty after earlier blocks claimed the
-whole top layer cannot seed a channel; such vertices are emitted as
-degenerate singleton blocks with ratio 0 so the bottom layer is still
-exactly covered.  Graphs built from sumsets never produce degenerate
-blocks; general layered graphs may.
+The peel runs on top-down bitmask sweeps and builds one graph per block.
+With U the top vertices no block has claimed yet, a round keeps the level-1
+vertices whose top image meets U (alive); remaining bottom vertices with no
+level-1 neighbour in alive become degenerate singleton blocks of ratio 0, in
+sorted order, so the bottom layer stays exactly covered.  The block is the
+maximal tight set Z of the others under level-1 images cut down to alive,
+from the Dinkelbach loop of `magnification`; its subgraph is the channel
+from Z to the part of U it claims.  Blocks share no vertex at any level, so
+top-layer images add up block by block.  The alive rule is too loose: a
+later ratio can fall below an earlier one, even with a degenerate block in
+a sumset graph (suite seed 1, instance 80); `verify_partition` reports it,
+and ROADMAP item 1 plans the fix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .errors import InputError
-from .graphs import LayeredGraph, channel, image
-from .magnification import Ratio, magnification_flow
+from .graphs import LayeredGraph, _sweep, channel, image
+from .groups import _bit_positions
+from .magnification import Ratio, _tight, magnification_flow
 
 __all__ = [
     "PartitionBlock",
@@ -57,12 +60,10 @@ class PartitionResult:
 
 
 def partition_to_json(result: PartitionResult) -> dict:
+    blocks = result.blocks
     return {
-        "blocks": [list(block.vertices) for block in result.blocks],
-        "ratios": [
-            [block.ratio.numerator, block.ratio.denominator]
-            for block in result.blocks
-        ],
+        "blocks": [list(block.vertices) for block in blocks],
+        "ratios": [[b.ratio.numerator, b.ratio.denominator] for b in blocks],
     }
 
 
@@ -81,35 +82,33 @@ def _singleton_block(
 def partition_graph(graph: LayeredGraph) -> PartitionResult:
     if not graph.layers[0]:
         raise InputError("cannot partition a graph with an empty bottom layer")
+    top = graph.layers[graph.height]
+    far = _sweep(graph, graph.height)
+    near = _sweep(graph, 1)
+    middle = graph.layers[1]
     blocks: list[PartitionBlock] = []
-    remaining = set(graph.layers[0])
-    top_left = set(graph.layers[graph.height])
+    remaining = list(graph.layers[0])
+    unclaimed = (1 << len(top)) - 1
     while remaining:
-        # Channelling against the unclaimed top vertices silently drops the
-        # bottom vertices with no remaining path; those become degenerate
-        # singleton blocks.  Rebuilding from the original graph each round is
-        # equivalent to channelling the previous working graph, because every
-        # path between surviving endpoints survives whole inside a channel.
-        if top_left:
-            sub = channel(graph, remaining, top_left)
-            live = set(sub.layers[0])
-        else:
-            live = set()
-        for v in sorted(remaining - live):
-            blocks.append(_singleton_block(graph, len(blocks), v))
-        remaining &= live
-        if not remaining:
+        # The level-1 vertices a block may still use: those that reach an
+        # unclaimed top vertex (ROADMAP item 1 asks for a stricter rule).
+        alive = sum(1 << k for k, w in enumerate(middle) if far[w] & unclaimed)
+        live = []
+        for x in remaining:
+            if near[x] & alive:
+                live.append(x)
+            else:
+                blocks.append(_singleton_block(graph, len(blocks), x))
+        if not live:
             break
-        # Every vertex of sub reaches its top, so the channel keeps the level-1
-        # images of the subsets of tight, and with them the ratio.
-        flow = magnification_flow(sub, 1)
-        tight = flow.maximal_tight_set
-        block_graph = channel(sub, set(tight), set(sub.layers[sub.height]))
-        blocks.append(
-            PartitionBlock(len(blocks), tight, flow.value, block_graph, False)
-        )
-        remaining -= set(tight)
-        top_left -= set(block_graph.layers[block_graph.height])
+        ratio, idx, _ = _tight([near[x] & alive for x in live])
+        tight = tuple(live[k] for k in idx)
+        claimed = reduce(or_, (far[x] for x in tight)) & unclaimed
+        subgraph = channel(graph, tight, [top[k] for k in _bit_positions(claimed)])
+        blocks.append(PartitionBlock(len(blocks), tight, ratio, subgraph, False))
+        unclaimed ^= claimed
+        taken = set(tight)
+        remaining = [x for x in live if x not in taken]
     return PartitionResult(graph, tuple(blocks))
 
 
@@ -123,13 +122,7 @@ class PartitionCheck:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.disjoint_cover
-            and self.blocks_tight
-            and self.ratios_increasing
-            and self.subgraphs_disjoint
-            and self.top_accounted
-        )
+        return all(vars(self).values())
 
 
 def verify_partition(result: PartitionResult) -> PartitionCheck:
@@ -142,12 +135,8 @@ def verify_partition(result: PartitionResult) -> PartitionCheck:
     """
     graph = result.graph
     blocks = result.blocks
-    seen: list[int] = []
-    for block in blocks:
-        seen.extend(block.vertices)
-    disjoint_cover = len(seen) == len(set(seen)) and set(seen) == set(
-        graph.layers[0]
-    )
+    seen = [v for block in blocks for v in block.vertices]
+    disjoint_cover = len(seen) == len(set(seen)) and set(seen) == set(graph.layers[0])
     blocks_tight = True
     top_total = 0
     for block in blocks:
@@ -163,20 +152,10 @@ def verify_partition(result: PartitionResult) -> PartitionCheck:
         top_total += len(image(block.subgraph, set(block.vertices), graph.height))
     live = [block.ratio for block in blocks if not block.degenerate]
     ratios_increasing = all(x < y for x, y in zip(live, live[1:]))
-    used: set[int] = set()
-    subgraphs_disjoint = True
-    for block in blocks:
-        verts = {
-            v for layer in block.subgraph.layers for v in layer
-        }
-        if used & verts:
-            subgraphs_disjoint = False
-        used |= verts
+    # ids are unique inside each subgraph, so a repeat joins two subgraphs
+    used = [v for block in blocks for layer in block.subgraph.layers for v in layer]
+    subgraphs_disjoint = len(used) == len(set(used))
     top_accounted = top_total == len(graph.layers[graph.height])
     return PartitionCheck(
-        disjoint_cover,
-        blocks_tight,
-        ratios_increasing,
-        subgraphs_disjoint,
-        top_accounted,
+        disjoint_cover, blocks_tight, ratios_increasing, subgraphs_disjoint, top_accounted
     )

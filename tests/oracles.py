@@ -190,3 +190,50 @@ def _last_true(pred, cap):
         else:
             hi = mid - 1
     return lo
+
+
+def naive_channel(edges, sources, targets, steps):
+    """Per level, the vertices on some path of `steps` edges from sources to
+    targets (empty levels when there is none)."""
+    succ = successor_map(edges)
+    pred = predecessor_map(edges)
+    fwd = [set(sources)]
+    bwd = [set(targets)]
+    for _ in range(steps):
+        fwd.append(set().union(*(succ.get(v, set()) for v in fwd[-1])))
+        bwd.append(set().union(*(pred.get(v, set()) for v in bwd[-1])))
+    return [f & b for f, b in zip(fwd, reversed(bwd))]
+
+
+def naive_peel(layers, edges):
+    """The channel-based peel, one working graph per round.
+
+    Each round channels the remaining bottom vertices against the top
+    vertices no block has claimed yet; bottom vertices left outside that
+    working graph become degenerate singletons (ratio 0), in sorted order.
+    The block is the maximal tight set at level 1 of the working graph, by
+    subset enumeration, and it claims the top of its channel inside the
+    working graph.  Returns (vertices, ratio, degenerate, subgraph vertex
+    set) per block.
+    """
+    h = len(layers) - 1
+    remaining = set(layers[0])
+    top_left = set(layers[h])
+    blocks = []
+    while remaining:
+        kept = naive_channel(edges, remaining, top_left, h)
+        for v in sorted(remaining - kept[0]):
+            blocks.append(((v,), Fraction(0), True, frozenset([v])))
+        remaining &= kept[0]
+        if not remaining:
+            break
+        inside = set().union(*kept)
+        work = [(u, v) for u, v in edges if u in inside and v in inside]
+        ratio, tight = naive_magnification(work, remaining, 1)
+        block = naive_channel(work, tight, kept[h], h)
+        blocks.append(
+            (tuple(sorted(tight)), ratio, False, frozenset().union(*block))
+        )
+        remaining -= tight
+        top_left -= block[h]
+    return blocks

@@ -169,8 +169,9 @@ def test_unwritable_output_exits_2(workdir, capsys, argv):
     dump_graph(build_addition_graph(GSet.from_coords(Z, [(0,), (2,)]),
                                     GSet.from_coords(Z, [(0,), (1,)]), 1),
                str(workdir / "G.json"))
+    before = sorted(workdir.iterdir())
     bad = workdir / "no-such-dir" / "out.txt"
-    code, _, err = run(capsys, *[
+    code, out, err = run(capsys, *[
         bad if x == "{bad}" else workdir / x if x.endswith(".json") else x
         for x in argv
     ])
@@ -178,6 +179,9 @@ def test_unwritable_output_exits_2(workdir, capsys, argv):
     assert err.startswith(f"error: cannot write {bad}: ")
     assert "Traceback" not in err
     assert not bad.parent.exists()
+    # the path is checked before any work: no report, no --out-a file
+    assert out == ""
+    assert sorted(workdir.iterdir()) == before
 
 
 def test_graph_file_roundtrips_through_mag(workdir, capsys):
@@ -334,6 +338,20 @@ def test_construct_example2_needs_alpha(workdir, capsys):
     assert code == 2
     assert "construct example2 requires --alpha" in err
     assert not (workdir / "EA.json").exists()
+
+
+def test_output_check_leaves_files_alone(workdir, capsys):
+    # The up-front write check neither truncates an existing output file
+    # nor leaves a new one behind when the command then fails.
+    kept = workdir / "kept.json"
+    kept.write_text("old\n")
+    for path in (kept, workdir / "new.json"):
+        code, _, err = run(capsys, "bounds", workdir / "missing.json",
+                           workdir / "B.json", "--h", "1", "--out", path)
+        assert code == 2
+        assert "cannot read set file" in err
+    assert kept.read_text() == "old\n"
+    assert not (workdir / "new.json").exists()
 
 
 def test_verify_suite_exit_and_lines(workdir, capsys):

@@ -1,7 +1,11 @@
 """Tight-set peeling partitions and their re-verification."""
 
+import random
 from fractions import Fraction
 
+import pytest
+
+from oracles import naive_peel
 from sumsetlab import (
     GroupSpace,
     GSet,
@@ -17,6 +21,7 @@ from sumsetlab import (
     verify_partition,
 )
 from sumsetlab.instances import random_pair, rng_for
+from sumsetlab.suite import _partition_instance
 
 Z = GroupSpace((0,))
 
@@ -147,3 +152,91 @@ def test_random_partitions_verify():
         check = verify_partition(part)
         assert check.ok, check
         assert 1 <= part.k <= len(a)
+
+
+def peel_rows(part):
+    """(vertices, ratio, degenerate, subgraph vertex set) per block, the
+    shape `naive_peel` returns."""
+    return [
+        (
+            blk.vertices,
+            blk.ratio,
+            blk.degenerate,
+            frozenset(v for layer in blk.subgraph.layers for v in layer),
+        )
+        for blk in part.blocks
+    ]
+
+
+def random_layered(rng):
+    """A general layered graph whose sparse random edges strand some bottom
+    vertices, at once or once earlier blocks claim the top they reach."""
+    h = rng.randint(1, 3)
+    layers, start = [], 0
+    for level in range(h + 1):
+        size = rng.randint(1 if level == 0 else 0, 6)
+        layers.append(tuple(range(start, start + size)))
+        start += size
+    p = rng.choice([0.2, 0.35, 0.6])
+    edges = tuple(
+        (u, v)
+        for lower, upper in zip(layers, layers[1:])
+        for u in lower
+        for v in upper
+        if rng.random() < p
+    )
+    return LayeredGraph(h, tuple(layers), edges)
+
+
+def test_peel_matches_naive_peel_on_addition_graphs():
+    rng = rng_for(20261018, "naive-peel")
+    for _ in range(120):
+        a, b = random_pair(rng, a_hi=9, b_hi=4)
+        g = build_addition_graph(a, b, rng.randint(1, 3))
+        assert peel_rows(partition_graph(g)) == naive_peel(g.layers, g.edges)
+
+
+def test_peel_matches_naive_peel_on_stranded_graphs():
+    rng = random.Random(20261018)
+    stranded = late = 0
+    for _ in range(300):
+        g = random_layered(rng)
+        rows = peel_rows(partition_graph(g))
+        assert rows == naive_peel(g.layers, g.edges)
+        flags = [degenerate for _, _, degenerate, _ in rows]
+        stranded += any(flags)
+        live = [k for k, degenerate in enumerate(flags) if not degenerate]
+        late += bool(live) and any(flags[live[0]:])
+    # both kinds of degenerate block occur: stranded from the start, and
+    # stranded once earlier blocks claimed the top they reach
+    assert stranded > 20
+    assert late > 5
+
+
+@pytest.mark.parametrize("seed, index", [(1, 80), (3, 53)])
+def test_peel_matches_naive_peel_where_ratios_fall(seed, index):
+    # Suite instances on which the peel's level-1 rule (ROADMAP item 1)
+    # lets a later block's ratio fall below an earlier one.
+    _, _, _, g = _partition_instance(seed, index)
+    part = partition_graph(g)
+    assert peel_rows(part) == naive_peel(g.layers, g.edges)
+    assert not verify_partition(part).ratios_increasing
+
+
+def test_one_channel_per_block(monkeypatch):
+    calls = []
+    real = channel
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr("sumsetlab.partition.channel", counting)
+    rng = random.Random(7)
+    graphs = [random_layered(rng) for _ in range(40)]
+    graphs.append(_partition_instance(1, 80)[3])
+    graphs.append(build_addition_graph(gs(0, 1, 2, 3, 100), gs(0, 1), 2))
+    for g in graphs:
+        calls.clear()
+        part = partition_graph(g)
+        assert len(calls) == sum(not blk.degenerate for blk in part.blocks)
