@@ -23,13 +23,22 @@ A channel between U in layer i and W in layer j (i < j) is the subgraph of
 all vertices and edges lying on some U-to-W path; channels of commutative
 graphs stay commutative, and they re-root their layers to 0..j-i while
 keeping original vertex ids and labels.
+
+A graph is validated once.  The `LayeredGraph` constructor, and so every
+graph document, checks and normalizes its input.  Graphs the package builds
+itself (addition and restricted graphs, channels, the peel's singleton
+blocks) come out already normalized, so the private `LayeredGraph._trusted`
+takes them as they are.  Either kind builds its adjacency (the layer of
+each vertex, its out- and in-neighbours) on first use, so writing a graph
+out never builds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import is_not
+from operator import add, is_not
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardError, InputError
@@ -37,6 +46,7 @@ from .groups import (
     Coords,
     GSet,
     _document,
+    _int_rows,
     _is_int,
     _layers,
     _layout,
@@ -66,15 +76,17 @@ DEFAULT_EDGE_GUARD = 10_000
 
 @dataclass(frozen=True, eq=True)
 class LayeredGraph:
-    """Immutable layered graph; vertex ids are unique across all layers."""
+    """Immutable layered graph; vertex ids are unique across all layers.
+
+    The constructor checks and normalizes its input; `_trusted` takes a
+    graph the package built itself as it is.  Either way the adjacency
+    (`_layer_of`, `_out`, `_in`) is built on first use.
+    """
 
     height: int
     layers: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
     labels: dict[int, Coords] | None = None
-    _out: dict = field(init=False, repr=False, compare=False, hash=False)
-    _in: dict = field(init=False, repr=False, compare=False, hash=False)
-    _layer_of: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if self.height < 1:
@@ -85,42 +97,86 @@ class LayeredGraph:
                 f"height {self.height} needs {self.height + 1} layers, got {len(layers)}"
             )
         object.__setattr__(self, "layers", layers)
-        layer_of: dict[int, int] = {}
-        for idx, layer in enumerate(layers):
-            for v in layer:
-                if v in layer_of:
+        layer_of = {v: idx for idx, layer in enumerate(layers) for v in layer}
+        if len(layer_of) < sum(map(len, layers)):
+            seen: set[int] = set()
+            for v in chain.from_iterable(layers):
+                if v in seen:
                     raise InputError(f"vertex id {v} appears twice")
-                layer_of[v] = idx
-        out: dict[int, list[int]] = {v: [] for v in layer_of}
-        inn: dict[int, list[int]] = {v: [] for v in layer_of}
-        edges = tuple(sorted(set(map(tuple, self.edges))))
-        for u, v in edges:
-            if u not in layer_of or v not in layer_of:
-                raise InputError(f"edge ({u}, {v}) uses unknown vertex ids")
-            if layer_of[v] != layer_of[u] + 1:
-                raise InputError(
-                    f"edge ({u}, {v}) does not join consecutive layers"
-                )
-            out[u].append(v)
-            inn[v].append(u)
+                seen.add(v)
+        # Sorting first is linear on sorted input; duplicates then merge.
+        edges = tuple(dict.fromkeys(sorted(map(tuple, self.edges))))
+        # Whole-list tests first; the per-edge loop only names the culprit.
+        ends = list(map(layer_of.get, chain.from_iterable(edges)))
+        if (
+            set(map(len, edges)) - {2}
+            or None in ends
+            or list(map(add, ends[::2], repeat(1))) != ends[1::2]
+        ):
+            for u, v in edges:
+                if u not in layer_of or v not in layer_of:
+                    raise InputError(f"edge ({u}, {v}) uses unknown vertex ids")
+                if layer_of[v] != layer_of[u] + 1:
+                    raise InputError(
+                        f"edge ({u}, {v}) does not join consecutive layers"
+                    )
         object.__setattr__(self, "edges", edges)
         if self.labels is not None:
             missing = [v for v in layer_of if v not in self.labels]
             if missing:
                 raise InputError(f"labels missing for vertex ids {missing[:5]}")
-            labels = {v: tuple(self.labels[v]) for v in layer_of}
+            rows = map(tuple, map(self.labels.__getitem__, layer_of))
+            labels = dict(zip(layer_of, rows))
             for layer in layers:
-                seen = set()
+                if len(set(map(labels.__getitem__, layer))) == len(layer):
+                    continue
+                seen_labels: set[Coords] = set()
                 for v in layer:
-                    if labels[v] in seen:
+                    if labels[v] in seen_labels:
                         raise InputError(
                             f"duplicate label {labels[v]} inside one layer"
                         )
-                    seen.add(labels[v])
+                    seen_labels.add(labels[v])
             object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_out", {v: tuple(ns) for v, ns in out.items()})
-        object.__setattr__(self, "_in", {v: tuple(ns) for v, ns in inn.items()})
-        object.__setattr__(self, "_layer_of", layer_of)
+        self.__dict__["_layer_of"] = layer_of
+
+    @classmethod
+    def _trusted(
+        cls,
+        height: int,
+        layers: tuple[tuple[int, ...], ...],
+        edges: tuple[tuple[int, int], ...],
+        labels: dict[int, Coords] | None,
+    ) -> "LayeredGraph":
+        # For graphs the package builds itself, already in the constructor's
+        # normal form: each layer a sorted tuple of distinct ids, edges a
+        # sorted tuple of distinct pairs joining consecutive layers, labels
+        # tuples for exactly the vertices, in layer order.  Skips the checks.
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "height", height)
+        object.__setattr__(graph, "layers", layers)
+        object.__setattr__(graph, "edges", edges)
+        object.__setattr__(graph, "labels", labels)
+        return graph
+
+    @cached_property
+    def _layer_of(self) -> dict[int, int]:
+        return {v: idx for idx, layer in enumerate(self.layers) for v in layer}
+
+    def _adjacency(self, pairs: Iterable[tuple[int, int]]) -> dict[int, tuple]:
+        # Pairs in sorted order give each vertex its neighbours ascending.
+        adj: dict[int, list[int]] = {v: [] for v in self._layer_of}
+        for v, w in pairs:
+            adj[v].append(w)
+        return {v: tuple(ns) for v, ns in adj.items()}
+
+    @cached_property
+    def _out(self) -> dict[int, tuple[int, ...]]:
+        return self._adjacency(self.edges)
+
+    @cached_property
+    def _in(self) -> dict[int, tuple[int, ...]]:
+        return self._adjacency((v, u) for u, v in self.edges)
 
     # -- structure queries --------------------------------------------------
 
@@ -138,7 +194,7 @@ class LayeredGraph:
 
     @property
     def vertex_count(self) -> int:
-        return len(self._layer_of)
+        return sum(map(len, self.layers))
 
     @property
     def edge_count(self) -> int:
@@ -241,13 +297,14 @@ def _sum_graph(
     # edge x -> x+b wherever both ends are kept.  C's fold starts one level
     # up, so C+(i-1)B shares the layout of A+iB.  Ids run layer by layer, in
     # sorted label order inside a layer, as the layout yields each layer.
+    # Edges come in one run per element of B; one sort merges the runs.
     layout = _layout(
         a.space, b.elements, h, ((a.elements, 0), (forbidden, 1)), h + 1
     )
     grown = _layers(layout, a.elements, 0, h, max_size)
     cuts = _layers(layout, forbidden, 1, h - 1, max_size)
     removed = chain([layout.encode((), 0)], cuts)
-    layers: list[range] = []
+    layers: list[tuple[int, ...]] = []
     labels: dict[int, Coords] = {}
     edges: list[tuple[int, int]] = []
     prev_keys: list = []
@@ -257,14 +314,15 @@ def _sum_graph(
         keys, coords = layout.members(kept, level)
         ids = range(len(labels), len(labels) + len(keys))
         labels.update(zip(ids, coords))
-        layers.append(ids)
+        layers.append(tuple(ids))
         get = layout.lookup(dict(zip(keys, ids)), kept).get
         for targets in layout.sums(prev_keys):
             found = list(map(get, targets))
             hits = map(is_not, found, repeat(None))
             edges.extend(compress(zip(prev_ids, found), hits))
         prev_keys, prev_ids = keys, ids
-    return LayeredGraph(h, tuple(layers), edges, labels)
+    edges.sort()
+    return LayeredGraph._trusted(h, tuple(layers), tuple(edges), labels)
 
 
 def build_addition_graph(
@@ -326,14 +384,14 @@ def channel(graph: LayeredGraph, u_set: Iterable[int], w_set: Iterable[int]) -> 
     kept = [f & b for f, b in zip(fwd, bwd)]
     layers = tuple(tuple(sorted(layer)) for layer in kept)
     edges = []
-    for lvl in range(j - i):
-        nxt = kept[lvl + 1]
-        for v in kept[lvl]:
+    for layer, nxt in zip(layers, kept[1:]):
+        for v in layer:
             edges.extend((v, t) for t in graph.out_neighbors(v) if t in nxt)
+    edges.sort()
     labels = None
     if graph.labels is not None:
-        labels = {v: graph.labels[v] for layer in kept for v in layer}
-    return LayeredGraph(j - i, layers, tuple(edges), labels)
+        labels = {v: graph.labels[v] for layer in layers for v in layer}
+    return LayeredGraph._trusted(j - i, layers, tuple(edges), labels)
 
 
 def channel_of(graph: LayeredGraph, zset: Iterable[int]) -> LayeredGraph:
@@ -450,63 +508,76 @@ def check_commutative(
 
 def graph_to_json(graph: LayeredGraph) -> dict:
     labels = graph.labels or {}
+    ids = sorted(labels)
     return {
         "height": graph.height,
-        "layers": [list(layer) for layer in graph.layers],
-        "labels": {str(v): list(c) for v, c in sorted(labels.items())},
-        "edges": [list(e) for e in graph.edges],
+        "layers": list(map(list, graph.layers)),
+        "labels": dict(zip(map(str, ids), map(list, map(labels.__getitem__, ids)))),
+        "edges": list(map(list, graph.edges)),
     }
 
 
+def _vertex_key(key: object) -> bool:
+    # A label key is a vertex id in canonical decimal: "7" or "-3", never
+    # "07", "+7", " 7" or "0_7", which `int` would read as another key's id.
+    try:
+        return type(key) is str and str(int(key)) == key
+    except ValueError:
+        return False
+
+
 def graph_from_json(obj: object) -> LayeredGraph:
-    height, layers_raw, edges_raw = _document(
-        obj, "graph", ("height", "layers", "edges")
-    )
+    """The graph of a JSON document; every field is checked once.
+
+    Each list is first tested whole; only when that test fails does a loop
+    over its entries find the one to name in the error.  The constructor
+    then checks the structure.  Duplicate edges are merged.
+    """
+    height, layers, edges = _document(obj, "graph", ("height", "layers", "edges"))
     if not _is_int(height) or height < 1:
         raise InputError("'height' must be an integer >= 1")
-    if not isinstance(layers_raw, list):
+    if not isinstance(layers, list):
         raise InputError("'layers' must be a list of id lists")
-    layers = []
-    for layer in layers_raw:
-        if not isinstance(layer, list) or not all(map(_is_int, layer)):
-            raise InputError("'layers' entries must be lists of integer ids")
-        layers.append(tuple(layer))
-    if not isinstance(edges_raw, list):
+    if layers and _int_rows(layers) is None:
+        for layer in layers:
+            if not isinstance(layer, list) or not all(map(_is_int, layer)):
+                raise InputError("'layers' entries must be lists of integer ids")
+    if not isinstance(edges, list):
         raise InputError("'edges' must be a list of [from, to] pairs")
-    edges = []
-    for e in edges_raw:
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(map(_is_int, e))
-        ):
-            raise InputError("'edges' entries must be [from, to] integer pairs")
-        edges.append((e[0], e[1]))
+    if edges and (_int_rows(edges) is None or set(map(len, edges)) != {2}):
+        for e in edges:
+            if not isinstance(e, list) or len(e) != 2 or not all(map(_is_int, e)):
+                raise InputError("'edges' entries must be [from, to] integer pairs")
     labels_raw = obj.get("labels") or {}
     if not isinstance(labels_raw, dict):
         raise InputError("'labels' must be an object keyed by vertex id")
-    labels = None
-    if labels_raw:
-        labels = {}
-        for key, coords in labels_raw.items():
-            try:
-                vid = int(key)
-            except ValueError:
-                raise InputError(f"label key {key!r} is not a vertex id") from None
-            if not isinstance(coords, list) or not all(map(_is_int, coords)):
-                raise InputError("'labels' values must be integer coordinate lists")
-            labels[vid] = tuple(coords)
-        ranks = sorted({len(c) for c in labels.values()})
-        if len(ranks) > 1:
-            raise InputError(
-                f"'labels' coordinate lists differ in length: {ranks[0]} and {ranks[-1]}"
-            )
+    keys = list(labels_raw)
+    coords = list(labels_raw.values())
     try:
-        return LayeredGraph(height, tuple(layers), tuple(edges), labels)
+        ids = list(map(int, keys))
+    except (TypeError, ValueError):
+        ids = []
+    if coords and (list(map(str, ids)) != keys or _int_rows(coords) is None):
+        for key, row in labels_raw.items():
+            if not _vertex_key(key):
+                raise InputError(f"label key {key!r} is not a vertex id")
+            if not isinstance(row, list) or not all(map(_is_int, row)):
+                raise InputError("'labels' values must be integer coordinate lists")
+    ranks = sorted(set(map(len, coords)))
+    if len(ranks) > 1:
+        raise InputError(
+            f"'labels' coordinate lists differ in length: {ranks[0]} and {ranks[-1]}"
+        )
+    try:
+        graph = LayeredGraph(height, layers, edges, dict(zip(ids, coords)) or None)
     except InputError:
         raise
     except Exception as exc:  # defensive: malformed structure
         raise InputError(f"inconsistent graph document: {exc}") from exc
+    if len(ids) > graph.vertex_count:
+        key = next(k for k, v in zip(keys, ids) if not graph.has_vertex(v))
+        raise InputError(f"label key {key!r} names no vertex")
+    return graph
 
 
 def dump_graph(graph: LayeredGraph, path: str) -> None:

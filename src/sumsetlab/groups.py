@@ -35,7 +35,7 @@ from functools import cached_property, partial
 from itertools import accumulate, chain, repeat
 from math import inf, prod
 from operator import add, floordiv, mod, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import GuardError, InputError
 
@@ -575,17 +575,24 @@ def _write_text(text: str, path: str | None, mode: str = "w") -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _int_rows(rows: Iterable) -> bool:
-    # Non-empty lists of plain ints only (no bool, float or nesting).
-    return (
-        set(map(type, rows)) == {list}
-        and all(rows)
-        and set(map(type, chain.from_iterable(rows))) == {int}
-    )
+def _int_rows(rows: Collection) -> tuple[int, ...] | None:
+    """The ints of rows, in order, if rows are non-empty lists of plain ints
+    only (no bool, float or nesting); else None."""
+    if set(map(type, rows)) != {list} or not all(rows):
+        return None
+    ints = tuple(chain.from_iterable(rows))
+    return ints if set(map(type, ints)) == {int} else None
 
 
 def _compact(obj: object) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+
+
+def _row_template(width: int, pad: str) -> str:
+    # A row of `width` ints, a %d each, as `json.dumps(indent=2)` lays it
+    # out at pad.
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(["%d"] * width) + f"\n{pad}]"
 
 
 def _json_text(obj: object, pad: str) -> str:
@@ -595,7 +602,9 @@ def _json_text(obj: object, pad: str) -> str:
     With an indent, `json` runs its pure-Python encoder, several times
     slower than the compact C one.  Int lists, lists of int lists and
     objects of int lists under plain keys, the bulk of every set and graph
-    document, are therefore written by the C encoder and respaced with
+    document, are therefore written another way.  Rows of one width fill
+    one %-template, as `%d` prints an int as `json` does.  Int lists and
+    rows of mixed widths go through the C encoder and are respaced with
     `str.replace`: their compact text has commas only between ints or rows,
     so each replacement is exact.  Other objects recurse key by key, and
     every other value goes to `json.dumps` as it is.
@@ -606,19 +615,36 @@ def _json_text(obj: object, pad: str) -> str:
         if set(map(type, obj)) == {int}:
             body = _compact(obj)[1:-1].replace(",", ",\n" + inner)
             return f"[\n{inner}{body}\n{pad}]"
-        if _int_rows(obj):
+        ints = _int_rows(obj)
+        if ints is not None:
+            widths = set(map(len, obj))
+            if len(widths) == 1:
+                row = _row_template(widths.pop(), inner)
+                body = f",\n{inner}".join([row] * len(obj)) % ints
+                return f"[\n{inner}{body}\n{pad}]"
             body = _compact(obj)[2:-2].replace(",", ",\n" + rows)
             body = body.replace(f"],\n{rows}[", f"\n{inner}],\n{inner}[\n{rows}")
             return f"[\n{inner}[\n{rows}{body}\n{inner}]\n{pad}]"
     if type(obj) is dict and obj and set(map(type, obj)) == {str}:
-        if _int_rows(obj.values()) and set(",\"[]:").isdisjoint("".join(obj)):
+        keys = sorted(obj)
+        values = list(map(obj.__getitem__, keys))
+        ints = _int_rows(values)
+        if ints is not None and set(",\"[]:").isdisjoint("".join(keys)):
+            widths = set(map(len, values))
+            if len(widths) == 1:
+                # The C encoder escapes the keys; none holds `",`, so the
+                # text of the key list splits at '","' into the keys.
+                names = _compact(keys)[2:-2].replace("%", "%%").split('","')
+                row = _row_template(widths.pop(), inner)
+                body = f'": {row},\n{inner}"'.join(names) + f'": {row}'
+                return f'{{\n{inner}"{body % ints}\n{pad}}}'
             body = _compact(obj)[1:-2].replace(",", ",\n" + rows)
             body = body.replace(f'],\n{rows}"', f'\n{inner}],\n{inner}"')
             body = body.replace('":[', '": [\n' + rows)
             return f"{{\n{inner}{body}\n{inner}]\n{pad}}}"
         items = (
             f"{inner}{json.dumps(key)}: {_json_text(value, inner)}"
-            for key, value in sorted(obj.items())
+            for key, value in zip(keys, values)
         )
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)

@@ -70,11 +70,11 @@ def partition_to_json(result: PartitionResult) -> dict:
 def _singleton_block(
     graph: LayeredGraph, index: int, vertex: int
 ) -> PartitionBlock:
-    lone = LayeredGraph(
-        height=graph.height,
-        layers=((vertex,),) + ((),) * graph.height,
-        edges=(),
-        labels=None if graph.labels is None else {vertex: graph.labels[vertex]},
+    lone = LayeredGraph._trusted(
+        graph.height,
+        ((vertex,),) + ((),) * graph.height,
+        (),
+        None if graph.labels is None else {vertex: graph.labels[vertex]},
     )
     return PartitionBlock(index, (vertex,), Fraction(0), lone, True)
 

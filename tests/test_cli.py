@@ -11,8 +11,10 @@ from sumsetlab import (
     build_restricted_graph,
     dump_gset,
     dump_graph,
+    graph_to_json,
 )
 from sumsetlab.cli import main
+from sumsetlab.instances import random_gset, random_space, rng_for
 
 Z = GroupSpace((0,))
 
@@ -224,6 +226,143 @@ def test_partition_payload(workdir, capsys):
     assert doc["ratios"] == [[5, 4], [2, 1]]
     assert doc["degenerate"] == []
     assert all(doc["checks"].values())
+
+
+def _graph_doc(rng):
+    # |A+2B| >= |A| >= 2, so every layer holds two vertices or more.
+    space = random_space(rng)
+    a, b = random_gset(rng, space, 2, 6), random_gset(rng, space, 2, 4)
+    return graph_to_json(build_addition_graph(a, b, 2))
+
+
+def _malformed_graph_docs(rng):
+    """(case, document, message): documents that each break one rule of
+    the graph schema, with the message of the raise that names it."""
+    doc = _graph_doc(rng)
+    yield "not an object", doc["layers"], "graph document must be a JSON object"
+    for key in ("height", "layers", "edges"):
+        doc = _graph_doc(rng)
+        del doc[key]
+        yield f"no {key}", doc, f"graph document missing key '{key}'"
+    for bad in (True, 0, -1, "2", 2.0, None):
+        yield f"height {bad!r}", {**_graph_doc(rng), "height": bad}, (
+            "'height' must be an integer >= 1")
+    for bad in ({"0": [0]}, "0,1", None):
+        yield f"layers {bad!r}", {**_graph_doc(rng), "layers": bad}, (
+            "'layers' must be a list of id lists")
+    for bad in ("x", True, 1.5, None, [0], {}):
+        doc = _graph_doc(rng)
+        layer = doc["layers"][rng.randrange(3)]
+        layer[rng.randrange(len(layer))] = bad
+        yield f"layer entry {bad!r}", doc, (
+            "'layers' entries must be lists of integer ids")
+    doc = _graph_doc(rng)
+    doc["layers"][rng.randrange(3)] = 7
+    yield "layer 7", doc, "'layers' entries must be lists of integer ids"
+    for bad in ("0-1", {"0": 1}, 3):
+        yield f"edges {bad!r}", {**_graph_doc(rng), "edges": bad}, (
+            "'edges' must be a list of [from, to] pairs")
+    for bad in ([0], [0, 1, 2], [0, True], [1.5, 0], [], "0-1", None, [[0], 1]):
+        doc = _graph_doc(rng)
+        doc["edges"][rng.randrange(len(doc["edges"]))] = bad
+        yield f"edge {bad!r}", doc, "'edges' entries must be [from, to] integer pairs"
+    for bad in ([[1]], "x", 7, True):
+        yield f"labels {bad!r}", {**_graph_doc(rng), "labels": bad}, (
+            "'labels' must be an object keyed by vertex id")
+    for bad in ("x", "", "1.5", "v1"):
+        doc = _graph_doc(rng)
+        key = rng.choice(list(doc["labels"]))
+        doc["labels"][bad] = doc["labels"].pop(key)
+        yield f"label key {bad!r}", doc, f"label key {bad!r} is not a vertex id"
+    for bad in ("1", [True], [1.5], None, [[1]], {"0": 1}):
+        doc = _graph_doc(rng)
+        doc["labels"][rng.choice(list(doc["labels"]))] = bad
+        yield f"label value {bad!r}", doc, (
+            "'labels' values must be integer coordinate lists")
+    for extra in ([], [0]):
+        doc = _graph_doc(rng)
+        row = doc["labels"][rng.choice(list(doc["labels"]))]
+        rank = len(row)
+        row[:] = row + extra if extra else []
+        low, high = sorted({rank, len(row)})
+        yield f"label rank {len(row)}", doc, (
+            f"'labels' coordinate lists differ in length: {low} and {high}")
+    doc = _graph_doc(rng)
+    doc["layers"].pop()
+    yield "two layers", doc, "height 2 needs 3 layers, got 2"
+    doc = {**_graph_doc(rng), "height": 3}
+    yield "height 3", doc, "height 3 needs 4 layers, got 3"
+    doc = _graph_doc(rng)
+    twice = rng.choice(doc["layers"][2])
+    doc["layers"][0].append(twice)
+    yield "id twice", doc, f"vertex id {twice} appears twice"
+    for end in (0, 1):
+        doc = _graph_doc(rng)
+        edge = list(rng.choice(doc["edges"]))
+        edge[end] = 10**6
+        doc["edges"].append(edge)
+        yield f"unknown end {end}", doc, (
+            f"edge ({edge[0]}, {edge[1]}) uses unknown vertex ids")
+    for low, high in ((0, 2), (1, 0), (1, 1)):
+        doc = _graph_doc(rng)
+        edge = [rng.choice(doc["layers"][low]), rng.choice(doc["layers"][high])]
+        doc["edges"].append(edge)
+        yield f"edge {low} to {high}", doc, (
+            f"edge ({edge[0]}, {edge[1]}) does not join consecutive layers")
+    doc = _graph_doc(rng)
+    key = rng.choice(list(doc["labels"]))
+    del doc["labels"][key]
+    yield "label missing", doc, f"labels missing for vertex ids [{key}]"
+    doc = _graph_doc(rng)
+    p, q = rng.sample(doc["layers"][2], 2)
+    doc["labels"][str(q)] = doc["labels"][str(p)]
+    yield "label twice", doc, (
+        f"duplicate label {tuple(doc['labels'][str(p)])} inside one layer")
+    for spell in ("0{}", "+{}", " {}", "{} ", "0_{}"):
+        doc = _graph_doc(rng)
+        key = rng.choice(list(doc["labels"]))
+        bad = spell.format(key)
+        doc["labels"][bad] = doc["labels"].pop(key)
+        yield f"label key {bad!r}", doc, f"label key {bad!r} is not a vertex id"
+    for key in ("1000000", "-1"):
+        doc = _graph_doc(rng)
+        doc["labels"][key] = rng.choice(list(doc["labels"].values()))
+        yield f"label key {key}", doc, f"label key {key!r} names no vertex"
+
+
+MALFORMED_GRAPHS = list(_malformed_graph_docs(rng_for(20261018, "malformed graphs")))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [pytest.param(doc, message, id=case) for case, doc, message in MALFORMED_GRAPHS],
+)
+def test_malformed_graph_document_exits_2(tmp_path, capsys, doc, message):
+    gpath = tmp_path / "G.json"
+    gpath.write_text(json.dumps(doc))
+    assert run(capsys, "graph", "check", gpath) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["graph", "check", "G"], ["mag", "G", "--level", "1"], ["partition", "G"]]
+)
+def test_label_keys_must_name_vertices(tmp_path, capsys, argv):
+    # int("01") is 1: read as an id, the key would replace vertex 1's label.
+    gpath = tmp_path / "G.json"
+    argv = [gpath if x == "G" else x for x in argv]
+    base = {"height": 1, "layers": [[0], [1]], "edges": [[0, 1]]}
+    for labels, message in (
+        ({"0": [1], "1": [2], "01": [5]}, "label key '01' is not a vertex id"),
+        ({"0": [1], "01": [5], "1": [2]}, "label key '01' is not a vertex id"),
+        ({"0": [1], "+1": [2]}, "label key '+1' is not a vertex id"),
+        ({"0": [1], " 1": [2]}, "label key ' 1' is not a vertex id"),
+        ({"0": [1], "0_1": [2], "1": [3]}, "label key '0_1' is not a vertex id"),
+        ({"0": [1], "1": [2], "7": [3]}, "label key '7' names no vertex"),
+    ):
+        gpath.write_text(json.dumps({**base, "labels": labels}))
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    gpath.write_text(json.dumps({**base, "labels": {"0": [1], "1": [2]}}))
+    assert run(capsys, *argv)[0] == 0
 
 
 def zigzag_graph(n):

@@ -1,6 +1,7 @@
 """Addition graphs, restricted graphs, channels, commutativity."""
 
 import re
+from itertools import chain
 
 import pytest
 
@@ -23,6 +24,7 @@ from sumsetlab import (
 )
 from sumsetlab import groups
 from sumsetlab.graphs import _saturating_matching, image_masks, subset_images
+from sumsetlab.partition import partition_graph
 from sumsetlab.instances import (
     random_gset,
     random_pair,
@@ -436,3 +438,91 @@ def test_graph_document_maps_constructor_failures(monkeypatch):
     doc = {"height": 1, "layers": [[0], [1]], "edges": [[0, 1]]}
     with pytest.raises(InputError, match="inconsistent graph document: unhashable"):
         graph_from_json(doc)
+
+
+def assert_trusted_is_validated(g):
+    """A graph the package built itself equals the one the checking
+    constructor makes of its fields, down to field types and label order,
+    and answers every adjacency query alike."""
+    v = LayeredGraph(g.height, g.layers, g.edges, g.labels)
+    assert g == v
+    assert (g.height, g.layers, g.edges) == (v.height, v.layers, v.edges)
+    assert type(g.layers) is type(g.edges) is tuple
+    assert {type(layer) for layer in g.layers} == {tuple}
+    assert {type(e) for e in g.edges} <= {tuple}
+    if v.labels is None:
+        assert g.labels is None
+    else:
+        assert list(g.labels.items()) == list(v.labels.items())
+    assert g.vertex_count == v.vertex_count
+    for u in chain.from_iterable(v.layers):
+        assert g.out_neighbors(u) == v.out_neighbors(u)
+        assert g.in_neighbors(u) == v.in_neighbors(u)
+        assert g.layer_of(u) == v.layer_of(u)
+
+
+def assert_derived_graphs_are_validated(g, rng):
+    # The peel's block subgraphs, and a channel between random vertex sets.
+    for block in partition_graph(g).blocks:
+        assert_trusted_is_validated(block.subgraph)
+    levels = [k for k, layer in enumerate(g.layers) if layer]
+    if len(levels) > 1:
+        i, j = sorted(rng.sample(levels, 2))
+        u = rng.sample(g.layers[i], rng.randint(1, len(g.layers[i])))
+        w = rng.sample(g.layers[j], rng.randint(1, len(g.layers[j])))
+        assert_trusted_is_validated(channel(g, u, w))
+
+
+ADJACENCY = {"_layer_of", "_out", "_in"}
+
+
+@pytest.mark.parametrize("lift", [True, False], ids=["lift", "tuples"])
+@pytest.mark.parametrize("moduli", [(0,), (7,), (5, 5), (0, 4), (0, 0, 0)], ids=str)
+def test_trusted_sum_graphs_match_validated(moduli, lift, monkeypatch):
+    monkeypatch.setattr(groups, "_lift_pays", lambda *args: lift)
+    rng = rng_for(20261018, f"trusted {moduli}")
+    space = GroupSpace(moduli)
+    for _ in range(15):
+        a = random_gset(rng, space, 1, 6, spread=rng.choice([3, 15]))
+        b = random_gset(rng, space, 1, 4, spread=4)
+        c = random_gset(rng, space, 0, 4, spread=6)
+        h = rng.randint(1, 3)
+        for g in (build_addition_graph(a, b, h), build_restricted_graph(a, b, c, h)):
+            # writing a graph out builds none of its adjacency
+            graph_to_json(g)
+            assert not ADJACENCY & vars(g).keys()
+            assert_trusted_is_validated(g)
+            assert_derived_graphs_are_validated(g, rng)
+
+
+def random_scrambled_graph(rng):
+    """A layered graph whose ids do not rise with the layers, given with
+    shuffled, repeated edges and, half the time, labels."""
+    h = rng.randint(1, 3)
+    sizes = [rng.randint(1 if level == 0 else 0, 6) for level in range(h + 1)]
+    ids = rng.sample(range(-40, 40), sum(sizes))
+    layers = [ids[sum(sizes[:k]) : sum(sizes[: k + 1])] for k in range(h + 1)]
+    p = rng.choice([0.2, 0.5, 0.8])
+    edges = [
+        (u, v)
+        for lower, upper in zip(layers, layers[1:])
+        for u in lower
+        for v in upper
+        if rng.random() < p
+    ]
+    edges += rng.sample(edges, len(edges) // 4)
+    rng.shuffle(edges)
+    labels = None
+    if rng.random() < 0.5:
+        labels = {
+            v: (k, rng.randint(0, 3)) for layer in layers for k, v in enumerate(layer)
+        }
+    return LayeredGraph(h, layers, edges, labels)
+
+
+def test_trusted_channels_and_blocks_match_validated():
+    rng = rng_for(20261018, "trusted channels")
+    for _ in range(200):
+        g = random_scrambled_graph(rng)
+        assert len(set(g.edges)) == g.edge_count  # repeated edges merged
+        assert_derived_graphs_are_validated(g, rng)

@@ -476,15 +476,61 @@ WRITER_CASES = [
 ]
 
 
-def test_writer_matches_json_dumps(tmp_path):
+# Int rows of one width, written from one %-template; keys of an object
+# of rows go into it escaped by `json`.
+UNIFORM_ROWS = [
+    [[5]],
+    [[-1], [0], [2**64 + 1]],
+    [[1, -2]],
+    [[-(2**70), 3], [0, 0], [7, -8]],
+    [[1, 2, 3]],
+    [[i, -i, i * 2**65] for i in range(300)],
+    {"0": [1], "1": [-(2**65)]},
+    {"a%d": [1, 2], "b%%s": [3, 4], "\u00e9\n": [5, 6], "h\\": [-7, 8], "": [9, 0]},
+    {str(i): [i, -i, 2**64 + i] for i in range(300)},
+]
+# Rows of mixed widths keep the C encoder and `str.replace`; rows holding
+# anything but plain ints, or an empty row, go to `json.dumps`.
+OTHER_ROWS = [
+    [[1], [2, 3]],
+    [[1, 2, 3], [4, 5], [6]],
+    [[-(2**65)], [2**64, 0]],
+    {"0": [1], "1": [2, 3]},
+    [[1, True]],
+    [[True, 2], [3, 4]],
+    [[1, 2], [3, 4.0]],
+    {"0": [1], "1": [True]},
+    [[1], []],
+]
+
+
+def test_writer_matches_json_dumps(tmp_path, monkeypatch):
+    templates = []
+    real = groups._row_template
+
+    def counted(*args):
+        templates.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groups, "_row_template", counted)
     rng = rng_for(20261018, "writer")
     docs = WRITER_CASES + [
         {"k": _random_document(rng), "z": _random_document(rng)} for _ in range(400)
     ]
     path = tmp_path / "doc.json"
-    for doc in docs:
+
+    def check(doc):
         _write_json(doc, str(path))
         assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    for doc in docs:
+        check(doc)
+    for rows, templated in ((UNIFORM_ROWS, True), (OTHER_ROWS, False)):
+        for doc in rows:
+            for nested in (doc, {"k": doc, "z": [doc]}):
+                templates.clear()
+                check(nested)
+                assert bool(templates) == templated, doc
 
 
 def _graph():
