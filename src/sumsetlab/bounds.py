@@ -42,7 +42,7 @@ from .graphs import (
     subset_images,
 )
 from .groups import GSet, _is_int, fold_sumset, sumset
-from .magnification import Ratio, magnification_flow
+from .magnification import Ratio, magnification_flow, tight_channel_power_check
 from .partition import PartitionResult, partition_graph
 
 __all__ = [
@@ -77,6 +77,10 @@ __all__ = [
 ]
 
 SUBSET_GUARD = 22
+# Relative width of a non-integer pseudo-cardinality bracket.
+_REL_TOL = Fraction(1, 10**12)
+# Evenly spaced points of the linear majorant's pointwise check.
+_MAJORANT_SAMPLES = 33
 
 # Private interval context so the global mpmath state is never touched.
 _IV = type(mpmath.iv)()
@@ -152,14 +156,12 @@ class PseudoCardinality:
         return _frac_interval(self.lo, self.hi)
 
 
-def pseudo_cardinality(
-    n: int, h: int, rel_tol: Fraction = Fraction(1, 10**12)
-) -> PseudoCardinality:
+def pseudo_cardinality(n: int, h: int) -> PseudoCardinality:
     """Solve C(beta+h-1, h) = n for beta >= 1.
 
     Integer solutions are detected exactly; otherwise beta is bisected to a
-    bracket of width <= rel_tol * max(1, beta) with rational endpoints, each
-    certified by evaluating the binomial exactly.
+    bracket of width <= _REL_TOL * max(1, beta) with rational endpoints,
+    each certified by evaluating the binomial exactly.
     """
     if not _is_int(n) or n < 1:
         raise InputError(f"pseudo-cardinality needs a positive integer count, got {n!r}")
@@ -180,7 +182,7 @@ def pseudo_cardinality(
         r = Fraction(cand)
         return PseudoCardinality(n, h, float(cand), r, r, True)
     lo, hi = Fraction(cand - 1), Fraction(cand)
-    while hi - lo > rel_tol * max(Fraction(1), lo):
+    while hi - lo > _REL_TOL * max(Fraction(1), lo):
         mid = (lo + hi) / 2
         if rising_binomial(mid, h) >= n:
             hi = mid
@@ -565,9 +567,7 @@ def check_majorant_pointwise(
     return ok
 
 
-def linear_majorant(
-    alpha_1, s, h: int, samples: int = 33
-) -> LinearMajorant:
+def linear_majorant(alpha_1, s, h: int) -> LinearMajorant:
     """Slope t of the line through (alpha_1, alpha_1^h) majorizing min(a^h, s a).
 
     Inputs are taken exactly (floats are exact binary rationals).  Requires
@@ -595,18 +595,16 @@ def linear_majorant(
         t_iv = _slope(_ival(s_f), a1, h)
         t_val = float_up(t_iv)
     hi = a1 + 2 * (s_f + 1)
-    step = (hi - a1) / max(1, samples - 1)
-    checked = 0
+    step = (hi - a1) / (_MAJORANT_SAMPLES - 1)
     ok = True
     anchor = _ival(a1) ** h
-    for k in range(samples):
+    for k in range(_MAJORANT_SAMPLES):
         a = a1 + step * k
         lhs = min(_ival(a**h), _ival(s_f * a))
         rhs = anchor + t_iv * _ival(a - a1)
-        checked += 1
         if lhs.a > rhs.b:
             ok = False
-    return LinearMajorant(a1, s_f, h, t_val, t_exact, checked, ok)
+    return LinearMajorant(a1, s_f, h, t_val, t_exact, _MAJORANT_SAMPLES, ok)
 
 
 # -- growth bounds -------------------------------------------------------------
@@ -759,11 +757,12 @@ def nap_check(a: GSet, b: GSet, s: GSet) -> NapReport:
 
 @dataclass(frozen=True)
 class RestrictedSumsetReport:
-    """Growth of (X+hB) \\ (J+hB) when level j is both tight and minimal.
+    """Growth of (X+hB) \\ (J+hB) when X is tight at level j.
 
-    alpha_j is the observed j-level ratio |(X+jB)\\(J+jB)| / |X|.  When the
-    subset-minimality hypothesis fails, conclusion_ok is None: the statement
-    simply does not apply.  reiher_ok lists one verdict per supplied S.
+    alpha_j is the observed j-level ratio |(X+jB)\\(J+jB)| / |X|; the
+    hypothesis is that no non-empty Z in X has a smaller ratio.  When it
+    fails, conclusion_ok is None: the statement simply does not apply.
+    reiher_ok lists one verdict per supplied S.
     """
 
     hypothesis_ok: bool
@@ -773,26 +772,6 @@ class RestrictedSumsetReport:
     reiher_ok: tuple[bool, ...]
 
 
-def _masked_difference(
-    x: GSet, jb: GSet, forbidden: frozenset
-) -> tuple[list[int], int]:
-    """Per-element bitmasks of (x + jB) minus a forbidden coordinate set."""
-    space = x.space
-    universe: dict = {}
-    masks = []
-    for xe in x.elements:
-        mask = 0
-        for w in jb.elements:
-            y = space.add_coords(xe, w)
-            if y in forbidden:
-                continue
-            if y not in universe:
-                universe[y] = len(universe)
-            mask |= 1 << universe[y]
-        masks.append(mask)
-    return masks, len(universe)
-
-
 def restricted_sumset_check(
     x: GSet,
     b: GSet,
@@ -800,7 +779,6 @@ def restricted_sumset_check(
     j: int,
     h: int,
     reiher_samples: Sequence[GSet] = (),
-    guard: int = SUBSET_GUARD,
 ) -> RestrictedSumsetReport:
     if x.space != b.space or x.space != j_set.space:
         raise InputError("X, B and J must share a space")
@@ -812,36 +790,22 @@ def restricted_sumset_check(
         raise InputError(f"level j = {j!r} outside 1..{h}")
     if x.member_set() & j_set.member_set():
         raise InputError("X and J must be disjoint")
-    if len(x) > guard:
-        raise GuardError(
-            f"subset enumeration guard: |X| = {len(x)} exceeds cap {guard}"
-        )
+    # With C = J+B, level i of G_R(X, B, C) is (X+iB) \ (J+iB), and each x
+    # reaches all of (x+iB) \ (J+iB): were the k-th vertex of a path from
+    # x in J+kB, its end would be in J+kB+(i-k)B = J+iB.  So X is tight at
+    # level j of the graph exactly when no Z in X has a smaller ratio
+    # |(Z+jB) \ (J+jB)| / |Z|, and the power inequality of the tight
+    # channel, |V_j|^h >= |X|^(h-j) |V_h|^j, is the conclusion.
+    c_set = j_set if j_set.is_empty else sumset(j_set, b)
+    check = tight_channel_power_check(build_restricted_graph(x, b, c_set, h), j)
+    size, c, observed = check.sizes[0], check.sizes[j], check.sizes[-1]
+    conclusion_ok = check.power_ok if check.hypothesis_ok else None
     space = x.space
-    kb = {k: fold_sumset(b, k) for k in {j - 1, j, h}}
+    kb = {k: fold_sumset(b, k) for k in {j - 1, j}}
 
     def shifted(base: GSet, steps: int) -> frozenset:
-        if base.is_empty:
-            return frozenset()
         return sumset(base, kb[steps]).member_set()
 
-    forbidden_j = shifted(j_set, j)
-    masks, _ = _masked_difference(x, kb[j], forbidden_j)
-    full = 0
-    for mask in masks:
-        full |= mask
-    c = full.bit_count()
-    size = len(x)
-    hypothesis_ok = True
-    for mask, im in subset_images(masks):
-        # minimality: c/|X| <= f(Z)/|Z|
-        if c * mask.bit_count() > im.bit_count() * size:
-            hypothesis_ok = False
-            break
-    observed = len(shifted(x, h) - shifted(j_set, h))
-    conclusion_ok: bool | None = None
-    if hypothesis_ok:
-        # observed <= (c/|X|)^(h/j) |X|  <=>  observed^j |X|^(h-j) <= c^h
-        conclusion_ok = observed**j * size ** (h - j) <= c**h
     reiher: list[bool] = []
     for s in reiher_samples:
         if s.space != space:
@@ -855,7 +819,7 @@ def restricted_sumset_check(
         # lhs <= (c/|X|)^(1/j) rhs  <=>  lhs^j |X| <= c rhs^j
         reiher.append(lhs**j * size <= c * rhs**j)
     return RestrictedSumsetReport(
-        hypothesis_ok, Fraction(c, size), observed, conclusion_ok, tuple(reiher)
+        check.hypothesis_ok, Fraction(c, size), observed, conclusion_ok, tuple(reiher)
     )
 
 

@@ -89,7 +89,7 @@ class LayeredGraph:
     labels: dict[int, Coords] | None = None
 
     def __post_init__(self) -> None:
-        if self.height < 1:
+        if not _is_int(self.height) or self.height < 1:
             raise InputError("layered graph height must be >= 1")
         layers = tuple(tuple(sorted(layer)) for layer in self.layers)
         if len(layers) != self.height + 1:
@@ -137,6 +137,9 @@ class LayeredGraph:
                             f"duplicate label {labels[v]} inside one layer"
                         )
                     seen_labels.add(labels[v])
+            if len(self.labels) > len(labels):
+                key = next(k for k in self.labels if k not in layer_of)
+                raise InputError(f"label key '{key}' names no vertex")
             object.__setattr__(self, "labels", labels)
         self.__dict__["_layer_of"] = layer_of
 
@@ -569,15 +572,11 @@ def graph_from_json(obj: object) -> LayeredGraph:
             f"'labels' coordinate lists differ in length: {ranks[0]} and {ranks[-1]}"
         )
     try:
-        graph = LayeredGraph(height, layers, edges, dict(zip(ids, coords)) or None)
+        return LayeredGraph(height, layers, edges, dict(zip(ids, coords)) or None)
     except InputError:
         raise
     except Exception as exc:  # defensive: malformed structure
         raise InputError(f"inconsistent graph document: {exc}") from exc
-    if len(ids) > graph.vertex_count:
-        key = next(k for k, v in zip(keys, ids) if not graph.has_vertex(v))
-        raise InputError(f"label key {key!r} names no vertex")
-    return graph
 
 
 def dump_graph(graph: LayeredGraph, path: str) -> None:

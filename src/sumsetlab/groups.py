@@ -33,6 +33,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate, chain, repeat
+from json.encoder import encode_basestring_ascii
 from math import inf, prod
 from operator import add, floordiv, mod, mul
 from typing import Callable, Collection, Iterable, Iterator, Sequence
@@ -584,10 +585,6 @@ def _int_rows(rows: Collection) -> tuple[int, ...] | None:
     return ints if set(map(type, ints)) == {int} else None
 
 
-def _compact(obj: object) -> str:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
-
-
 def _row_template(width: int, pad: str) -> str:
     # A row of `width` ints, a %d each, as `json.dumps(indent=2)` lays it
     # out at pad.
@@ -600,48 +597,38 @@ def _json_text(obj: object, pad: str) -> str:
     first indented by `pad` more.
 
     With an indent, `json` runs its pure-Python encoder, several times
-    slower than the compact C one.  Int lists, lists of int lists and
-    objects of int lists under plain keys, the bulk of every set and graph
-    document, are therefore written another way.  Rows of one width fill
-    one %-template, as `%d` prints an int as `json` does.  Int lists and
-    rows of mixed widths go through the C encoder and are respaced with
-    `str.replace`: their compact text has commas only between ints or rows,
-    so each replacement is exact.  Other objects recurse key by key, and
-    every other value goes to `json.dumps` as it is.
+    slower than the compact C one.  Int lists, lists of int rows and
+    objects of int rows of one width under string keys, the bulk of every
+    set and graph document, therefore fill %-templates, one per row width,
+    as `%d` prints an int as `json` does.  Other objects recurse key by
+    key, and every other value goes to `json.dumps` as it is.
     """
     inner = pad + "  "
-    rows = inner + "  "
     if type(obj) is list and obj:
         if set(map(type, obj)) == {int}:
-            body = _compact(obj)[1:-1].replace(",", ",\n" + inner)
-            return f"[\n{inner}{body}\n{pad}]"
+            return _row_template(len(obj), pad) % tuple(obj)
         ints = _int_rows(obj)
         if ints is not None:
             widths = set(map(len, obj))
             if len(widths) == 1:
-                row = _row_template(widths.pop(), inner)
-                body = f",\n{inner}".join([row] * len(obj)) % ints
-                return f"[\n{inner}{body}\n{pad}]"
-            body = _compact(obj)[2:-2].replace(",", ",\n" + rows)
-            body = body.replace(f"],\n{rows}[", f"\n{inner}],\n{inner}[\n{rows}")
-            return f"[\n{inner}[\n{rows}{body}\n{inner}]\n{pad}]"
+                rows = [_row_template(widths.pop(), inner)] * len(obj)
+            else:
+                row = {width: _row_template(width, inner) for width in widths}
+                rows = list(map(row.__getitem__, map(len, obj)))
+            body = f",\n{inner}".join(rows)
+            return f"[\n{inner}{body}\n{pad}]" % ints
     if type(obj) is dict and obj and set(map(type, obj)) == {str}:
         keys = sorted(obj)
         values = list(map(obj.__getitem__, keys))
         ints = _int_rows(values)
-        if ints is not None and set(",\"[]:").isdisjoint("".join(keys)):
-            widths = set(map(len, values))
-            if len(widths) == 1:
-                # The C encoder escapes the keys; none holds `",`, so the
-                # text of the key list splits at '","' into the keys.
-                names = _compact(keys)[2:-2].replace("%", "%%").split('","')
-                row = _row_template(widths.pop(), inner)
-                body = f'": {row},\n{inner}"'.join(names) + f'": {row}'
-                return f'{{\n{inner}"{body % ints}\n{pad}}}'
-            body = _compact(obj)[1:-2].replace(",", ",\n" + rows)
-            body = body.replace(f'],\n{rows}"', f'\n{inner}],\n{inner}"')
-            body = body.replace('":[', '": [\n' + rows)
-            return f"{{\n{inner}{body}\n{inner}]\n{pad}}}"
+        if ints is not None and len(set(map(len, values))) == 1:
+            # An encoded key holds no raw newline, so one pass over the
+            # joined keys escapes their `%`s for the template.
+            names = "\n".join(map(encode_basestring_ascii, keys))
+            names = names.replace("%", "%%").split("\n")
+            row = _row_template(len(values[0]), inner)
+            body = f": {row},\n{inner}".join(names) + f": {row}"
+            return f"{{\n{inner}{body % ints}\n{pad}}}"
         items = (
             f"{inner}{json.dumps(key)}: {_json_text(value, inner)}"
             for key, value in zip(keys, values)

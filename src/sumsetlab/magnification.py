@@ -8,7 +8,7 @@ an exact rational with denominator at most |V_0|.  Two computations are
 provided:
 
 * a brute-force subset enumeration (the oracle), guarded at |V_0| <= 22,
-  which also returns every minimizing subset;
+  which keeps the union of the minimizing subsets as it goes;
 * Dinkelbach iteration on a parametric min cut (the production path).  For
   a ratio p/q, min over Z of (q|image(Z)| - p|Z|) is read off a min cut in
   the network  source -(p)-> V_0 -(inf, i-step reachability)-> V_i -(q)->
@@ -63,7 +63,6 @@ class MagnificationResult:
     value: Ratio
     maximal_tight_set: tuple[int, ...]
     witness_check: bool
-    all_minimizers: tuple[tuple[int, ...], ...] | None = None
 
 
 def magnification_to_json(result: MagnificationResult) -> dict:
@@ -93,10 +92,8 @@ def _union(vertex_masks: Sequence[int], idx: Sequence[int]) -> int:
 def magnification_bruteforce(graph: LayeredGraph, level: int) -> MagnificationResult:
     """Enumerate every non-empty subset of the bottom layer.
 
-    Returns the exact minimum ratio, every minimizing subset, and their
-    union (the maximal tight set).  Guarded at |V_0| <= 22; the minimizer
-    list can be exponentially long on degenerate graphs, which the guard
-    keeps within desk scale.
+    Returns the exact minimum ratio and the union of the minimizing subsets
+    (the maximal tight set).  Guarded at |V_0| <= 22.
     """
     _validate_level(graph, level)
     bottom = list(graph.layers[0])
@@ -108,27 +105,21 @@ def magnification_bruteforce(graph: LayeredGraph, level: int) -> MagnificationRe
     vertex_masks, _ = image_masks(graph, level)
     best_num = None  # |image(Z)| of the current best
     best_den = 0  # |Z| of the current best
-    minimizers: list[int] = []
+    union_mask = 0  # union of the minimizers so far
     for mask, im in subset_images(vertex_masks):
         num = im.bit_count()
         den = mask.bit_count()
         if best_num is None or num * best_den < best_num * den:
             best_num, best_den = num, den
-            minimizers = [mask]
+            union_mask = mask
         elif num * best_den == best_num * den:
-            minimizers.append(mask)
-    union_mask = 0
-    for mask in minimizers:
-        union_mask |= mask
+            union_mask |= mask
     value = Fraction(best_num, best_den)
     tight_idx = [k for k in range(n) if union_mask >> k & 1]
     tight = tuple(bottom[k] for k in tight_idx)
     union_im = _union(vertex_masks, tight_idx)
     witness = union_im.bit_count() * value.denominator == value.numerator * len(tight)
-    subsets = tuple(
-        tuple(bottom[k] for k in range(n) if mask >> k & 1) for mask in minimizers
-    )
-    return MagnificationResult(level, value, tight, witness, subsets)
+    return MagnificationResult(level, value, tight, witness)
 
 
 def _tight(vertex_masks: Sequence[int]) -> tuple[Ratio, list[int], int]:

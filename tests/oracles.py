@@ -237,3 +237,39 @@ def naive_peel(layers, edges):
         remaining -= tight
         top_left -= block[h]
     return blocks
+
+
+def naive_restricted_sumset(x, b, j_set, j, h, samples, moduli):
+    """The restricted-sumset statement, sum by sum and subset by subset.
+
+    With alpha_j = |(X+jB) \\ (J+jB)| / |X|, the hypothesis is that no
+    non-empty Z in X has |(Z+jB) \\ (J+jB)| / |Z| below alpha_j; under it
+    the conclusion is |(X+hB) \\ (J+hB)| <= alpha_j^(h/j) |X|, and each S in
+    samples is checked for |(X+S+jB) \\ (J+S+jB)| <= alpha_j^(1/j)
+    |(X+S+(j-1)B) \\ (J+S+(j-1)B)|.  Returns (hypothesis_ok, alpha_j,
+    observed, conclusion_ok or None, reiher verdicts).
+    """
+
+    def rest(base, forbidden, steps):
+        return naive_iterated(base, b, steps, moduli) - naive_iterated(
+            forbidden, b, steps, moduli
+        )
+
+    x = sorted(x)
+    size = len(x)
+    c = len(rest(x, j_set, j))
+    hypothesis = all(
+        c * r <= len(rest(z, j_set, j)) * size
+        for r in range(1, size + 1)
+        for z in combinations(x, r)
+    )
+    observed = len(rest(x, j_set, h))
+    conclusion = observed**j * size ** (h - j) <= c**h if hypothesis else None
+    reiher = []
+    for s in samples:
+        xs = naive_sumset(x, s, moduli)
+        js = naive_sumset(j_set, s, moduli)
+        lhs = len(rest(xs, js, j))
+        rhs = len(rest(xs, js, j - 1))
+        reiher.append(lhs**j * size <= c * rhs**j)
+    return hypothesis, Fraction(c, size), observed, conclusion, tuple(reiher)

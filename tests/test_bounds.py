@@ -2,7 +2,9 @@
 majorants, growth and set-addition statements."""
 
 import math
+from dataclasses import astuple
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -30,9 +32,9 @@ from sumsetlab import (
     rising_binomial,
 )
 from sumsetlab.bounds import BOUND_NAMES, check_majorant_pointwise, majorant_from_root
-from sumsetlab.instances import random_pair, rng_for
+from sumsetlab.instances import random_gset, random_pair, rng_for
 
-from oracles import naive_image
+from oracles import naive_image, naive_restricted_sumset
 
 Z = GroupSpace((0,))
 
@@ -481,8 +483,38 @@ def test_restricted_sumset_validation():
         restricted_sumset_check(x, b, gs(1), 1, 2)
     with pytest.raises(InputError):
         restricted_sumset_check(x, b, gs(9), 3, 2)
-    with pytest.raises(GuardError):
-        restricted_sumset_check(gs(*range(23)), b, gs(99), 1, 1)
+    # no subset enumeration, so no guard: X = {0, ..., 22} is tight at
+    # level 1, (X+B) \ (99+B) = {0, ..., 23}
+    rep = restricted_sumset_check(gs(*range(23)), b, gs(99), 1, 1)
+    assert rep.hypothesis_ok
+    assert rep.alpha_j == Fraction(24, 23)
+    assert rep.observed == 24
+    assert rep.conclusion_ok
+    assert rep.reiher_ok == ()
+
+
+def test_restricted_sumset_matches_naive_random():
+    spaces = [(0,), (7,), (0, 0), (0, 5), (4, 0), (6, 6), (0, 3, 0)]
+    rng = rng_for(20261018, "restricted")
+    for moduli in spaces:
+        space = GroupSpace(moduli)
+        for _ in range(4):
+            x = random_gset(rng, space, 1, 7, spread=4)
+            b = random_gset(rng, space, 1, 3, spread=2)
+            raw_j = random_gset(rng, space, 1, 4, spread=4)
+            j_sets = [
+                GSet.from_coords(space, []),
+                GSet.from_coords(space, raw_j.member_set() - x.member_set()),
+            ]
+            samples = [random_gset(rng, space, 1, 2, spread=3) for _ in range(2)]
+            naive_samples = [s.elements for s in samples]
+            levels = [(h, j) for h in range(1, 5) for j in range(1, h + 1)]
+            for j_set, (h, j) in product(j_sets, levels):
+                rep = restricted_sumset_check(x, b, j_set, j, h, samples)
+                want = naive_restricted_sumset(
+                    x.elements, b.elements, j_set.elements, j, h, naive_samples, moduli
+                )
+                assert astuple(rep) == want, (moduli, x, b, j_set, j, h)
 
 
 def test_restricted_growth_frozen():

@@ -141,6 +141,15 @@ def test_layered_graph_validation():
         LayeredGraph(1, ((0,), (1,)), ((0, 1),), {0: (0,)})
     with pytest.raises(InputError, match="duplicate label"):
         LayeredGraph(1, ((0, 1), (2,)), ((0, 2),), {0: (5,), 1: (5,), 2: (6,)})
+    with pytest.raises(InputError, match="^layered graph height must be >= 1$"):
+        LayeredGraph(True, ((0,), (1,)), ((0, 1),))
+    with pytest.raises(InputError, match="^label key '7' names no vertex$"):
+        LayeredGraph(1, ((0,), (1,)), ((0, 1),), {0: (0,), 1: (1,), 7: (2,)})
+    # the missing and duplicate checks come first
+    with pytest.raises(InputError, match="labels missing"):
+        LayeredGraph(1, ((0,), (1,)), ((0, 1),), {0: (0,), 7: (2,)})
+    with pytest.raises(InputError, match="duplicate label"):
+        LayeredGraph(1, ((0,), (1, 2)), ((0, 1),), {0: (0,), 1: (1,), 2: (1,), 7: (2,)})
 
 
 def test_graph_builders_check_arguments():

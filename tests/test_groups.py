@@ -476,30 +476,33 @@ WRITER_CASES = [
 ]
 
 
-# Int rows of one width, written from one %-template; keys of an object
-# of rows go into it escaped by `json`.
-UNIFORM_ROWS = [
+# Int lists, and int rows under a list or an object, fill %-templates, one
+# per row width; so does any key, however it is escaped.
+TEMPLATED_ROWS = [
+    [5, -(2**70), 0],
     [[5]],
     [[-1], [0], [2**64 + 1]],
     [[1, -2]],
     [[-(2**70), 3], [0, 0], [7, -8]],
     [[1, 2, 3]],
     [[i, -i, i * 2**65] for i in range(300)],
-    {"0": [1], "1": [-(2**65)]},
-    {"a%d": [1, 2], "b%%s": [3, 4], "\u00e9\n": [5, 6], "h\\": [-7, 8], "": [9, 0]},
-    {str(i): [i, -i, 2**64 + i] for i in range(300)},
-]
-# Rows of mixed widths keep the C encoder and `str.replace`; rows holding
-# anything but plain ints, or an empty row, go to `json.dumps`.
-OTHER_ROWS = [
     [[1], [2, 3]],
     [[1, 2, 3], [4, 5], [6]],
     [[-(2**65)], [2**64, 0]],
+    [[i] * (i % 4 + 1) for i in range(300)],
+    {"0": [1], "1": [-(2**65)]},
+    {"a%d": [1, 2], "b%%s": [3, 4], "\u00e9\n": [5, 6], "h\\": [-7, 8], "": [9, 0]},
+    {"a,b": [1], 'c"': [2], "[d": [3], "e]": [4], "f:g": [5]},
+    {'",': [1], '","': [2], 'x\\","': [3], '\\': [4], '"': [5], ",": [6]},
+    {str(i): [i, -i, 2**64 + i] for i in range(300)},
     {"0": [1], "1": [2, 3]},
+    {'a",': [1], "b": [2, 3], "c": [True]},
+]
+# Rows holding anything but plain ints, or an empty row, go to `json.dumps`.
+OTHER_ROWS = [
     [[1, True]],
     [[True, 2], [3, 4]],
     [[1, 2], [3, 4.0]],
-    {"0": [1], "1": [True]},
     [[1], []],
 ]
 
@@ -525,7 +528,7 @@ def test_writer_matches_json_dumps(tmp_path, monkeypatch):
 
     for doc in docs:
         check(doc)
-    for rows, templated in ((UNIFORM_ROWS, True), (OTHER_ROWS, False)):
+    for rows, templated in ((TEMPLATED_ROWS, True), (OTHER_ROWS, False)):
         for doc in rows:
             for nested in (doc, {"k": doc, "z": [doc]}):
                 templates.clear()

@@ -46,7 +46,9 @@ def test_frozen_two_layer_example():
         r2 = method(g, 2)
         assert r2.value == Fraction(4)
     # singletons have 3-element one-step images, so only the full set is tight
-    assert magnification_bruteforce(g, 1).all_minimizers == (tuple(g.layers[0]),)
+    value, union = naive_magnification(g.edges, g.layers[0], 1)
+    assert value == Fraction(5, 2) and union == frozenset(g.layers[0])
+    assert magnification_bruteforce(g, 1).maximal_tight_set == tuple(sorted(union))
 
 
 def test_group_case_everything_is_tight():
@@ -58,7 +60,9 @@ def test_group_case_everything_is_tight():
     assert r.value == 1
     # shifting is a bijection: every subset minimizes, so the union is V_0
     assert r.maximal_tight_set == g.layers[0]
-    assert len(magnification_bruteforce(g, 1).all_minimizers) == 15
+    value, union = naive_magnification(g.edges, g.layers[0], 1)
+    assert value == 1 and union == frozenset(g.layers[0])
+    assert magnification_bruteforce(g, 1).maximal_tight_set == tuple(sorted(union))
 
 
 def test_tight_set_is_maximal_not_just_minimal():
