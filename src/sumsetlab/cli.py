@@ -275,6 +275,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The least value of each count or cap option; 0 is a valid cap.
+_FLOORS = (("cases", 1), ("max_size", 0), ("max_edges", 0))
+
+
+def _check_floors(args) -> None:
+    for dest, low in _FLOORS:
+        value = getattr(args, dest, None)
+        if value is not None and value < low:
+            flag = "--" + dest.replace("_", "-")
+            raise InputError(f"{flag} must be >= {low}, got {value}")
+
+
 def _check_outputs(args) -> None:
     # Fail on an unwritable output path before any work or output: append
     # nothing to each path, and remove the files that this created.
@@ -295,6 +307,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_floors(args)
         _check_outputs(args)
         return args.func(args)
     except (InputError, GuardError, ValueError) as exc:

@@ -14,10 +14,17 @@ witnesses:
   downward: for every edge (v, w) and in-neighbours u_1..u_k of v there are
             k distinct v_1..v_k with (u_i, v_i) and (v_i, w) edges.
 
-Distinctness makes each condition a system-of-distinct-representatives
-question, decided here by bipartite matching per (edge, neighbourhood) pair.
-The single-layer fan u -> v -> {w1, w2} is therefore an upward violation:
-both targets compete for the only middle vertex.
+Distinctness makes each condition a matching question per (edge,
+neighbourhood) pair, decided on bitmasks: bit k stands for the k-th vertex
+of a layer, each target's candidate middles are one mask, and the targets
+take distinct bits, greedily lowest-free-bit first, with an augmenting path
+search only when no bit is free.  A violation names the first target,
+in ascending id order, whose prefix of the target list cannot take
+distinct middles.  That target is the same whichever paths the search
+takes, since a matching of the earlier targets extends to the next one
+exactly when the prefix up to it can be matched.  The single-layer fan
+u -> v -> {w1, w2} is therefore an upward violation: both targets compete
+for the only middle vertex.
 
 A channel between U in layer i and W in layer j (i < j) is the subgraph of
 all vertices and edges lying on some U-to-W path; channels of commutative
@@ -419,65 +426,114 @@ class CommutativityReport:
         return self.upward_ok and self.downward_ok
 
 
-def _augment(
-    root: int, candidates: Mapping[int, Sequence[int]], owner: dict[int, int]
-) -> bool:
-    """Give root a candidate along an alternating path, re-assigning each
-    candidate on it; False if none exists.  Walks an explicit stack, since
-    alternating paths can be as long as the target list."""
-    seen: set[int] = set()
-    stack = [(root, iter(candidates[root]))]
-    via: list[int] = []  # via[k] leads from stack[k] to its owner stack[k + 1]
-    while stack:
-        t, cands = stack[-1]
-        for c in cands:
-            if c in seen:
+def _first_unmatched(cands: Sequence[int]) -> int | None:
+    """Index of the first mask in cands that cannot take a bit distinct from
+    the bits taken by the masks before it, or None if all can.
+
+    Each mask takes its lowest free bit; when none is free, one augmenting
+    path search shifts earlier masks to other bits.  It walks an explicit
+    stack, since alternating paths can be as long as the mask list.  The
+    index it returns is the first j for which masks 0..j have no distinct
+    bits, so it does not depend on which paths the search takes.
+    """
+    owner: dict[int, int] = {}  # bit -> index of the mask holding it
+    used = 0
+    for j, mask in enumerate(cands):
+        free = mask & ~used
+        if free:
+            bit = free & -free
+            owner[bit] = j
+            used |= bit
+            continue
+        seen = 0
+        stack = [j]
+        via: list[int] = []  # via[k] leads from stack[k] to stack[k + 1]
+        while stack:
+            open_bits = cands[stack[-1]] & ~seen
+            if not open_bits:
+                stack.pop()
+                if via:
+                    via.pop()
                 continue
-            seen.add(c)
-            if c not in owner:
-                owner[c] = t
-                for (u, _), d in zip(stack, via):
-                    owner[d] = u
-                return True
-            via.append(c)
-            stack.append((owner[c], iter(candidates[owner[c]])))
+            bit = open_bits & -open_bits
+            seen |= bit
+            if bit & used:
+                via.append(bit)
+                stack.append(owner[bit])
+                continue
+            used |= bit
+            owner[bit] = stack[-1]
+            for k, taken in zip(stack, via):
+                owner[taken] = k
             break
         else:
-            stack.pop()
-            if via:
-                via.pop()
-    return False
-
-
-def _saturating_matching(
-    targets: Sequence[int], candidates: Mapping[int, Sequence[int]]
-) -> int | None:
-    """Match every target to a distinct candidate; return an unmatched target
-    id if impossible, else None.  Classic augmenting-path search."""
-    owner: dict[int, int] = {}
-    for t in targets:
-        if not _augment(t, candidates, owner):
-            return t
+            return j
     return None
 
 
 def _exchange_failures(
     pairs: Iterable[tuple[int, int]],
-    fwd: Callable[[int], Sequence[int]],
-    bwd: Callable[[int], Sequence[int]],
+    mids: Mapping[int, int],
+    rows: Mapping[int, list[int]],
 ) -> Iterator[tuple[int, int, int]]:
-    """(x, y, t) for each pair whose targets fwd(y) cannot take distinct
-    middles, target t from fwd(x) & bwd(t); t is the one left unmatched.
-    Upward reads edges (u, v) with fwd = out, bwd = in; downward reads
-    (w, v) for each edge (v, w) with the roles swapped."""
+    """(x, y, j) for each pair whose target masks rows[y], cut down to the
+    middle mask mids[x], cannot take distinct bits; j indexes the target
+    left unmatched.  A greedy lowest-free-bit pass settles most pairs.
+    Upward reads the edges (u, v) with out-masks as mids and rows of
+    in-masks; downward reads (w, v) for each edge (v, w), roles swapped."""
     for x, y in pairs:
-        targets = fwd(y)
-        if targets:
-            mid_set = set(fwd(x))
-            cand = {t: tuple(m for m in bwd(t) if m in mid_set) for t in targets}
-            unmatched = _saturating_matching(targets, cand)
-            if unmatched is not None:
-                yield x, y, unmatched
+        row = rows[y]
+        avail = mids[x]
+        for mask in row:
+            free = mask & avail
+            if not free:
+                break
+            avail ^= free & -free
+        else:
+            continue
+        mid = mids[x]
+        j = _first_unmatched([mask & mid for mask in row])
+        if j is not None:
+            yield x, y, j
+
+
+def _flip(edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    return ((v, u) for u, v in edges)
+
+
+def _rows(
+    pairs: Iterable[tuple[int, int]], masks: Mapping[int, int]
+) -> dict[int, list[int]]:
+    """Each vertex x to the list of masks[y] over the pairs (x, y), in
+    pair order; sorted pairs list each x's partners ascending."""
+    rows: dict[int, list[int]] = {v: [] for v in masks}
+    for x, y in pairs:
+        rows[x].append(masks[y])
+    return rows
+
+
+def _masks(graph: LayeredGraph) -> tuple[dict[int, int], dict[int, int]]:
+    """Each vertex's out- and in-neighbours as a bitmask over their layer.
+
+    Bit k stands for the k-th vertex of the layer, so ascending bits are
+    ascending ids.
+    """
+    bit: dict[int, int] = {}
+    for layer in graph.layers:
+        bit.update(zip(layer, map((1).__lshift__, range(len(layer)))))
+    out_mask = dict.fromkeys(bit, 0)
+    in_mask = dict.fromkeys(bit, 0)
+    for u, v in graph.edges:
+        out_mask[u] |= bit[v]
+        in_mask[v] |= bit[u]
+    return out_mask, in_mask
+
+
+def _nth_bit_vertex(layer: Sequence[int], mask: int, n: int) -> int:
+    # The vertex of layer at the n-th set bit of mask, counting from 0.
+    for _ in range(n):
+        mask &= mask - 1
+    return layer[(mask & -mask).bit_length() - 1]
 
 
 def check_commutative(
@@ -492,13 +548,17 @@ def check_commutative(
         raise GuardError(
             f"commutativity edge guard: {graph.edge_count} edges exceed cap {max_edges}"
         )
-    out, inn = graph.out_neighbors, graph.in_neighbors
+    # Each direction's rows live only while its own scan runs.
+    out_mask, in_mask = _masks(graph)
+    edges, layers, layer_of = graph.edges, graph.layers, graph.layer_of
     upward = [
-        ((u, v, t), "upward") for u, v, t in _exchange_failures(graph.edges, out, inn)
+        ((u, v, _nth_bit_vertex(layers[layer_of(v) + 1], out_mask[v], j)), "upward")
+        for u, v, j in _exchange_failures(edges, out_mask, _rows(edges, in_mask))
     ]
-    flipped = ((w, v) for v, w in graph.edges)
+    down_rows = _rows(_flip(edges), out_mask)
     downward = [
-        ((t, v, w), "downward") for w, v, t in _exchange_failures(flipped, inn, out)
+        ((_nth_bit_vertex(layers[layer_of(v) - 1], in_mask[v], j), v, w), "downward")
+        for w, v, j in _exchange_failures(_flip(edges), in_mask, down_rows)
     ]
     return CommutativityReport(not upward, not downward, tuple(upward + downward))
 

@@ -102,25 +102,44 @@ def _injective_assignment(targets, candidates):
     return rec(0, frozenset())
 
 
-def naive_commutative(edges):
-    """Both exchange conditions, checked by exhaustive assignment search."""
+def _first_unmatched_target(targets, candidates):
+    """The first target whose prefix of targets has no injective
+    assignment, or None."""
+    for k, target in enumerate(targets, 1):
+        if not _injective_assignment(targets[:k], candidates):
+            return target
+    return None
+
+
+def naive_violations(edges):
+    """Both exchange conditions, as the ordered ((x, y, z), direction) list:
+    upward for each edge (u, v) in sorted order, naming the first
+    out-neighbour of v whose prefix cannot take distinct middles; then
+    downward for each edge (v, w), naming such an in-neighbour of v."""
+    edges = sorted(set(map(tuple, edges)))
     succ = successor_map(edges)
     pred = predecessor_map(edges)
+    found = []
     for u, v in edges:
-        targets = succ.get(v, set())
-        if targets:
-            mids = succ.get(u, set())
-            cand = {w: sorted(pred.get(w, set()) & mids) for w in targets}
-            if not _injective_assignment(sorted(targets), cand):
-                return False
+        targets = sorted(succ.get(v, set()))
+        mids = succ.get(u, set())
+        cand = {w: sorted(pred[w] & mids) for w in targets}
+        w = _first_unmatched_target(targets, cand)
+        if w is not None:
+            found.append(((u, v, w), "upward"))
     for v, w in edges:
-        sources = pred.get(v, set())
-        if sources:
-            mids = pred.get(w, set())
-            cand = {s: sorted(succ.get(s, set()) & mids) for s in sources}
-            if not _injective_assignment(sorted(sources), cand):
-                return False
-    return True
+        sources = sorted(pred.get(v, set()))
+        mids = pred.get(w, set())
+        cand = {s: sorted(succ[s] & mids) for s in sources}
+        s = _first_unmatched_target(sources, cand)
+        if s is not None:
+            found.append(((s, v, w), "downward"))
+    return found
+
+
+def naive_commutative(edges):
+    """Both exchange conditions, checked by exhaustive assignment search."""
+    return not naive_violations(edges)
 
 
 def naive_min_cut(n, cap_edges, s, t):

@@ -7,11 +7,13 @@ import pytest
 from sumsetlab import (
     GroupSpace,
     GSet,
+    InputError,
     build_addition_graph,
     build_restricted_graph,
     dump_gset,
     dump_graph,
     graph_to_json,
+    gset_to_json,
 )
 from sumsetlab.cli import main
 from sumsetlab.instances import random_gset, random_space, rng_for
@@ -365,6 +367,100 @@ def test_label_keys_must_name_vertices(tmp_path, capsys, argv):
     assert run(capsys, *argv)[0] == 0
 
 
+def _set_doc(rng, space=None):
+    return gset_to_json(random_gset(rng, space or random_space(rng), 1, 6))
+
+
+def _malformed_json_texts():
+    """(case, text, message) for set files that are not JSON; the message
+    writes the file's path as {path}."""
+    for text in ('{"moduli": [0], "elements": [[1]]', "[1, 2", "", "{moduli: [0]}"):
+        try:
+            json.loads(text)
+        except json.JSONDecodeError as exc:
+            yield f"JSON {text!r}", text, f"malformed JSON in {{path}}: {exc}"
+
+
+def _malformed_set_docs(rng):
+    """(case, document, message): set documents that each break one rule
+    of the set schema, or that `sumset` cannot add, with the message of the
+    raise that names it."""
+    for doc in ([[0], [1]], 7, "set", None):
+        yield f"document {doc!r}", doc, "set document must be a JSON object"
+    for key in ("moduli", "elements"):
+        doc = _set_doc(rng)
+        del doc[key]
+        yield f"no {key}", doc, f"set document missing key '{key}'"
+    for bad in ([], 0, "0", None, {"m": 0}):
+        yield f"moduli {bad!r}", {**_set_doc(rng), "moduli": bad}, (
+            "'moduli' must be a non-empty list of integers")
+    for bad in (-1, True, 1.5, "3", None, [0]):
+        doc = _set_doc(rng)
+        doc["moduli"][rng.randrange(len(doc["moduli"]))] = bad
+        yield f"modulus {bad!r}", doc, f"moduli must be integers >= 0, got {bad!r}"
+    for bad in ({"0": [1]}, "[[1]]", 3, None):
+        yield f"elements {bad!r}", {**_set_doc(rng), "elements": bad}, (
+            "'elements' must be a list of coordinate lists")
+    for bad in (1, "1", None, {"0": 1}, True):
+        doc = _set_doc(rng)
+        doc["elements"][rng.randrange(len(doc["elements"]))] = bad
+        yield f"element {bad!r}", doc, "'elements' entries must be coordinate lists"
+    for extra in ([], [0], [0, 0]):
+        doc = _set_doc(rng)
+        rank = len(doc["moduli"])
+        row = doc["elements"][rng.randrange(len(doc["elements"]))]
+        row[:] = row + extra if extra else []
+        yield f"element rank {len(row)}", doc, (
+            f"coordinate tuple of length {len(row)} in a rank-{rank} space")
+    for bad in (True, 1.5, "1", None, [1]):
+        doc = _set_doc(rng)
+        row = doc["elements"][rng.randrange(len(doc["elements"]))]
+        row[rng.randrange(len(row))] = bad
+        yield f"coordinate {bad!r}", doc, f"coordinates must be integers, got {bad!r}"
+    yield "no elements", {**_set_doc(rng), "elements": []}, (
+        "sumset operands must be non-empty")
+
+
+MALFORMED_SETS = list(_malformed_json_texts()) + [
+    (case, json.dumps(doc), message)
+    for case, doc, message in _malformed_set_docs(rng_for(20261018, "malformed sets"))
+]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [pytest.param(text, message, id=case) for case, text, message in MALFORMED_SETS],
+)
+@pytest.mark.parametrize("slot", ["A", "B"])
+def test_malformed_set_document_exits_2(tmp_path, capsys, text, message, slot):
+    # The other operand is a valid set in the malformed one's space, or in Z
+    # when that space cannot be read.
+    try:
+        moduli = json.loads(text)["moduli"]
+        GroupSpace(tuple(moduli))
+    except (ValueError, LookupError, TypeError, InputError):
+        moduli = [0]
+    good = {"moduli": moduli, "elements": [[0] * len(moduli)]}
+    paths = {name: tmp_path / f"{name}.json" for name in "AB"}
+    paths[slot].write_text(text)
+    paths["AB".replace(slot, "")].write_text(json.dumps(good))
+    expected = message.replace("{path}", str(paths[slot]))
+    assert run(capsys, "sumset", paths["A"], paths["B"]) == (2, "", f"error: {expected}\n")
+
+
+def test_operands_in_different_spaces_exit_2(tmp_path, capsys):
+    rng = rng_for(20261018, "different spaces")
+    for moduli_a, moduli_b in (([0], [5]), ([0], [0, 0]), ([6, 6], [7, 7])):
+        a = _set_doc(rng, GroupSpace(tuple(moduli_a)))
+        b = _set_doc(rng, GroupSpace(tuple(moduli_b)))
+        (tmp_path / "A.json").write_text(json.dumps(a))
+        (tmp_path / "B.json").write_text(json.dumps(b))
+        message = (f"operands live in different spaces: "
+                   f"{tuple(moduli_a)} vs {tuple(moduli_b)}")
+        assert run(capsys, "sumset", tmp_path / "A.json", tmp_path / "B.json") == (
+            2, "", f"error: {message}\n")
+
+
 def zigzag_graph(n):
     # Bottom i reaches tops i and i + 1; top ids run backwards, so each
     # bottom vertex lists top i + 1 first and the flow must re-route along
@@ -504,6 +600,52 @@ def test_verify_suite_exit_and_lines(workdir, capsys):
     assert all(": PASS [" in ln for ln in lines)
     doc = json.loads(spath.read_text())
     assert doc["ok"] is True
+
+
+COUNTS_BELOW_FLOOR = {
+    "cases -1": (["verify", "suite", "--cases", "-1", "--out", "S.json"],
+                 "--cases must be >= 1, got -1"),
+    "cases 0": (["verify", "suite", "--cases", "0", "--out", "S.json"],
+                "--cases must be >= 1, got 0"),
+    "sumset max-size": (["sumset", "A.json", "B.json", "--max-size", "-1"],
+                        "--max-size must be >= 0, got -1"),
+    "build max-size": (["graph", "build", "A.json", "B.json", "--h", "2",
+                        "--max-size", "-1", "--out", "G.json"],
+                       "--max-size must be >= 0, got -1"),
+    "restrict max-size": (["graph", "restrict", "A.json", "B.json", "A.json",
+                           "--h", "2", "--max-size", "-2"],
+                          "--max-size must be >= 0, got -2"),
+    "bounds max-size": (["bounds", "A.json", "B.json", "--h", "2",
+                         "--max-size", "-1", "--csv", "R.csv"],
+                        "--max-size must be >= 0, got -1"),
+    "check max-edges": (["graph", "check", "missing.json", "--max-edges", "-1"],
+                        "--max-edges must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message", COUNTS_BELOW_FLOOR.values(), ids=COUNTS_BELOW_FLOOR.keys()
+)
+def test_counts_below_floor_exit_2(workdir, capsys, monkeypatch, argv, message):
+    # Refused before any work: no input is read and no output file is made.
+    monkeypatch.chdir(workdir)
+    before = sorted(workdir.iterdir())
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert sorted(workdir.iterdir()) == before
+
+
+def test_zero_caps_are_caps(workdir, capsys):
+    code, _, err = run(capsys, "sumset", workdir / "A.json", workdir / "B.json",
+                       "--max-size", "0")
+    assert (code, err) == (2, "error: sumset cardinality guard: result exceeds cap 0\n")
+    gpath = workdir / "G.json"
+    dump_graph(build_addition_graph(*(GSet.from_coords(Z, [(0,)]),) * 2, 1), str(gpath))
+    code, _, err = run(capsys, "graph", "check", gpath, "--max-edges", "0")
+    assert (code, err) == (2, "error: commutativity edge guard: 1 edges exceed cap 0\n")
+    graph = {"height": 1, "layers": [[0], [1]], "edges": []}
+    gpath.write_text(json.dumps(graph))
+    code, out, _ = run(capsys, "graph", "check", gpath, "--max-edges", "0")
+    assert code == 0 and json.loads(out)["commutative"] is True
 
 
 def test_argparse_usage_error_is_2(workdir):

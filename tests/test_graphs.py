@@ -23,7 +23,7 @@ from sumsetlab import (
     load_graph,
 )
 from sumsetlab import groups
-from sumsetlab.graphs import _saturating_matching, image_masks, subset_images
+from sumsetlab.graphs import _first_unmatched, image_masks, subset_images
 from sumsetlab.partition import partition_graph
 from sumsetlab.instances import (
     random_gset,
@@ -38,6 +38,7 @@ from oracles import (
     naive_image,
     naive_iterated,
     naive_layer_edges,
+    naive_violations,
 )
 
 Z = GroupSpace((0,))
@@ -224,15 +225,36 @@ def test_cofan_violates_downward_exchange():
 
 
 def test_saturating_matching_long_alternating_path():
-    # Target i < n takes candidate i first; the last target wants candidate
-    # 0 only, so its augmenting path shifts every earlier target by one.
+    # Target i < n takes bit i first; the last target wants bit 0 only, so
+    # its augmenting path shifts every earlier target by one.
     n = 3000
-    cand = {i: (i, i + 1) for i in range(n)}
-    cand[n] = (0,)
-    assert _saturating_matching(range(n + 1), cand) is None
-    # one more target that also wants only candidate 0 cannot be matched
-    cand[n + 1] = (0,)
-    assert _saturating_matching(range(n + 2), cand) == n + 1
+    cand = [0b11 << i for i in range(n)] + [1]
+    assert _first_unmatched(cand) is None
+    # one more target that also wants only bit 0 cannot be matched
+    assert _first_unmatched(cand + [1]) == n + 1
+
+
+def test_violations_match_naive_random():
+    # Scrambled graphs (ids not rising with the layers) hold both kinds of
+    # violation; sum graphs cover the spaces the package builds.
+    rng = rng_for(20261018, "exchange")
+    graphs = [random_scrambled_graph(rng) for _ in range(2000)]
+    for moduli in [(0,), (5, 5), (7, 7), (0, 4)]:
+        space = GroupSpace(moduli)
+        for _ in range(30):
+            a = random_gset(rng, space, 1, 6, spread=8)
+            b = random_gset(rng, space, 1, 4, spread=4)
+            c = random_gset(rng, space, 1, 4, spread=8)
+            h = rng.randint(1, 3)
+            graphs.append(build_addition_graph(a, b, h))
+            graphs.append(build_restricted_graph(a, b, c, h))
+    kinds = set()
+    for g in graphs:
+        report = check_commutative(g)
+        assert list(report.violations) == naive_violations(g.edges)
+        assert not {"_out", "_in"} & vars(g).keys()  # masks only
+        kinds.update(kind for _, kind in report.violations)
+    assert kinds == {"upward", "downward"}
 
 
 def test_commutativity_edge_guard(g253):
