@@ -35,6 +35,7 @@ import mpmath
 
 from .errors import GuardError, InputError
 from .graphs import (
+    SUBSET_GUARD,
     LayeredGraph,
     build_addition_graph,
     build_restricted_graph,
@@ -76,7 +77,6 @@ __all__ = [
     "bound_report_to_json",
 ]
 
-SUBSET_GUARD = 22
 # Relative width of a non-integer pseudo-cardinality bracket.
 _REL_TOL = Fraction(1, 10**12)
 # Evenly spaced points of the linear majorant's pointwise check.
@@ -470,7 +470,7 @@ def bound_report(
         )
     )
 
-    masks, _ = image_masks(graph, h)
+    masks = image_masks(graph, h)
     growth = _growth_bound(graph, masks)
     bounds.append(
         BoundValue(
@@ -626,7 +626,7 @@ def growth_commutative_bound(graph: LayeredGraph) -> GrowthBound:
     """Callers must pass a commutative graph; the bound is unsound otherwise."""
     if not graph.layers[0]:
         raise InputError("growth bound needs a non-empty bottom layer")
-    return _growth_bound(graph, image_masks(graph, graph.height)[0])
+    return _growth_bound(graph, image_masks(graph, graph.height))
 
 
 def _growth_bound(graph: LayeredGraph, masks: list[int]) -> GrowthBound:
@@ -680,10 +680,7 @@ class LargeSubsetResult:
 
 
 def large_subset_search(
-    graph: LayeredGraph,
-    t,
-    with_alpha_1: bool = False,
-    guard: int = SUBSET_GUARD,
+    graph: LayeredGraph, t, with_alpha_1: bool = False
 ) -> LargeSubsetResult:
     """First subset X of V_0 (ascending bitmask order over the sorted layer)
     with |X| > t and |image(X, h)| within the large-subset budget.
@@ -696,16 +693,16 @@ def large_subset_search(
     m = len(bottom)
     if m == 0:
         raise InputError("large-subset search needs a non-empty bottom layer")
-    if m > guard:
+    if m > SUBSET_GUARD:
         raise GuardError(
-            f"subset enumeration guard: |V_0| = {m} exceeds cap {guard}"
+            f"subset enumeration guard: |V_0| = {m} exceeds cap {SUBSET_GUARD}"
         )
     t = Fraction(t)
     if not 0 <= t < m:
         raise InputError(f"threshold t = {t} outside [0, {m})")
     n = len(graph.layers[1])
     h = graph.height
-    masks, _ = image_masks(graph, h)
+    masks = image_masks(graph, h)
     a1 = magnification_flow(graph, 1).value if with_alpha_1 else None
     scale = (
         ((n - a1 * t) / (m - t)) ** h if with_alpha_1 else (Fraction(n, 1) / (m - t)) ** h
@@ -847,7 +844,7 @@ def restricted_growth_check(
     beta = pseudo_cardinality(hb, h)
     top_ok = vh == 0 or beta.leq(Fraction(v1 * hb, vh))
     value = float_up(_ival(v1) * _ival(hb) / beta.interval())
-    pv_ok, _, _ = _per_vertex_binomial(graph, image_masks(graph, h)[0])
+    pv_ok, _, _ = _per_vertex_binomial(graph, image_masks(graph, h))
     return RestrictedGrowthReport(v1, vh, hb, beta, value, top_ok, pv_ok)
 
 

@@ -24,6 +24,7 @@ from .bounds import (
 from .constructions import construction_spec_to_json, example1, example2
 from .errors import GuardError, InputError
 from .graphs import (
+    DEFAULT_EDGE_GUARD,
     build_addition_graph,
     build_restricted_graph,
     check_commutative,
@@ -227,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_graph)
     g = gsub.add_parser("check", help="verify the two exchange conditions")
     g.add_argument("graph", metavar="G.json")
-    g.add_argument("--max-edges", type=int, default=10_000)
+    g.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_GUARD)
     g.add_argument("--out", default=None)
     g.set_defaults(func=_cmd_graph)
 

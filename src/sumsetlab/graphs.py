@@ -26,32 +26,38 @@ exactly when the prefix up to it can be matched.  The single-layer fan
 u -> v -> {w1, w2} is therefore an upward violation: both targets compete
 for the only middle vertex.
 
-A channel between U in layer i and W in layer j (i < j) is the subgraph of
-all vertices and edges lying on some U-to-W path; channels of commutative
-graphs stay commutative, and they re-root their layers to 0..j-i while
-keeping original vertex ids and labels.
+Reachability has one mechanism, the sweep: for a level j, one top-down
+pass gives every vertex of layers 0..j its image in layer j as a bitmask.
+Images im_i(Z) are ORs of these masks, and the ratios, the peel and the
+bounds read the same masks.  A channel between U in layer i and W in
+layer j (i < j) is the subgraph of all vertices and edges lying on some
+U-to-W path: the vertices reached forward from U whose level-j mask meets
+W's bits.  Channels of commutative graphs stay commutative, and they
+re-root their layers to 0..j-i while keeping original vertex ids and
+labels.
 
 A graph is validated once.  The `LayeredGraph` constructor, and so every
 graph document, checks and normalizes its input.  Graphs the package builds
 itself (addition and restricted graphs, channels, the peel's singleton
 blocks) come out already normalized, so the private `LayeredGraph._trusted`
 takes them as they are.  Either kind builds its adjacency (the layer of
-each vertex, its out- and in-neighbours) on first use, so writing a graph
-out never builds it.
+each vertex, its out-neighbours) on first use and keeps each level's sweep
+once made, so writing a graph out builds neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, compress, repeat
-from operator import add, is_not
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from operator import add, is_not, or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardError, InputError
 from .groups import (
     Coords,
     GSet,
+    _bit_positions,
     _document,
     _int_rows,
     _is_int,
@@ -79,6 +85,8 @@ __all__ = [
 ]
 
 DEFAULT_EDGE_GUARD = 10_000
+# Most bottom vertices whose subsets are enumerated (2^22 of them).
+SUBSET_GUARD = 22
 
 
 @dataclass(frozen=True, eq=True)
@@ -87,7 +95,7 @@ class LayeredGraph:
 
     The constructor checks and normalizes its input; `_trusted` takes a
     graph the package built itself as it is.  Either way the adjacency
-    (`_layer_of`, `_out`, `_in`) is built on first use.
+    (`_layer_of`, `_out`) and the sweeps (`_sweeps`) are built on first use.
     """
 
     height: int
@@ -173,28 +181,23 @@ class LayeredGraph:
     def _layer_of(self) -> dict[int, int]:
         return {v: idx for idx, layer in enumerate(self.layers) for v in layer}
 
-    def _adjacency(self, pairs: Iterable[tuple[int, int]]) -> dict[int, tuple]:
-        # Pairs in sorted order give each vertex its neighbours ascending.
+    @cached_property
+    def _out(self) -> dict[int, tuple[int, ...]]:
+        # Sorted edges give each vertex its out-neighbours ascending.
         adj: dict[int, list[int]] = {v: [] for v in self._layer_of}
-        for v, w in pairs:
+        for v, w in self.edges:
             adj[v].append(w)
         return {v: tuple(ns) for v, ns in adj.items()}
 
     @cached_property
-    def _out(self) -> dict[int, tuple[int, ...]]:
-        return self._adjacency(self.edges)
-
-    @cached_property
-    def _in(self) -> dict[int, tuple[int, ...]]:
-        return self._adjacency((v, u) for u, v in self.edges)
+    def _sweeps(self) -> dict[int, dict[int, int]]:
+        # level -> the `_sweep` masks of that level, each made on first use
+        return {}
 
     # -- structure queries --------------------------------------------------
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self._out[v]
-
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return self._in[v]
 
     def layer_of(self, v: int) -> int:
         return self._layer_of[v]
@@ -223,17 +226,22 @@ class LayeredGraph:
         return self.labels[v]
 
 
-def _walk(
-    start: Iterable[int], steps: int, neighbors: Callable[[int], Iterable[int]]
-) -> list[set[int]]:
-    """Frontiers F_0 = start, F_1, ..., F_steps, each the neighbours of the last."""
-    frontiers = [set(start)]
-    for _ in range(steps):
-        nxt: set[int] = set()
-        for v in frontiers[-1]:
-            nxt.update(neighbors(v))
-        frontiers.append(nxt)
-    return frontiers
+def _sweep(graph: LayeredGraph, level: int) -> dict[int, int]:
+    """Each vertex of layers 0..level to its image in the level layer as a
+    bitmask (bit k: that layer's k-th vertex), from one top-down sweep that
+    the graph keeps, so each level is swept once per graph."""
+    sweeps = graph._sweeps
+    if level not in sweeps:
+        out = graph._out
+        masks = {v: 1 << k for k, v in enumerate(graph.layers[level])}
+        for lvl in range(level - 1, -1, -1):
+            for v in graph.layers[lvl]:
+                acc = 0
+                for w in out[v]:
+                    acc |= masks[w]
+                masks[v] = acc
+        sweeps[level] = masks
+    return sweeps[level]
 
 
 def image(graph: LayeredGraph, zset: Iterable[int], steps: int) -> frozenset:
@@ -249,26 +257,13 @@ def image(graph: LayeredGraph, zset: Iterable[int], steps: int) -> frozenset:
         raise InputError(
             f"step count {steps} outside 0..{graph.height}"
         )
-    return frozenset(_walk(z, steps, graph.out_neighbors)[-1])
+    reached = reduce(or_, map(_sweep(graph, steps).__getitem__, z), 0)
+    return frozenset(map(graph.layers[steps].__getitem__, _bit_positions(reached)))
 
 
-def _sweep(graph: LayeredGraph, level: int) -> dict[int, int]:
-    """Each vertex of layers 0..level to its image in the level layer as a
-    bitmask (bit k: that layer's k-th vertex), in one top-down sweep."""
-    masks = {v: 1 << k for k, v in enumerate(graph.layers[level])}
-    for lvl in range(level - 1, -1, -1):
-        for v in graph.layers[lvl]:
-            acc = 0
-            for w in graph.out_neighbors(v):
-                acc |= masks[w]
-            masks[v] = acc
-    return masks
-
-
-def image_masks(graph: LayeredGraph, level: int) -> tuple[list[int], list[int]]:
-    """The `_sweep` masks of the bottom layer, in order, and the level layer."""
-    masks = _sweep(graph, level)
-    return [masks[v] for v in graph.layers[0]], list(graph.layers[level])
+def image_masks(graph: LayeredGraph, level: int) -> list[int]:
+    """The `_sweep` masks of the bottom layer, in layer order."""
+    return list(map(_sweep(graph, level).__getitem__, graph.layers[0]))
 
 
 def _or_table(masks: Sequence[int]) -> list[int]:
@@ -371,8 +366,11 @@ def build_restricted_graph(
 def channel(graph: LayeredGraph, u_set: Iterable[int], w_set: Iterable[int]) -> LayeredGraph:
     """Subgraph of all paths from U (one layer) to W (a strictly higher layer).
 
-    The result re-roots layers to 0..j-i, keeps original vertex ids and
-    labels, and is flagged empty (no vertices at all) when no path exists.
+    With W in layer j, one forward walk from U keeps each vertex whose
+    level-j sweep mask meets W's bits, so it reads the graph's kept sweep
+    and needs no backward walk.  The result re-roots layers to 0..j-i,
+    keeps original vertex ids and labels, and is flagged empty (no vertices
+    at all) when no path exists.
     """
     u = sorted(set(u_set))
     w = sorted(set(w_set))
@@ -389,19 +387,19 @@ def channel(graph: LayeredGraph, u_set: Iterable[int], w_set: Iterable[int]) -> 
         raise InputError("channel target vertices must share one layer")
     if not i < j:
         raise InputError(f"channel needs source layer below target layer ({i} >= {j})")
-    fwd = _walk(u, j - i, graph.out_neighbors)
-    bwd = _walk(w, j - i, graph.in_neighbors)[::-1]
-    kept = [f & b for f, b in zip(fwd, bwd)]
-    layers = tuple(tuple(sorted(layer)) for layer in kept)
-    edges = []
-    for layer, nxt in zip(layers, kept[1:]):
-        for v in layer:
-            edges.extend((v, t) for t in graph.out_neighbors(v) if t in nxt)
+    masks, out = _sweep(graph, j), graph._out
+    target = reduce(or_, map(masks.__getitem__, w))
+    layers = [tuple(v for v in u if masks[v] & target)]
+    edges: list[tuple[int, int]] = []
+    for _ in range(j - i):
+        step = [(v, t) for v in layers[-1] for t in out[v] if masks[t] & target]
+        layers.append(tuple(sorted({t for _, t in step})))
+        edges += step
     edges.sort()
     labels = None
     if graph.labels is not None:
         labels = {v: graph.labels[v] for layer in layers for v in layer}
-    return LayeredGraph._trusted(j - i, layers, tuple(edges), labels)
+    return LayeredGraph._trusted(j - i, tuple(layers), tuple(edges), labels)
 
 
 def channel_of(graph: LayeredGraph, zset: Iterable[int]) -> LayeredGraph:

@@ -42,9 +42,7 @@ from .errors import GuardError, InputError
 
 __all__ = [
     "GroupSpace",
-    "GElement",
     "GSet",
-    "normalize",
     "sumset",
     "iterated_sumset",
     "fold_sumset",
@@ -117,32 +115,6 @@ class GroupSpace:
 
     def is_finite(self) -> bool:
         return all(m > 0 for m in self.moduli)
-
-
-@dataclass(frozen=True)
-class GElement:
-    """A single group element; coordinates are normalized on construction."""
-
-    space: GroupSpace
-    coords: Coords
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", self.space.normalize_coords(self.coords))
-
-    def __add__(self, other: "GElement") -> "GElement":
-        _require_same_space(self.space, other.space)
-        return GElement(self.space, self.space.add_coords(self.coords, other.coords))
-
-    def __neg__(self) -> "GElement":
-        return GElement(self.space, tuple(-c for c in self.coords))
-
-    def __sub__(self, other: "GElement") -> "GElement":
-        return self + (-other)
-
-
-def normalize(coords: Sequence[int], space: GroupSpace) -> GElement:
-    """Canonical representative of coords in the given space."""
-    return GElement(space, tuple(coords))
 
 
 @dataclass(frozen=True)

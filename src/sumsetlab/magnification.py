@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import GuardError, InputError
-from .graphs import LayeredGraph, image_masks, subset_images
+from .graphs import SUBSET_GUARD, LayeredGraph, image_masks, subset_images
 from .groups import _bit_positions, _is_int
 from .maxflow import FlowNetwork
 
@@ -53,8 +53,6 @@ __all__ = [
 
 # Exact rational ratio type: reduced p/q with total order and field arithmetic.
 Ratio = Fraction
-
-BRUTEFORCE_GUARD = 22
 
 
 @dataclass(frozen=True)
@@ -98,11 +96,11 @@ def magnification_bruteforce(graph: LayeredGraph, level: int) -> MagnificationRe
     _validate_level(graph, level)
     bottom = list(graph.layers[0])
     n = len(bottom)
-    if n > BRUTEFORCE_GUARD:
+    if n > SUBSET_GUARD:
         raise GuardError(
-            f"bruteforce subset enumeration guard: |V_0| = {n} exceeds {BRUTEFORCE_GUARD}"
+            f"bruteforce subset enumeration guard: |V_0| = {n} exceeds {SUBSET_GUARD}"
         )
-    vertex_masks, _ = image_masks(graph, level)
+    vertex_masks = image_masks(graph, level)
     best_num = None  # |image(Z)| of the current best
     best_den = 0  # |Z| of the current best
     union_mask = 0  # union of the minimizers so far
@@ -163,7 +161,7 @@ def magnification_flow(graph: LayeredGraph, level: int) -> MagnificationResult:
     the oracle is part of the test suite.
     """
     _validate_level(graph, level)
-    value, z, z_image = _tight(image_masks(graph, level)[0])
+    value, z, z_image = _tight(image_masks(graph, level))
     tight = tuple(graph.layers[0][k] for k in z)
     witness = z_image.bit_count() * value.denominator == value.numerator * len(tight)
     return MagnificationResult(level, value, tight, witness)

@@ -22,8 +22,9 @@ from .bounds import (
     rising_binomial,
 )
 from .constructions import example1, example2
+from .errors import InputError
 from .graphs import build_addition_graph, channel_of
-from .groups import GSet, fold_sumset
+from .groups import GSet, _is_int, fold_sumset
 from .instances import random_gset, random_pair, random_triple, rng_for
 from .magnification import (
     magnification_bruteforce,
@@ -355,4 +356,6 @@ CRITERIA = (
 def run_suite(seed: int, cases: int | None = None) -> SuiteResult:
     """Run all criteria in order; `cases` overrides each randomized
     criterion's count.  Identical (seed, cases) give identical results."""
+    if cases is not None and (not _is_int(cases) or cases < 1):
+        raise InputError(f"case count must be an integer >= 1, got {cases!r}")
     return SuiteResult(seed, tuple(fn(seed, cases) for fn in CRITERIA))

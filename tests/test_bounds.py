@@ -239,6 +239,30 @@ def test_bound_report_sweeps_level_h_masks_once(monkeypatch):
     assert (row.value, row.observed, row.ok) == (growth.value, growth.observed, growth.ok)
 
 
+def test_bound_report_sweeps_its_graph_once_per_level(monkeypatch):
+    # The partition and the growth rows share the graph's kept level-h
+    # sweep: count the sweeps stored on the graph bound_report builds.
+    import sumsetlab.bounds as bounds_mod
+
+    a, b, h = gs(0, 1, 4, 9), gs(0, 2, 3), 3
+    plain = bound_report_to_json(bound_report(a, b, h))
+    misses = []
+
+    class CountedSweeps(dict):
+        def __setitem__(self, level, masks):
+            misses.append(level)
+            super().__setitem__(level, masks)
+
+    def build(*args):
+        graph = build_addition_graph(*args)
+        graph.__dict__["_sweeps"] = CountedSweeps()
+        return graph
+
+    monkeypatch.setattr(bounds_mod, "build_addition_graph", build)
+    assert bound_report_to_json(bound_report(a, b, h)) == plain
+    assert sorted(misses) == [1, h]
+
+
 def test_report_rows_complete_and_deterministic(grid_report):
     assert tuple(bv.name for bv in grid_report.bounds) == BOUND_NAMES
     doc = bound_report_to_json(grid_report)

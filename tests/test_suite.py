@@ -1,6 +1,11 @@
 """The self-verification suite runner: determinism, line format."""
 
-from sumsetlab import run_suite
+import re
+
+import pytest
+
+from sumsetlab import InputError, run_suite
+from sumsetlab import suite
 from sumsetlab.suite import CRITERIA
 
 
@@ -31,3 +36,12 @@ def test_json_shape():
     assert len(doc["criteria"]) == 11
     assert {"id", "name", "ok", "cases", "detail"} <= set(doc["criteria"][0])
 
+
+@pytest.mark.parametrize("cases", [0, -1, True, 2.0], ids=repr)
+def test_case_count_below_one_is_refused(cases, monkeypatch):
+    ran = []
+    monkeypatch.setattr(suite, "CRITERIA", (lambda seed, n: ran.append(n),))
+    want = f"case count must be an integer >= 1, got {cases!r}"
+    with pytest.raises(InputError, match=re.escape(want)):
+        run_suite(0, cases)
+    assert ran == []  # refused before any criterion runs
