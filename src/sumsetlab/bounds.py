@@ -302,19 +302,25 @@ def certified_min_sum(
     return CertifiedMinSum(value, ok, slow, fast, float_up(s_iv))
 
 
-def _per_vertex_binomial(
-    graph: LayeredGraph, masks: list[int]
-) -> tuple[bool, int, int]:
+def _top_bound(
+    n: int, v1: int, vh: int, beta: PseudoCardinality
+) -> tuple[bool, float]:
+    """|V_h| <= n |V_1| / beta, beta the pseudo-cardinality of n: the exact
+    verdict and the bound rounded up."""
+    ok = vh == 0 or beta.leq(Fraction(v1 * n, vh))
+    return ok, float_up(_ival(v1) * _ival(n) / beta.interval())
+
+
+def _per_vertex_binomial(graph: LayeredGraph) -> tuple[bool, int, int]:
     """Check |im^(h)(a)| <= C(|im(a)|+h-1, h) for every bottom vertex.
 
-    masks are the level-h `image_masks`.  Returns (all ok, worst observed,
-    its bound), worst meaning the smallest slack; ties broken by vertex id
-    for determinism.
+    Returns (all ok, worst observed, its bound), worst meaning the smallest
+    slack; ties broken by vertex id for determinism.
     """
     h = graph.height
     ok = True
     worst: tuple[int, int] | None = None
-    for a, mask in zip(graph.layers[0], masks):
+    for a, mask in zip(graph.layers[0], image_masks(graph, h)):
         deg = len(graph.out_neighbors(a))
         im_h = mask.bit_count()
         cap = math.comb(deg + h - 1, h)
@@ -440,15 +446,9 @@ def bound_report(
         BoundValue("corollary_hb", float_up(_ival(frac)), hb, hb <= frac, True)
     )
 
-    first_ok = observed == 0 or beta.leq(Fraction(ab * hb, observed))
+    first_ok, first_val = _top_bound(hb, ab, observed, beta)
     bounds.append(
-        BoundValue(
-            "prop_restricted_first",
-            float_up(_ival(ab) * _ival(hb) / beta_iv),
-            observed,
-            first_ok,
-            True,
-        )
+        BoundValue("prop_restricted_first", first_val, observed, first_ok, True)
     )
     second = (
         (1 + _ival(h) / beta_iv)
@@ -470,15 +470,14 @@ def bound_report(
         )
     )
 
-    masks = image_masks(graph, h)
-    growth = _growth_bound(graph, masks)
+    growth = growth_commutative_bound(graph)
     bounds.append(
         BoundValue(
             "growth_commutative", growth.value, growth.observed, growth.ok, True
         )
     )
 
-    pv_ok, pv_obs, pv_cap = _per_vertex_binomial(graph, masks)
+    pv_ok, pv_obs, pv_cap = _per_vertex_binomial(graph)
     bounds.append(
         BoundValue(
             "per_vertex_binomial",
@@ -626,20 +625,13 @@ def growth_commutative_bound(graph: LayeredGraph) -> GrowthBound:
     """Callers must pass a commutative graph; the bound is unsound otherwise."""
     if not graph.layers[0]:
         raise InputError("growth bound needs a non-empty bottom layer")
-    return _growth_bound(graph, image_masks(graph, graph.height))
-
-
-def _growth_bound(graph: LayeredGraph, masks: list[int]) -> GrowthBound:
-    # masks are the level-h `image_masks` of a non-empty bottom layer.
     h = graph.height
-    n = len(graph.layers[1])
     vh = len(graph.layers[h])
-    m_img = max(mask.bit_count() for mask in masks)
+    m_img = max(mask.bit_count() for mask in image_masks(graph, h))
     if m_img == 0:
         return GrowthBound(0, None, 0.0, vh, vh == 0)
     beta_m = pseudo_cardinality(m_img, h)
-    ok = vh == 0 or beta_m.leq(Fraction(m_img * n, vh))
-    value = float_up(_ival(m_img) * _ival(n) / beta_m.interval())
+    ok, value = _top_bound(m_img, len(graph.layers[1]), vh, beta_m)
     return GrowthBound(m_img, beta_m, value, vh, ok)
 
 
@@ -842,9 +834,8 @@ def restricted_growth_check(
     v1, vh = sizes[1], sizes[-1]
     hb = len(fold_sumset(b, h, max_size))
     beta = pseudo_cardinality(hb, h)
-    top_ok = vh == 0 or beta.leq(Fraction(v1 * hb, vh))
-    value = float_up(_ival(v1) * _ival(hb) / beta.interval())
-    pv_ok, _, _ = _per_vertex_binomial(graph, image_masks(graph, h))
+    top_ok, value = _top_bound(hb, v1, vh, beta)
+    pv_ok, _, _ = _per_vertex_binomial(graph)
     return RestrictedGrowthReport(v1, vh, hb, beta, value, top_ok, pv_ok)
 
 

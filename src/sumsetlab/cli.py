@@ -21,7 +21,7 @@ from .bounds import (
     csv_header,
     csv_row,
 )
-from .constructions import construction_spec_to_json, example1, example2
+from .constructions import _measure, construction_spec_to_json, example1, example2
 from .errors import GuardError, InputError
 from .graphs import (
     DEFAULT_EDGE_GUARD,
@@ -34,7 +34,6 @@ from .graphs import (
 from .groups import (
     cardinality_stream,
     dump_gset,
-    fold_sumset,
     gset_to_json,
     iterated_sumset,
     load_gset,
@@ -148,26 +147,8 @@ def _cmd_construct(args) -> int:
     payload = construction_spec_to_json(spec)
     verdict = True
     if args.check:
-        graph = build_addition_graph(a, b, spec.h)
-        sizes = graph.layer_sizes()
-        hb = len(fold_sumset(b, spec.h))
-        measured = {"m": sizes[0], "ab": sizes[1], "top": sizes[-1], "hb": hb}
-        payload["measured"] = measured
-        pred = spec.predicted
-        if spec.which == "example1":
-            verdict = (
-                measured["m"] == pred["m"]
-                and measured["ab"] <= pred["ab_cap"]
-                and measured["top"] >= pred["top_lower"]
-                and measured["hb"] == pred["hb"]
-            )
-        else:
-            verdict = (
-                measured["m"] == pred["m"]
-                and Fraction(measured["ab"]) <= pred["ab_cap"]
-                and measured["top"] == pred["top_exact"]
-                and measured["hb"] == pred["hb"]
-            )
+        sizes, hb, verdict = _measure(a, b, spec)
+        payload["measured"] = {"m": sizes[0], "ab": sizes[1], "top": sizes[-1], "hb": hb}
         payload["check_ok"] = verdict
     _report(payload, args.out)
     return 0 if verdict else 1

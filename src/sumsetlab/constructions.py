@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .groups import GroupSpace, GSet, _is_int
+from .groups import GroupSpace, GSet, _is_int, cardinality_stream, fold_sumset
 
 __all__ = [
     "ConstructionSpec",
@@ -67,6 +67,22 @@ def construction_spec_to_json(spec: ConstructionSpec) -> dict:
         "moduli": list(spec.moduli),
         "predicted": predicted,
     }
+
+
+def _measure(
+    a: GSet, b: GSet, spec: ConstructionSpec
+) -> tuple[tuple[int, ...], int, bool]:
+    """The sizes |A+iB| (i = 0..h) and |hB| of a construction, and whether
+    they meet its predictions."""
+    sizes = tuple(cardinality_stream(a, b, spec.h))
+    hb = len(fold_sumset(b, spec.h))
+    pred = spec.predicted
+    if spec.which == "example1":
+        top_ok = sizes[-1] >= pred["top_lower"]
+    else:
+        top_ok = sizes[-1] == pred["top_exact"]
+    ok = sizes[0] == pred["m"] and sizes[1] <= pred["ab_cap"] and hb == pred["hb"]
+    return sizes, hb, ok and top_ok
 
 
 def _check_positive_int(name: str, value) -> int:

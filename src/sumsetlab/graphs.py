@@ -609,7 +609,7 @@ def graph_from_json(obj: object) -> LayeredGraph:
         for e in edges:
             if not isinstance(e, list) or len(e) != 2 or not all(map(_is_int, e)):
                 raise InputError("'edges' entries must be [from, to] integer pairs")
-    labels_raw = obj.get("labels") or {}
+    labels_raw = {} if obj.get("labels") is None else obj["labels"]
     if not isinstance(labels_raw, dict):
         raise InputError("'labels' must be an object keyed by vertex id")
     keys = list(labels_raw)

@@ -2,9 +2,8 @@
 
 A group space is a product Z_{m_1} x ... x Z_{m_k} described by a tuple of
 per-coordinate moduli, where modulus 0 marks a free integer coordinate and
-modulus m > 0 marks Z_m with canonical representatives 0..m-1.  All sumset
-arithmetic happens on normalized coordinate tuples, so equality and hashing
-are structural.
+modulus m > 0 marks Z_m with canonical representatives 0..m-1.  Sets hold
+normalized coordinate tuples, so equality and hashing are structural.
 
 The sumset A+B is {a+b : a in A, b in B}; iterated sumsets A+hB fold B in one
 layer at a time, which also yields hB itself via A = {0}.  One private fold
@@ -14,15 +13,16 @@ optional cardinality guard (`max_size`, off by default).  The fold keeps
 only the current layer alive, so |A+iB| profiles of deep iterates do not
 store every intermediate set.
 
-The fold is a bitset kernel.  Each layer is one Python int over a Kronecker
-layout of the bounding box of every layer: a free coordinate gets the width
-of the box of A+hB, a cyclic coordinate of modulus m gets width 2m-1 and is
-folded back once per layer with a precomputed mask.  X+B is then the OR of
-|B| shifts of X, |X| is its popcount, and the set bits decode in ascending
-position, which is sorted coordinate order.  Inputs whose box would cost
-more in full-width int passes than the least work the tuple-set loop could
-do (such as {0, 10**12} in Z, or a small A with a large sparse B) keep that
-loop instead; the choice depends on the input sizes alone.  Either way the
+The fold adds integer positions, one per point, in a Kronecker layout of
+the bounding box of every layer: a free coordinate gets the width of the box
+of A+hB, a cyclic coordinate of modulus m gets width 2m-1 and is folded back
+once per layer.  Adding b to a point adds one shift to its position, and
+ascending positions are sorted coordinate order.  A layer is one Python int
+with its positions' bits set, so X+B is the OR of |B| shifts of X and |X|
+is its popcount.  Inputs whose box would cost more in full-width int passes
+than the least work a point-by-point loop could do (such as {0, 10**12} in
+Z, or a small A with a large sparse B) keep the same positions in a set of
+ints instead; the choice depends on the input sizes alone.  Either way the
 guard trips exactly when some |A+iB| exceeds the cap.
 """
 
@@ -31,12 +31,12 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import inf, prod
 from operator import add, floordiv, mod, mul
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import GuardError, InputError
 
@@ -60,14 +60,6 @@ Coords = tuple[int, ...]
 def _is_int(v: object) -> bool:
     # JSON true/false load as bool, which Python counts as int.
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _add_free(x: Coords, y: Coords) -> Coords:
-    return tuple(map(add, x, y))
-
-
-def _add_cyclic(moduli: tuple[int, ...], x: Coords, y: Coords) -> Coords:
-    return tuple([(a + b) % m if m else a + b for a, b, m in zip(x, y, moduli)])
 
 
 @dataclass(frozen=True)
@@ -100,15 +92,6 @@ class GroupSpace:
                 raise InputError(f"coordinates must be integers, got {c!r}")
             out.append(c % m if m else c)
         return tuple(out)
-
-    @cached_property
-    def _add(self) -> Callable[[Coords, Coords], Coords]:
-        # The addition rule on normalized coordinates, chosen once per space
-        # from module-level functions, so a space stays picklable.
-        return partial(_add_cyclic, self.moduli) if any(self.moduli) else _add_free
-
-    def add_coords(self, x: Coords, y: Coords) -> Coords:
-        return self._add(x, y)
 
     def zero_coords(self) -> Coords:
         return (0,) * self.rank
@@ -166,12 +149,6 @@ class GSet:
     def member_set(self) -> frozenset:
         return self._members
 
-    def translate(self, coords: Sequence[int]) -> "GSet":
-        x = self.space.normalize_coords(tuple(coords))
-        return GSet(
-            self.space, tuple(self.space.add_coords(e, x) for e in self.elements)
-        )
-
 
 def zero_set(space: GroupSpace) -> GSet:
     return GSet(space, (space.zero_coords(),))
@@ -193,20 +170,25 @@ def _check_fold(a: GSet, b: GSet, h: int) -> None:
 
 # --- the fold ----------------------------------------------------------------
 #
-# `_layers` walks X, X+B, ..., X+hB for every entry point, on a layout that
-# `_layout` picks from the input sizes alone: `_Lift` keeps a layer as one
-# int, `_Tuples` as a set of coordinate tuples.  Both answer the same calls:
-# `encode` a start set, `step` (add B), `size`, `minus` (set difference),
-# `members` (sorted keys with their coordinates), and, for the graph
-# builders, `sums` (the keys of x+b for each b) and `lookup` (key to id).
+# `_layers` walks X, X+B, ..., X+hB for every entry point.  Every point has
+# one position in the box layout of `_Box`; `_layout` picks from the input
+# sizes alone how a layer holds its positions: `_Lift` as the set bits of
+# one int, `_Sparse` as a set of ints.  Both answer the same calls: `encode`
+# a start set, `step` (add B), `size`, `minus` (set difference), `members`
+# (ascending positions with their coordinates), and, for the graph builders,
+# `sums` (the positions of x+b for each b) and `lookup` (position to id).
 
-# What a lift costs, in tuple additions of the fallback loop (about 1.1 us
-# each in Z, 1.8 us with a cyclic coordinate, on CPython 3.11 on one x86-64
-# core): a full-width pass over a layer (a shift-or, a cyclic fold, a
-# popcount) costs one per `_PASS_BITS` bits (0.05-0.17 ns a bit, the more
-# the wider the int), and decoding a layer to coordinates one per
-# `_DECODE_BITS` bits (2-3.5 ns a bit, plus a share per point that the tuple
-# loop's sort pays as well).  Both round the measured cost up.
+# What a lift costs, in point additions of the set container: a full-width
+# pass over a layer (a shift-or, a cyclic fold, a popcount) costs one per
+# `_PASS_BITS` bits (0.05-0.17 ns a bit, the more the wider the int), and
+# decoding a layer to coordinates one per `_DECODE_BITS` bits (2-3.5 ns a
+# bit, plus a share per point that the set container's sort pays as well).
+# Both were set against an earlier fallback that added coordinate tuples
+# (about 1.1 us each in Z, 1.8 us with a cyclic coordinate, on CPython 3.11
+# on one x86-64 core).  A point addition costs 0.24 us in Z and 0.39 us in
+# Z_7 x Z (tuples: 0.91 and 1.45 us, 2000 x 200 sums, on a 2-core Xeon).
+# The constants are kept so that every input picks the container it picked
+# before; retuning them is left to performance work.
 _PASS_BITS = 1 << 13
 _DECODE_BITS = 1 << 8
 
@@ -242,8 +224,9 @@ def _every(pattern: int, period: int, count: int) -> int:
     return out
 
 
-class _Lift:
-    """Layers as ints over a Kronecker layout: bit p set means point p is in.
+class _Box:
+    """One position per point, over a Kronecker layout of the bounding box
+    of every layer; subclasses hold a layer's positions.
 
     A point's position is the sum of digit_j * stride_j, with stride 1 on
     the last coordinate, so ascending positions are ascending coordinate
@@ -251,11 +234,9 @@ class _Lift:
     c - low - i * min(B) over the width of the bounding box of every fold,
     so adding b shifts by b - min(B) and no position is ever negative.  On a
     cyclic coordinate of modulus m the digit is c itself over width 2m - 1,
-    which holds the sum of two residues; each layer folds the digits >= m
-    back by m with one precomputed mask per cyclic coordinate.
+    which holds the sum of two residues; each step folds the digits >= m
+    back by m.
     """
-
-    size = staticmethod(int.bit_count)
 
     def __init__(
         self,
@@ -276,18 +257,49 @@ class _Lift:
         self.origin = -sum(map(mul, lows, strides))
         self.drift = -sum(map(mul, b_lows, strides))
         self.shifts = self._positions(b_elems, self.drift)
-        # Per cyclic coordinate: the positions whose digit is m or more, one
-        # run of (m - 1) * stride bits in every block of w * stride, and the
-        # jump of m * stride that folds them back.
-        self.folds = []
-        for s, m, w in zip(strides, space.moduli, widths):
-            if m:
-                run = ((1 << ((m - 1) * s)) - 1) << (m * s)
-                self.folds.append((_every(run, w * s, self.bits // (w * s)), m * s))
+        # (stride, modulus, width) of each cyclic coordinate.
+        self.cyclic = [(s, m, w) for s, m, w in zip(strides, space.moduli, widths) if m]
 
     def _positions(self, coords: Sequence[Coords], base: int) -> list[int]:
         strides = self.strides
         return [sum(map(mul, c, strides), base) for c in coords]
+
+    def _coords(self, positions: list[int], level: int) -> list[Coords]:
+        offsets = [low + level * b for low, b in zip(self.lows, self.b_lows)]
+        cols = []
+        rest = positions
+        for w, off in zip(self.widths[:0:-1], offsets[:0:-1]):
+            cols.append(map(add, map(mod, rest, repeat(w)), repeat(off)))
+            rest = list(map(floordiv, rest, repeat(w)))
+        cols.append(map(add, rest, repeat(offsets[0])))
+        return list(zip(*cols[::-1]))
+
+    def members(
+        self, layer: int | set[int], level: int
+    ) -> tuple[list[int], list[Coords]]:
+        positions = self.ascending(layer)
+        return positions, self._coords(positions, level)
+
+    def sums(self, keys: list[int]) -> list[Iterator[int]]:
+        return [map(add, keys, repeat(shift)) for shift in self.shifts]
+
+
+class _Lift(_Box):
+    """Layers as ints: bit p set means point p is in.  A step folds each
+    cyclic coordinate of the whole layer with one precomputed mask."""
+
+    size = staticmethod(int.bit_count)
+    ascending = staticmethod(_bit_positions)
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        # Per cyclic coordinate: the positions whose digit is m or more, one
+        # run of (m - 1) * stride bits in every block of w * stride, and the
+        # jump of m * stride that folds them back.
+        self.folds = []
+        for s, m, w in self.cyclic:
+            run = ((1 << ((m - 1) * s)) - 1) << (m * s)
+            self.folds.append((_every(run, w * s, self.bits // (w * s)), m * s))
 
     def encode(self, coords: Sequence[Coords], level: int) -> int:
         bits = bytearray(self.bits // 8 + 1)
@@ -309,23 +321,6 @@ class _Lift:
     def minus(layer: int, cut: int) -> int:
         return layer & ~cut
 
-    def _coords(self, positions: list[int], level: int) -> list[Coords]:
-        offsets = [low + level * b for low, b in zip(self.lows, self.b_lows)]
-        cols = []
-        rest = positions
-        for w, off in zip(self.widths[:0:-1], offsets[:0:-1]):
-            cols.append(map(add, map(mod, rest, repeat(w)), repeat(off)))
-            rest = list(map(floordiv, rest, repeat(w)))
-        cols.append(map(add, rest, repeat(offsets[0])))
-        return list(zip(*cols[::-1]))
-
-    def members(self, layer: int, level: int) -> tuple[list[int], list[Coords]]:
-        positions = _bit_positions(layer)
-        return positions, self._coords(positions, level)
-
-    def sums(self, keys: list[int]) -> list[Iterator[int]]:
-        return [map(add, keys, repeat(shift)) for shift in self.shifts]
-
     def lookup(self, ids: dict[int, int], layer: int) -> dict[int, int]:
         # A sum x+b lands on a cyclic digit in [m, 2m - 2] before the fold;
         # give every such unfolded position the id of the point it folds to.
@@ -340,41 +335,41 @@ class _Lift:
         return ids
 
 
-class _Tuples:
-    """Layers as sets of normalized coordinate tuples: the fallback for
-    inputs whose box is too sparse to lift."""
+class _Sparse(_Box):
+    """Layers as sets of positions: the fallback for boxes too sparse to
+    lift, which can be far too wide for one int.  A step folds the cyclic
+    digits of each sum on its own."""
 
     size = staticmethod(len)
+    ascending = staticmethod(sorted)
 
-    def __init__(self, space: GroupSpace, b_elems: Sequence[Coords]) -> None:
-        self.rule, self.b_elems = space._add, b_elems
+    def encode(self, coords: Sequence[Coords], level: int) -> set[int]:
+        return set(self._positions(coords, self.origin + level * self.drift))
 
-    def encode(self, coords: Sequence[Coords], level: int) -> set:
-        return set(coords)
-
-    def step(self, cur: set, cap: float) -> set:
+    def step(self, cur: set[int], cap: float) -> set[int]:
         # Checks the size after every row x+B, so a tiny cap trips before a
-        # large allocation; every row is a subset of the layer.
-        nxt: set = set()
+        # large allocation; every folded row is a subset of the layer.
+        nxt: set[int] = set()
         grow = nxt.update
         for x in cur:
-            grow(map(self.rule, repeat(x), self.b_elems))
+            row = list(map(x.__add__, self.shifts))
+            for s, m, w in self.cyclic:
+                jump = m * s
+                row = [p - jump if p // s % w >= m else p for p in row]
+            grow(row)
             if len(nxt) > cap:
                 break
         return nxt
 
     @staticmethod
-    def minus(layer: set, cut: set) -> set:
+    def minus(layer: set[int], cut: set[int]) -> set[int]:
         return layer - cut
 
-    def members(self, layer: set, level: int) -> tuple[list[Coords], list[Coords]]:
-        keys = sorted(layer)
-        return keys, keys
-
-    def sums(self, keys: list[Coords]) -> list[Iterator[Coords]]:
-        return [map(self.rule, keys, repeat(y)) for y in self.b_elems]
-
-    def lookup(self, ids: dict[Coords, int], layer: set) -> dict[Coords, int]:
+    def lookup(self, ids: dict[int, int], layer: set[int]) -> dict[int, int]:
+        # As `_Lift.lookup`: a kept digit d < m - 1 also answers for d + m.
+        for s, m, w in self.cyclic:
+            moved = [(p + m * s, i) for p, i in ids.items() if p // s % w < m - 1]
+            ids = {**ids, **dict(moved)}
         return ids
 
 
@@ -387,15 +382,17 @@ def _lift_pays(
     decoded: int,
 ) -> bool:
     """Whether lifting the folds of `starts` ((|X|, level) pairs) to
-    `bits`-bit ints costs at most the least work the tuple loop could do.
+    `bits`-bit ints costs at most the least work the set container could do.
 
-    The loop adds each element of B to each point of X+iB for i < h - level,
-    and |X+iB| >= max(|X|, |B|) once i >= 1: that many tuple additions at
-    least.  The lift encodes each start set (about 3 passes) and makes
-    |B| + 2 passes per step, plus 2 per cyclic coordinate for the fold; the
-    caller decodes `decoded` layers.  Each step costs more than |B| passes
-    against at most |B| * max(|X|, |B|) additions, so a lifted layer never
-    holds more than `_PASS_BITS` bits per element of the larger of X and B.
+    The set container adds each element of B to each point of X+iB for
+    i < h - level, and |X+iB| >= max(|X|, |B|) once i >= 1: that many point
+    additions at least, each still priced as the tuple addition the
+    constants were set against (see `_PASS_BITS`).  The lift encodes each
+    start set (about 3 passes) and makes |B| + 2 passes per step, plus 2 per
+    cyclic coordinate for the fold; the caller decodes `decoded` layers.
+    Each step costs more than |B| passes against at most |B| * max(|X|, |B|)
+    additions, so a lifted layer never holds more than `_PASS_BITS` bits per
+    element of the larger of X and B.
     """
     cyclic = sum(1 for m in space.moduli if m)
     passes = pairs = 0
@@ -415,7 +412,7 @@ def _layout(
     h: int,
     starts: Sequence[tuple[Sequence[Coords], int]],
     decoded: int,
-) -> _Lift | _Tuples:
+) -> _Box:
     """One layout for the folds X, ..., X+(h-level)B of every (X, level),
     of which the caller decodes `decoded` layers.
 
@@ -443,13 +440,12 @@ def _layout(
         lows.append(low)
         b_lows.append(b_low)
     sizes = [(len(coords), level) for coords, level in starts]
-    if _lift_pays(space, len(b_elems), h, sizes, prod(widths), decoded):
-        return _Lift(space, b_elems, widths, lows, b_lows)
-    return _Tuples(space, b_elems)
+    lifts = _lift_pays(space, len(b_elems), h, sizes, prod(widths), decoded)
+    return (_Lift if lifts else _Sparse)(space, b_elems, widths, lows, b_lows)
 
 
 def _layers(
-    layout: _Lift | _Tuples,
+    layout: _Box,
     start: Sequence[Coords],
     level: int,
     h: int,

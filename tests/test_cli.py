@@ -271,6 +271,10 @@ def _malformed_graph_docs(rng):
     for bad in ([[1]], "x", 7, True):
         yield f"labels {bad!r}", {**_graph_doc(rng), "labels": bad}, (
             "'labels' must be an object keyed by vertex id")
+    # Only null or a missing key means no labels, not any other falsy value.
+    for bad in ([], False, 0, ""):
+        doc = {"height": 1, "layers": [[0], [1]], "edges": [[0, 1]], "labels": bad}
+        yield f"labels {bad!r}", doc, "'labels' must be an object keyed by vertex id"
     for bad in ("x", "", "1.5", "v1"):
         doc = _graph_doc(rng)
         key = rng.choice(list(doc["labels"]))

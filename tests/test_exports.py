@@ -1,7 +1,10 @@
-"""Every name a module exports resolves, so a deletion leaves no stale export."""
+"""Every name a module exports resolves and every name it imports is used,
+so a deletion leaves no stale export or import behind."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +24,46 @@ def test_package_exports_resolve():
 def test_submodule_exports_resolve(name):
     module = importlib.import_module(f"sumsetlab.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+SOURCES = sorted(Path(sumsetlab.__file__).parent.glob("*.py"))
+
+
+def _imported(tree):
+    """Each name an import binds (bar `from __future__`), with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used(tree):
+    """The names a module reads, its `__all__` entries, and the names in its
+    string annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        notes = []
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign):
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            notes = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes = [node.returns]
+        for note in filter(None, notes):
+            for leaf in ast.walk(note):
+                if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str):
+                    used |= _used(ast.parse(leaf.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used(tree)
+    assert [(name, line) for name, line in _imported(tree) if name not in used] == []

@@ -303,6 +303,17 @@ def test_graph_json_rejects_malformed():
         graph_from_json({"height": 1, "layers": [[0], [1]]})
 
 
+def test_graph_json_without_labels():
+    # null, a missing key and {} (as graph_to_json writes an unlabeled
+    # graph) all mean no labels; the malformed-graph corpus of test_cli
+    # refuses every other value that is not an object.
+    bare = {"height": 1, "layers": [[0], [1]], "edges": [[0, 1]]}
+    unlabeled = LayeredGraph(1, ((0,), (1,)), ((0, 1),))
+    assert graph_to_json(unlabeled)["labels"] == {}
+    for doc in (bare, {**bare, "labels": None}, {**bare, "labels": {}}):
+        assert graph_from_json(doc) == unlabeled
+
+
 def test_load_graph_reports_unreadable_and_malformed_files(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(InputError, match=re.escape(f"cannot read graph file {missing}")):
@@ -418,6 +429,8 @@ def test_sum_graph_edges_complete_random():
 def test_sum_graphs_match_oracle_on_every_space(moduli, lift, monkeypatch):
     # Cyclic coordinates make sums land on unfolded positions, which the
     # builder maps back to the folded vertex.  Both layouts run every case.
+    # (The id "tuples" names the set container, the fallback, which once
+    # held coordinate tuples.)
     monkeypatch.setattr(groups, "_lift_pays", lambda *args: lift)
     rng = rng_for(20261018, f"sum graphs {moduli}")
     space = GroupSpace(moduli)

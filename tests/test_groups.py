@@ -33,12 +33,13 @@ from sumsetlab.bounds import (
     restricted_sumset_check,
     rising_binomial,
 )
+from sumsetlab.graphs import LayeredGraph
 from sumsetlab.groups import (
     _DECODE_BYTES,
     _bit_positions,
     _layout,
     _Lift,
-    _Tuples,
+    _Sparse,
     _write_json,
 )
 from sumsetlab.instances import random_gset, random_pair, rng_for
@@ -48,7 +49,7 @@ from sumsetlab.magnification import (
     tight_channel_power_check,
 )
 
-from oracles import naive_iterated, naive_normalize, naive_sumset
+from oracles import naive_iterated, naive_layer_edges, naive_sumset
 
 Z = GroupSpace((0,))
 
@@ -199,18 +200,9 @@ def test_sumset_properties_random():
         assert cardinality_stream(a, b, h)[-1] == len(it)
 
 
-def test_translate_preserves_cardinality():
-    rng = rng_for(20260814, "translate")
-    for _ in range(50):
-        a, b = random_pair(rng)
-        shift = b.elements[0]
-        assert len(a.translate(shift)) == len(a)
-        assert a.translate(a.space.zero_coords()) == a
-
-
 def test_fold_in_free_and_mixed_multi_coordinate_spaces():
-    # random_space draws only Z and Z_m^2, so the free rule on several
-    # coordinates and the modular rule with a free coordinate run here.
+    # random_space draws only Z and Z_m^2, so several free coordinates, and
+    # cyclic ones next to a free one, run here.
     rng = rng_for(20261018, "multi")
     for _ in range(120):
         m = rng.randint(2, 9)
@@ -225,14 +217,10 @@ def test_fold_in_free_and_mixed_multi_coordinate_spaces():
         zero = [space.zero_coords()]
         hb = naive_iterated(zero, b.elements, h, moduli)
         assert fold_sumset(b, h).member_set() == hb
-        x, y = a.elements[-1], b.elements[-1]
-        assert space.add_coords(x, y) == naive_normalize(
-            [p + q for p, q in zip(x, y)], moduli
-        )
 
 
 def test_sets_stay_picklable_after_a_fold():
-    # A fold caches the space's addition rule on the space.
+    # A fold leaves nothing on a set or its space that pickle cannot write.
     for moduli in ((0, 0), (0, 5)):
         a = GSet.from_coords(GroupSpace(moduli), [(1, 2), (3, 4)])
         s = sumset(a, a)
@@ -265,13 +253,18 @@ GUARD_CASES = [
 ]
 
 
+def _fold_sizes(folds, b, moduli):
+    # |X+iB| for every guarded layer (i >= 1) of each (X, steps) fold.
+    return [
+        len(naive_iterated(start, b.elements, i, moduli))
+        for start, steps in folds
+        for i in range(1, steps + 1)
+    ]
+
+
 @pytest.mark.parametrize("call, folds", GUARD_CASES)
 def test_guard_boundary_every_fold_entry_point(call, folds):
-    sizes = [
-        len(naive_iterated(start, B_CAP.elements, i, (0,)))
-        for start, h in folds
-        for i in range(1, h + 1)
-    ]
+    sizes = _fold_sizes(folds, B_CAP, (0,))
     if len(folds) > 1:
         assert max(sizes) == sizes[-1] > max(sizes[:-1])
     call(max(sizes))
@@ -300,13 +293,15 @@ def _kernel_case(rng, moduli):
 @pytest.mark.parametrize("moduli", KERNEL_SPACES, ids=str)
 def test_kernel_matches_naive_fold(moduli, lift, monkeypatch):
     # Both layouts on every case, whichever the cost rule would pick.
+    # (The id "tuples" names the set container, the fallback, which once
+    # held coordinate tuples.)
     monkeypatch.setattr(groups, "_lift_pays", lambda *args: lift)
     rng = rng_for(20261018, f"kernel {moduli}")
     for _ in range(25):
         a, b = _kernel_case(rng, moduli)
         h = rng.randint(0, 5)
         layout = _layout(a.space, b.elements, h, ((a.elements, 0),), 1)
-        assert isinstance(layout, _Lift if lift else _Tuples)
+        assert isinstance(layout, _Lift if lift else _Sparse)
         want = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
         top = iterated_sumset(a, b, h)
         assert top.elements == tuple(sorted(want[-1]))
@@ -315,6 +310,104 @@ def test_kernel_matches_naive_fold(moduli, lift, monkeypatch):
         zero = [a.space.zero_coords()]
         hb = naive_iterated(zero, b.elements, h, moduli)
         assert fold_sumset(b, h).member_set() == hb
+
+
+def _wrapping_set(rng, space, lo, hi):
+    # Coordinates drawn from [-3, 3]: on Z_m they sit on both sides of 0, so
+    # sums wrap onto points that are already there, whatever m is.
+    size = rng.randint(lo, hi)
+    return GSet.from_coords(
+        space, [[rng.randint(-3, 3) for _ in space.moduli] for _ in range(size)]
+    )
+
+
+@pytest.mark.parametrize("lift", [True, False], ids=["lift", "sparse"])
+def test_guard_counts_folded_sums(lift, monkeypatch):
+    # In Z_4, A = {0, 3} and B = {0, 1, 3} give A+B = Z_4, though 5 of the
+    # 6 sums differ before the fold: a cap of 3 trips and a cap of 4 holds.
+    monkeypatch.setattr(groups, "_lift_pays", lambda *args: lift)
+    z4 = GroupSpace((4,))
+    a = GSet.from_coords(z4, [(0,), (3,)])
+    b = GSet.from_coords(z4, [(0,), (1,), (3,)])
+    c = GSet.from_coords(z4, [])
+    for call in (
+        lambda cap: cardinality_stream(a, b, 1, cap),
+        lambda cap: build_addition_graph(a, b, 1, cap),
+        lambda cap: build_restricted_graph(a, b, c, 1, cap),
+    ):
+        with pytest.raises(GuardError, match="sumset cardinality guard"):
+            call(3)
+        call(4)
+    assert cardinality_stream(a, b, 1, 4) == [2, 4]
+
+
+@pytest.mark.parametrize("lift", [True, False], ids=["lift", "sparse"])
+@pytest.mark.parametrize("moduli", [m for m in KERNEL_SPACES if any(m)], ids=str)
+def test_guard_boundary_on_cyclic_spaces(moduli, lift, monkeypatch):
+    monkeypatch.setattr(groups, "_lift_pays", lambda *args: lift)
+    space = GroupSpace(moduli)
+    rng = rng_for(20261018, f"cyclic guard {moduli}")
+    for _ in range(10):
+        a, b = _wrapping_set(rng, space, 1, 6), _wrapping_set(rng, space, 1, 4)
+        c = _wrapping_set(rng, space, 0, 4)
+        h = rng.randint(1, 3)
+        cases = [
+            (lambda cap: cardinality_stream(a, b, h, cap), [(a.elements, h)]),
+            (lambda cap: build_addition_graph(a, b, h, cap), [(a.elements, h)]),
+            (
+                lambda cap: build_restricted_graph(a, b, c, h, cap),
+                [(a.elements, h), (c.elements, h - 1)],
+            ),
+        ]
+        for call, folds in cases:
+            cap = max(_fold_sizes(folds, b, moduli))
+            call(cap)
+            with pytest.raises(GuardError, match="sumset cardinality guard"):
+                call(cap - 1)
+
+
+def _definition_graph(layers, b, moduli):
+    """The sum graph whose layer i holds the labels layers[i], with the ids
+    the builders give: layer by layer, in sorted label order."""
+    rows = [sorted(layer) for layer in layers]
+    ids, labels = [], {}
+    for row in rows:
+        ids.append(range(len(labels), len(labels) + len(row)))
+        labels.update(zip(ids[-1], row))
+    of = [dict(zip(row, layer_ids)) for row, layer_ids in zip(rows, ids)]
+    edges = [(of[i][x], of[i + 1][y]) for i, x, y in naive_layer_edges(layers, b, moduli)]
+    return LayeredGraph(len(layers) - 1, ids, edges, labels)
+
+
+@pytest.mark.parametrize(
+    "moduli", KERNEL_SPACES + [(0, 10**12), (10**12, 0)], ids=str
+)
+def test_sum_graphs_agree_under_both_containers(moduli, monkeypatch):
+    # Both containers build the same addition and restricted graphs, ids
+    # and all, and the definition gives them too.  Lifting a modulus of
+    # 10**12 would take a box of 2 * 10**12 bits, so there only the set
+    # container runs, against the definition.
+    containers = [True, False] if max(moduli) < 10**6 else [False]
+    rng = rng_for(20261018, f"containers {moduli}")
+    space = GroupSpace(moduli)
+    for _ in range(15):
+        a, b = _wrapping_set(rng, space, 1, 6), _wrapping_set(rng, space, 1, 4)
+        c = _wrapping_set(rng, space, 0, 4)
+        h = rng.randint(1, 3)
+        grown = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
+        kept = grown[:1] + [
+            grown[i] - naive_iterated(c.elements, b.elements, i - 1, moduli)
+            for i in range(1, h + 1)
+        ]
+        built = []
+        for lift in containers:
+            monkeypatch.setattr(groups, "_lift_pays", lambda *args: lift)
+            built.append((build_addition_graph(a, b, h), build_restricted_graph(a, b, c, h)))
+        want = (
+            _definition_graph(grown, b.elements, moduli),
+            _definition_graph(kept, b.elements, moduli),
+        )
+        assert built == [want] * len(containers)
 
 
 def test_kernel_singleton_b_and_h_zero():
@@ -346,7 +439,7 @@ def test_sparse_boxes_stay_on_tuples(moduli, a_coords, b_coords):
     b = GSet.from_coords(space, b_coords)
     for h in range(4):
         layout = _layout(space, b.elements, h or 1, ((a.elements, 0),), 1)
-        assert isinstance(layout, _Tuples)
+        assert isinstance(layout, _Sparse)
         want = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
         assert iterated_sumset(a, b, h).elements == tuple(sorted(want[-1]))
         assert cardinality_stream(a, b, h) == [len(layer) for layer in want]
@@ -392,7 +485,7 @@ def test_lift_cost_boundary(moduli, w, h, decoded, lifts):
     a = GSet.from_coords(space, [(0,), (w,)])
     b = GSet.from_coords(space, [(0,), (1,)])
     layout = _layout(space, b.elements, h, ((a.elements, 0),), decoded)
-    assert isinstance(layout, _Lift if lifts else _Tuples)
+    assert isinstance(layout, _Lift if lifts else _Sparse)
     want = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
     assert iterated_sumset(a, b, h).elements == tuple(sorted(want[-1]))
     assert cardinality_stream(a, b, h) == [len(layer) for layer in want]
@@ -400,7 +493,7 @@ def test_lift_cost_boundary(moduli, w, h, decoded, lifts):
 
 def test_small_a_with_large_sparse_b_stays_on_tuples():
     # |A| = 2 and |B| = 2000 spread over 10**7: a lift would make 2000
-    # shift-ors of a 10**7-bit int where the tuple loop makes 4000
+    # shift-ors of a 10**7-bit int where the set container makes 4000
     # additions.  Dense B over a narrow box lifts.
     rng = rng_for(20261018, "sparse b")
     a = gs(0, 1)
@@ -408,10 +501,10 @@ def test_small_a_with_large_sparse_b_stays_on_tuples():
     dense = GSet.from_coords(Z, [(x,) for x in rng.sample(range(4000), 2000)])
     for decoded in (0, 1, 2):
         start = ((a.elements, 0),)
-        assert isinstance(_layout(Z, sparse.elements, 1, start, decoded), _Tuples)
+        assert isinstance(_layout(Z, sparse.elements, 1, start, decoded), _Sparse)
         assert isinstance(_layout(Z, dense.elements, 1, start, decoded), _Lift)
     zero = ((Z.zero_coords(),), 0)
-    assert isinstance(_layout(Z, sparse.elements, 1, (zero,), 1), _Tuples)
+    assert isinstance(_layout(Z, sparse.elements, 1, (zero,), 1), _Sparse)
     for b in (sparse, dense):
         want = {x + y for x in (0, 1) for (y,) in b.elements}
         assert members(sumset(a, b)) == want
