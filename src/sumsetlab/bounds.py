@@ -42,7 +42,7 @@ from .graphs import (
     image_masks,
     subset_images,
 )
-from .groups import GSet, _is_int, fold_sumset, sumset
+from .groups import GSet, _is_int, cardinality_stream, fold_sumset, sumset
 from .magnification import Ratio, magnification_flow, tight_channel_power_check
 from .partition import PartitionResult, partition_graph
 
@@ -737,11 +737,9 @@ def nap_check(a: GSet, b: GSet, s: GSet) -> NapReport:
     graph = build_addition_graph(a, b, 1)
     tight = magnification_flow(graph, 1).maximal_tight_set
     x = GSet.from_coords(a.space, [graph.label_of(v) for v in tight])
-    xb = sumset(x, b)
-    sx = sumset(s, x)
-    sxb = sumset(sx, b)
-    ok = len(sxb) * len(x) <= len(xb) * len(sx)
-    return NapReport(x, Fraction(len(xb), len(x)), len(sxb), len(sx), ok)
+    size, xb = cardinality_stream(x, b, 1)
+    sx, sxb = cardinality_stream(sumset(s, x), b, 1)
+    return NapReport(x, Fraction(xb, size), sxb, sx, sxb * size <= xb * sx)
 
 
 @dataclass(frozen=True)
@@ -789,22 +787,20 @@ def restricted_sumset_check(
     check = tight_channel_power_check(build_restricted_graph(x, b, c_set, h), j)
     size, c, observed = check.sizes[0], check.sizes[j], check.sizes[-1]
     conclusion_ok = check.power_ok if check.hypothesis_ok else None
-    space = x.space
-    kb = {k: fold_sumset(b, k) for k in {j - 1, j}}
-
-    def shifted(base: GSet, steps: int) -> frozenset:
-        return sumset(base, kb[steps]).member_set()
-
+    # (P u Q) + kB = (P + kB) u (Q + kB), so with P = X+S and Q = J+S,
+    # |(X+S+kB) \ (J+S+kB)| = |(X u J)+S+kB| - |J+S+kB| for every k: two
+    # cardinality streams give both counts, and an empty J subtracts nothing.
+    xj = GSet(x.space, x.elements + j_set.elements)
     reiher: list[bool] = []
     for s in reiher_samples:
-        if s.space != space:
+        if s.space != x.space:
             raise InputError("Reiher sample set must share the space")
         if s.is_empty:
             raise InputError("Reiher sample sets must be non-empty")
-        xs = sumset(x, s)
-        js = None if j_set.is_empty else sumset(j_set, s)
-        lhs = len(shifted(xs, j) - (shifted(js, j) if js else frozenset()))
-        rhs = len(shifted(xs, j - 1) - (shifted(js, j - 1) if js else frozenset()))
+        counts = cardinality_stream(sumset(xj, s), b, j)
+        if not j_set.is_empty:
+            counts = [p - q for p, q in zip(counts, cardinality_stream(sumset(j_set, s), b, j))]
+        lhs, rhs = counts[j], counts[j - 1]
         # lhs <= (c/|X|)^(1/j) rhs  <=>  lhs^j |X| <= c rhs^j
         reiher.append(lhs**j * size <= c * rhs**j)
     return RestrictedSumsetReport(

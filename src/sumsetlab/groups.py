@@ -514,11 +514,13 @@ def cardinality_stream(
 
 def _read_json(path: str, kind: str) -> object:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # bad JSON, non-UTF-8 bytes, an over-long int
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 

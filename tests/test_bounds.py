@@ -4,7 +4,7 @@ majorants, growth and set-addition statements."""
 import math
 from dataclasses import astuple
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -34,7 +34,7 @@ from sumsetlab import (
 from sumsetlab.bounds import BOUND_NAMES, check_majorant_pointwise, majorant_from_root
 from sumsetlab.instances import random_gset, random_pair, rng_for
 
-from oracles import naive_image, naive_restricted_sumset
+from oracles import naive_image, naive_restricted_sumset, naive_sumset
 
 Z = GroupSpace((0,))
 
@@ -479,6 +479,62 @@ def test_nap_random():
         assert nap_check(a, b, s).ok
 
 
+def test_nap_matches_naive_sumsets_random():
+    # X is the union of the non-empty Z in A with the least |Z+B| / |Z|.
+    rng = rng_for(20261018, "nap")
+    for moduli in [(0,), (7,), (0, 0), (0, 5), (4, 0), (6, 6), (0, 3, 0)]:
+        space = GroupSpace(moduli)
+        for _ in range(8):
+            a = random_gset(rng, space, 1, 7, spread=4)
+            b = random_gset(rng, space, 1, 3, spread=2)
+            s = random_gset(rng, space, 1, 3, spread=3)
+            ratios = {
+                z: Fraction(len(naive_sumset(z, b.elements, moduli)), len(z))
+                for r in range(1, len(a) + 1)
+                for z in combinations(a.elements, r)
+            }
+            best = min(ratios.values())
+            x = {p for z, ratio in ratios.items() if ratio == best for p in z}
+            xb = naive_sumset(x, b.elements, moduli)
+            sx = naive_sumset(s.elements, x, moduli)
+            sxb = naive_sumset(sx, b.elements, moduli)
+            rep = nap_check(a, b, s)
+            assert set(rep.x) == x, (moduli, a, b, s)
+            assert rep.ratio == Fraction(len(xb), len(x)) == best
+            assert (rep.lhs, rep.sx) == (len(sxb), len(sx))
+            assert rep.ok == (len(sxb) * len(x) <= len(xb) * len(sx))
+            assert rep.ok
+
+
+def test_set_addition_checks_count_from_streams(monkeypatch):
+    # Each Reiher sample costs one sumset for (X u J)+S and one for J+S;
+    # every other count is read from cardinality streams.
+    import sumsetlab.bounds as bounds_mod
+
+    calls = {"sumset": 0, "fold_sumset": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(bounds_mod, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(bounds_mod, name, counted)
+
+    x, b = gs(0, 1, 2, 3), gs(0, 1, 4)
+    for samples in [(), (gs(0),), (gs(0, 2), gs(1, 5), gs(-3, 0, 7))]:
+        for j, h in [(1, 1), (1, 3), (2, 3), (3, 3)]:
+            calls.update(sumset=0, fold_sumset=0)
+            restricted_sumset_check(x, b, gs(10, 12), j, h, samples)
+            assert calls == {"sumset": 1 + 2 * len(samples), "fold_sumset": 0}
+            calls.update(sumset=0)
+            rep = restricted_sumset_check(x, b, GSet.from_coords(Z, []), j, h, samples)
+            assert calls == {"sumset": len(samples), "fold_sumset": 0}
+            assert len(rep.reiher_ok) == len(samples)
+    calls.update(sumset=0)
+    nap_check(gs(0, 1, 2, 3, 100), gs(0, 1), gs(0, 7))
+    assert calls == {"sumset": 1, "fold_sumset": 0}
+
+
 def test_restricted_sumset_frozen():
     rep = restricted_sumset_check(
         gs(0, 1, 2, 3), gs(0, 1), gs(100), 1, 2, reiher_samples=(gs(0),)
@@ -488,6 +544,14 @@ def test_restricted_sumset_frozen():
     assert rep.observed == 6
     assert rep.conclusion_ok  # 6 * 4 <= 5^2
     assert rep.reiher_ok == (True,)
+    # j = 1 with X+S meeting J+S in 8: lhs = |(X+S+B) \ (J+S+B)| = 5 and
+    # rhs = |(X+S) \ (J+S)| = 3, so lhs |X| = 10 > c rhs = 9.  Reading rhs
+    # as |X+S| = 4 would pass.
+    rep = restricted_sumset_check(
+        gs(0, 8), gs(0, 3), gs(5, 7), 1, 2, reiher_samples=(gs(0, 1),)
+    )
+    assert rep.alpha_j == Fraction(3, 2)
+    assert rep.reiher_ok == (False,)
 
 
 def test_restricted_sumset_hypothesis_miss():

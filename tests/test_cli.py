@@ -66,6 +66,9 @@ def test_missing_file_exits_2(workdir, capsys):
     code, _, err = run(capsys, "sumset", workdir / "missing.json", workdir / "B.json")
     assert code == 2
     assert "error:" in err
+    # A path no file can have is not a malformed document.
+    assert run(capsys, "sumset", "A\0.json", workdir / "B.json") == (
+        2, "", "error: embedded null byte\n")
 
 
 def test_graph_build_restrict_check(workdir, capsys):
@@ -375,14 +378,30 @@ def _set_doc(rng, space=None):
     return gset_to_json(random_gset(rng, space or random_space(rng), 1, 6))
 
 
+# Files that `json.load` rejects with a plain ValueError, not a
+# JSONDecodeError: bytes that are not UTF-8, and an int past CPython's
+# int-string digit limit.
+NOT_UTF8 = b'{"moduli": [0], "elements": [[1\xff]]}'
+LONG_INT = "9" * 4301
+
+
+def _json_error(text) -> str:
+    try:
+        json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as exc:
+        return f"malformed JSON in {{path}}: {exc}"
+    raise AssertionError(f"{text!r} parses")
+
+
 def _malformed_json_texts():
     """(case, text, message) for set files that are not JSON; the message
-    writes the file's path as {path}."""
+    writes the file's path as {path}.  The text is bytes where the file's
+    bytes are not UTF-8."""
     for text in ('{"moduli": [0], "elements": [[1]]', "[1, 2", "", "{moduli: [0]}"):
-        try:
-            json.loads(text)
-        except json.JSONDecodeError as exc:
-            yield f"JSON {text!r}", text, f"malformed JSON in {{path}}: {exc}"
+        yield f"JSON {text!r}", text, _json_error(text)
+    yield "JSON not UTF-8", NOT_UTF8, _json_error(NOT_UTF8)
+    text = '{"moduli": [0], "elements": [[%s]]}' % LONG_INT
+    yield "JSON 4301-digit int", text, _json_error(text)
 
 
 def _malformed_set_docs(rng):
@@ -446,10 +465,21 @@ def test_malformed_set_document_exits_2(tmp_path, capsys, text, message, slot):
         moduli = [0]
     good = {"moduli": moduli, "elements": [[0] * len(moduli)]}
     paths = {name: tmp_path / f"{name}.json" for name in "AB"}
-    paths[slot].write_text(text)
+    if isinstance(text, bytes):
+        paths[slot].write_bytes(text)
+    else:
+        paths[slot].write_text(text)
     paths["AB".replace(slot, "")].write_text(json.dumps(good))
     expected = message.replace("{path}", str(paths[slot]))
     assert run(capsys, "sumset", paths["A"], paths["B"]) == (2, "", f"error: {expected}\n")
+
+
+def test_graph_file_past_the_int_digit_limit_exits_2(tmp_path, capsys):
+    gpath = tmp_path / "G.json"
+    text = '{"height": 1, "layers": [[0], [%s]], "edges": [[0, 1]]}' % LONG_INT
+    gpath.write_text(text)
+    message = _json_error(text).replace("{path}", str(gpath))
+    assert run(capsys, "graph", "check", gpath) == (2, "", f"error: {message}\n")
 
 
 def test_operands_in_different_spaces_exit_2(tmp_path, capsys):

@@ -1,9 +1,11 @@
-"""Every name a module exports resolves and every name it imports is used,
-so a deletion leaves no stale export or import behind."""
+"""Every name a module exports resolves, every name it imports is used and
+every private definition is referenced, so a deletion leaves no stale
+export, import or helper behind."""
 
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,45 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used(tree)
     assert [(name, line) for name, line in _imported(tree) if name not in used] == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree):
+    """Each private module-level function or class, and each private method
+    of a module-level class, as (name, node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if _private(node.name):
+                yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if _private(item.name):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _references(node):
+    """The names and attribute names read anywhere under node."""
+    for leaf in ast.walk(node):
+        if isinstance(leaf, ast.Name):
+            yield leaf.id
+        elif isinstance(leaf, ast.Attribute):
+            yield leaf.attr
+
+
+def test_every_private_definition_is_referenced():
+    # A reference inside the definition itself (a recursive call) does not
+    # count, so a deleted caller cannot leave its helper behind.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    everywhere = Counter(name for tree in trees for name in _references(tree))
+    definitions = [d for tree in trees for d in _private_definitions(tree)]
+    orphans = [
+        qualname
+        for qualname, node in definitions
+        if everywhere[node.name] == Counter(_references(node))[node.name]
+    ]
+    assert definitions
+    assert orphans == []
