@@ -516,7 +516,7 @@ def _read_json(path: str, kind: str) -> object:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
     try:
         return json.loads(data.decode("utf-8"))
@@ -542,7 +542,7 @@ def _write_text(text: str, path: str | None, mode: str = "w") -> None:
     try:
         with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 

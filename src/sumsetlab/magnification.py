@@ -18,9 +18,9 @@ provided:
   the cut equals p|V_0|, no subset beats p/q, so p/q is the ratio and Z the
   maximal tight set; otherwise |image(Z)| / |Z| < p/q becomes the next
   candidate.  |Z| strictly falls from step to step, so at most |V_0| cuts
-  are made, typically two or three.  The network is built once per call;
-  each step only resets its capacities.  The loop, `_tight`, reads only
-  bitmask images, which the peel in `partition` restricts on its own.
+  are made, typically two or three.  Each step is one `maxflow.ratio_cut`
+  on the bitmask images, with no network built.  The loop, `_tight`, reads
+  only those images, which the peel in `partition` restricts on its own.
 
 Minimizing subsets of the cut objective form a lattice (the objective is
 submodular), so the union of all minimizers is itself a minimizer: the
@@ -36,8 +36,8 @@ from typing import Sequence
 
 from .errors import GuardError, InputError
 from .graphs import SUBSET_GUARD, LayeredGraph, image_masks, subset_images
-from .groups import _bit_positions, _is_int
-from .maxflow import FlowNetwork
+from .groups import _is_int
+from .maxflow import ratio_cut
 
 __all__ = [
     "Ratio",
@@ -123,39 +123,20 @@ def magnification_bruteforce(graph: LayeredGraph, level: int) -> MagnificationRe
 def _tight(vertex_masks: Sequence[int]) -> tuple[Ratio, list[int], int]:
     """The ratio, the maximal tight set (ascending indices) and its image,
     where vertex_masks[k] is the image of bottom vertex k as a bitmask."""
-    n = len(vertex_masks)
-    z = list(range(n))
+    z = list(range(len(vertex_masks)))
     z_image = _union(vertex_masks, z)
-    targets = _bit_positions(z_image)
-    middle = sum(mask.bit_count() for mask in vertex_masks)
-    s, t = 0, 1
-    net = FlowNetwork(2 + n + z_image.bit_length())
-    for k in range(n):
-        net.add_edge(s, 2 + k, 0)
-    for k, rest in enumerate(vertex_masks):
-        while rest:
-            low = rest & (-rest)
-            net.add_edge(2 + k, 2 + n + (low.bit_length() - 1), 0)
-            rest ^= low
-    for w in targets:
-        net.add_edge(2 + n + w, t, 0)
     # Start from Z = V_0; each cut at Z's ratio p/q yields the maximal
     # minimizer of q|image(Z')| - p|Z'|, which becomes the next Z.
     while True:
         value = Fraction(z_image.bit_count(), len(z))
-        p, q = value.numerator, value.denominator
-        # p * n + 1 exceeds the cut of every source arc: no middle arc is cut
-        net.reset([p] * n + [p * n + 1] * middle + [q] * len(targets))
-        cut = net.max_flow(s, t)
-        reaches = net.residual_reaches_sink(t)
-        z = [k for k in range(n) if 2 + k not in reaches]
+        saturated, z = ratio_cut(vertex_masks, value.numerator, value.denominator)
         z_image = _union(vertex_masks, z)
-        if cut == p * n:
+        if saturated:
             return value, z, z_image
 
 
 def magnification_flow(graph: LayeredGraph, level: int) -> MagnificationResult:
-    """Exact magnification ratio by Dinkelbach iteration on one min-cut network.
+    """Exact magnification ratio by Dinkelbach iteration on parametric min cuts.
 
     Scales to bottom layers far beyond the brute-force guard; agreement with
     the oracle is part of the test suite.

@@ -5,6 +5,7 @@ clarity over speed, and imports nothing from sumsetlab, so a bug in the
 package cannot hide inside its own oracle.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -155,6 +156,129 @@ def naive_min_cut(n, cap_edges, s, t):
             if best is None or val < best:
                 best = val
     return best
+
+
+class FlowNetwork:
+    """Generic Dinic max flow on integer capacities: the reference engine for
+    `sumsetlab.maxflow.ratio_cut`.
+
+    `reset` clears the flow and sets every arc's capacity in place.  The
+    blocking-flow search walks an explicit path stack instead of recursing,
+    since augmenting paths that zig-zag through reverse arcs can be as long
+    as the network is large.  After `max_flow`, `residual_reaches_sink`
+    yields the maximal minimum cut, whose source side is every node that no
+    longer reaches the sink.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        # adjacency of [to, remaining_capacity, index_of_reverse_edge]
+        self.graph = [[] for _ in range(n)]
+        # (forward, reverse) edge pairs in the order they were added
+        self._arcs = []
+
+    def add_edge(self, u, v, cap):
+        if cap < 0:
+            raise ValueError("capacities must be non-negative")
+        fwd = [v, cap, len(self.graph[v])]
+        bwd = [u, 0, len(self.graph[u])]
+        self.graph[u].append(fwd)
+        self.graph[v].append(bwd)
+        self._arcs.append((fwd, bwd))
+
+    def reset(self, caps):
+        """Clear the flow and give the k-th added edge capacity caps[k]."""
+        if len(caps) != len(self._arcs):
+            raise ValueError(f"{len(caps)} capacities for {len(self._arcs)} edges")
+        if caps and min(caps) < 0:
+            raise ValueError("capacities must be non-negative")
+        for (fwd, bwd), cap in zip(self._arcs, caps):
+            fwd[1] = cap
+            bwd[1] = 0
+
+    def _bfs_levels(self, s, t):
+        # Stops once t is labelled: every node on a shortest s-t path is
+        # labelled by then, and no other node is needed.
+        graph = self.graph
+        level = [-1] * self.n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            nxt = level[u] + 1
+            for v, cap, _ in graph[u]:
+                if cap > 0 and level[v] < 0:
+                    level[v] = nxt
+                    if v == t:
+                        return level
+                    queue.append(v)
+        return None
+
+    def _blocking_flow(self, s, t, level):
+        """Saturate every s-t path of the level graph; return the flow added."""
+        graph = self.graph
+        nxt = [0] * self.n  # next edge to try at each node
+        path = []  # edges from s to the current node u
+        u = s
+        total = 0
+        while True:
+            if u == t:
+                pushed = min(edge[1] for edge in path)
+                total += pushed
+                first_full = None
+                for k, edge in enumerate(path):
+                    edge[1] -= pushed
+                    graph[edge[0]][edge[2]][1] += pushed
+                    if first_full is None and edge[1] == 0:
+                        first_full = k
+                # resume from the tail of the first saturated edge
+                del path[first_full:]
+                u = path[-1][0] if path else s
+                continue
+            adj = graph[u]
+            i = nxt[u]
+            end = len(adj)
+            want = level[u] + 1
+            while i < end:
+                edge = adj[i]
+                if edge[1] > 0 and level[edge[0]] == want:
+                    break
+                i += 1
+            nxt[u] = i
+            if i < end:
+                path.append(edge)
+                u = edge[0]
+            elif path:
+                # dead end: retreat and skip the edge that led here
+                path.pop()
+                u = path[-1][0] if path else s
+                nxt[u] += 1
+            else:
+                return total
+
+    def max_flow(self, s, t):
+        if s == t:
+            raise ValueError("source and sink must differ")
+        flow = 0
+        while True:
+            level = self._bfs_levels(s, t)
+            if level is None:
+                return flow
+            flow += self._blocking_flow(s, t, level)
+
+    def residual_reaches_sink(self, t):
+        """Nodes with a residual path to t (t included); call after max_flow."""
+        seen = {t}
+        queue = deque([t])
+        while queue:
+            y = queue.popleft()
+            for x, _, rev in self.graph[y]:
+                # residual edge x -> y exists iff the paired edge at x has
+                # remaining capacity
+                if self.graph[x][rev][1] > 0 and x not in seen:
+                    seen.add(x)
+                    queue.append(x)
+        return seen
 
 
 def smallest_feasible_fraction(feasible, max_den):

@@ -66,9 +66,6 @@ def test_missing_file_exits_2(workdir, capsys):
     code, _, err = run(capsys, "sumset", workdir / "missing.json", workdir / "B.json")
     assert code == 2
     assert "error:" in err
-    # A path no file can have is not a malformed document.
-    assert run(capsys, "sumset", "A\0.json", workdir / "B.json") == (
-        2, "", "error: embedded null byte\n")
 
 
 def test_graph_build_restrict_check(workdir, capsys):
@@ -188,6 +185,25 @@ def test_unwritable_output_exits_2(workdir, capsys, argv):
     assert not bad.parent.exists()
     # the path is checked before any work: no report, no --out-a file
     assert out == ""
+    assert sorted(workdir.iterdir()) == before
+
+
+# Paths no file can have are not malformed documents; `open` refuses a NUL
+# byte with ValueError, not OSError.
+NUL_PATHS = {
+    "set file": (["sumset", "A\0.json", "B.json"], "cannot read set file A\0.json"),
+    "graph file": (
+        ["mag", "G\0.json", "--level", "1"], "cannot read graph file G\0.json"),
+    "--out": (
+        ["sumset", "A.json", "B.json", "--out", "out\0.json"], "cannot write out\0.json"),
+}
+
+
+@pytest.mark.parametrize("argv, message", NUL_PATHS.values(), ids=NUL_PATHS.keys())
+def test_nul_byte_in_a_path_exits_2(workdir, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(workdir)
+    before = sorted(workdir.iterdir())
+    assert run(capsys, *argv) == (2, "", f"error: {message}: embedded null byte\n")
     assert sorted(workdir.iterdir()) == before
 
 

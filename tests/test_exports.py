@@ -1,10 +1,12 @@
-"""Every name a module exports resolves, every name it imports is used and
-every private definition is referenced, so a deletion leaves no stale
-export, import or helper behind."""
+"""Every name a module exports resolves, every name it imports is used,
+every private definition is referenced and every module README's table
+names exists, so a deletion leaves no stale export, import, helper or
+README row behind."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -111,3 +113,19 @@ def test_every_private_definition_is_referenced():
     ]
     assert definitions
     assert orphans == []
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_module_table_names_modules():
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(sumsetlab\.\w+)` \|", text, re.M)
+    assert rows
+    missing = []
+    for name in rows:
+        try:
+            importlib.import_module(name)
+        except ModuleNotFoundError:
+            missing.append(name)
+    assert missing == []

@@ -1,12 +1,13 @@
-"""Integer max-flow core and residual-side cut extraction."""
+"""The ratio-network kernel against the reference Dinic engine, and that
+engine's own max-flow and residual-cut checks."""
 
 import random
 
 import pytest
 
-from sumsetlab.maxflow import FlowNetwork
+from sumsetlab.maxflow import ratio_cut
 
-from oracles import naive_min_cut
+from oracles import FlowNetwork, naive_min_cut
 
 
 def build(n, edges):
@@ -151,3 +152,86 @@ def test_reset_matches_fresh_network_random():
         if pairs:
             with pytest.raises(ValueError):
                 net.reset([1] * (len(pairs) - 1) + [-1])
+
+
+def oracle_ratio_cut(masks, p, q):
+    """`ratio_cut` on a network of explicit arcs built for the reference engine."""
+    n = len(masks)
+    width = max((mask.bit_length() for mask in masks), default=0)
+    net = FlowNetwork(2 + n + width)
+    for k, mask in enumerate(masks):
+        net.add_edge(0, 2 + k, p)
+        for w in range(width):
+            if mask >> w & 1:
+                net.add_edge(2 + k, 2 + n + w, p * n + 1)
+    for w in range(width):
+        net.add_edge(2 + n + w, 1, q)
+    flow = net.max_flow(0, 1)
+    reaches = net.residual_reaches_sink(1)
+    return flow == p * n, [k for k in range(n) if 2 + k not in reaches]
+
+
+def zigzag_masks(n, backwards):
+    # Bottom i reaches tops i and i + 1; numbered backwards, the greedy start
+    # strands one unit on every bottom but the first.
+    top = [n - j for j in range(n + 1)] if backwards else list(range(n + 1))
+    return [1 << top[i] | 1 << top[i + 1] for i in range(n)]
+
+
+def level_one_masks(rng, n):
+    # x -> x + B on |A| = n points of a short interval, tops numbered in order
+    a = sorted(rng.sample(range(3 * n + 8), n))
+    b = rng.sample(range(8), rng.randint(1, 4))
+    return [sum(1 << (x + y) for y in b) for x in a]
+
+
+def dense_masks(rng, n):
+    width = rng.randint(500, 700)
+    density = rng.choice((0.05, 0.5, 0.95))
+    return [
+        sum(1 << w for w in range(width) if rng.random() < density) for _ in range(n)
+    ]
+
+
+def ratio_near(rng, masks):
+    """p/q at, just below or just above the ratio of a random subset."""
+    n = len(masks)
+    z = rng.sample(range(n), rng.randint(1, n))
+    image = 0
+    for k in z:
+        image |= masks[k]
+    p, q = image.bit_count(), len(z)
+    return max(0, p + rng.choice((-1, 0, 0, 1))), q
+
+
+def kernel_cases():
+    rng = random.Random("maxflow:kernel")
+    for _ in range(400):  # tiny masks, empty ones included
+        n = rng.randint(1, 7)
+        masks = [rng.getrandbits(rng.randint(0, 9)) for _ in range(n)]
+        yield masks, *ratio_near(rng, masks)
+        yield masks, rng.randint(0, 9), rng.randint(1, 4)
+    for _ in range(60):  # p = 0, empty masks and a single bottom vertex
+        masks = [rng.getrandbits(6) for _ in range(rng.randint(1, 5))]
+        yield masks, 0, rng.randint(1, 3)
+        yield [0] * rng.randint(1, 4), rng.randint(0, 3), rng.randint(1, 3)
+        yield [rng.getrandbits(12)], rng.randint(0, 14), rng.randint(1, 3)
+    for _ in range(150):
+        masks = level_one_masks(rng, rng.randint(2, 40))
+        yield masks, *ratio_near(rng, masks)
+    for _ in range(30):
+        masks = dense_masks(rng, rng.randint(1, 8))
+        yield masks, *ratio_near(rng, masks)
+    for n in (1, 2, 3, 7, 40, 120, 200):
+        for backwards in (False, True):
+            masks = zigzag_masks(n, backwards)
+            for p, q in ((n + 1, n), (n, n), (n + 2, n), (2, 1)):
+                yield masks, p, q
+
+
+def test_kernel_matches_reference_engine():
+    count = 0
+    for masks, p, q in kernel_cases():
+        assert ratio_cut(masks, p, q) == oracle_ratio_cut(masks, p, q), (masks, p, q)
+        count += 1
+    assert count >= 1000
