@@ -369,47 +369,24 @@ def bound_report(
     m_pow = _ival(m) ** _ival(Fraction(2 * h - 1, h))
     same_sets = a.elements == b.elements
 
-    bounds: list[BoundValue] = []
-
+    # One row of BoundValue fields per bound, in BOUND_NAMES order.
+    rows: list[tuple] = []
     if same_sets:
         # Both classical A = B bounds cap |hA| itself, which equals hb here,
         # not the top layer |A + hA|.
         frac = alpha**h * m
-        bounds.append(
-            BoundValue(
-                "plunnecke_hA",
-                float_up(_ival(frac)),
-                hb,
-                hb <= frac,
-                True,
-            )
-        )
+        rows.append(("plunnecke_hA", float_up(_ival(frac)), hb, hb <= frac, True))
         frac = alpha**2 * rising_binomial(alpha**4, h - 1) * m
-        bounds.append(
-            BoundValue(
-                "ruzsa_binomial_hA",
-                float_up(_ival(frac)),
-                hb,
-                hb <= frac,
-                True,
-            )
-        )
+        rows.append(("ruzsa_binomial_hA", float_up(_ival(frac)), hb, hb <= frac, True))
     else:
         note = "stated for A = B only"
-        bounds.append(BoundValue("plunnecke_hA", None, None, None, False, note))
-        bounds.append(BoundValue("ruzsa_binomial_hA", None, None, None, False, note))
+        rows.append(("plunnecke_hA", None, None, None, False, note))
+        rows.append(("ruzsa_binomial_hA", None, None, None, False, note))
 
     # observed <= alpha^h m^(2-1/h)  <=>  observed^h <= alpha^(h^2) m^(2h-1)
     ru_ok = Fraction(observed) ** h <= alpha ** (h * h) * Fraction(m) ** (2 * h - 1)
-    bounds.append(
-        BoundValue(
-            "ruzsa_universal",
-            float_up(_ival(alpha) ** h * m_pow),
-            observed,
-            ru_ok,
-            True,
-        )
-    )
+    val = float_up(_ival(alpha) ** h * m_pow)
+    rows.append(("ruzsa_universal", val, observed, ru_ok, True))
 
     if alpha <= 2:
         acc = _ival(alpha) * _ival(m)
@@ -422,34 +399,23 @@ def bound_report(
             )
         acc += _ival(alpha - 1) * _ival(m) ** 2 * tail
         val = float_up(acc)
-        bounds.append(
-            BoundValue("ruzsa_small_alpha", val, observed, observed <= val, False)
-        )
+        rows.append(("ruzsa_small_alpha", val, observed, observed <= val, False))
     else:
-        bounds.append(
-            BoundValue(
-                "ruzsa_small_alpha", None, None, None, False, "needs alpha <= 2"
-            )
-        )
+        rows.append(("ruzsa_small_alpha", None, None, None, False, "needs alpha <= 2"))
 
     note = "asymptotic main term, not asserted"
     val = float_up(e_iv / _ival(2 * h * h) * _ival(alpha) ** h * m_pow)
-    bounds.append(BoundValue("thm_main_universal", val, observed, None, False, note))
+    rows.append(("thm_main_universal", val, observed, None, False, note))
     val = float_up(
         _ival(m)
         + e_iv / _ival(h) * _ival(alpha - 1) * _ival(alpha) ** (h - 1) * m_pow
     )
-    bounds.append(BoundValue("thm_main_small_alpha", val, observed, None, False, note))
+    rows.append(("thm_main_small_alpha", val, observed, None, False, note))
 
     frac = alpha_1**h * m
-    bounds.append(
-        BoundValue("corollary_hb", float_up(_ival(frac)), hb, hb <= frac, True)
-    )
-
+    rows.append(("corollary_hb", float_up(_ival(frac)), hb, hb <= frac, True))
     first_ok, first_val = _top_bound(hb, ab, observed, beta)
-    bounds.append(
-        BoundValue("prop_restricted_first", first_val, observed, first_ok, True)
-    )
+    rows.append(("prop_restricted_first", first_val, observed, first_ok, True))
     second = (
         (1 + _ival(h) / beta_iv)
         * e_iv
@@ -457,57 +423,24 @@ def bound_report(
         * _ival(hb) ** _ival(Fraction(h - 1, h))
         / _ival(h)
     )
-    second_val = float_up(second)
-    bounds.append(
-        BoundValue(
-            "prop_restricted_second", second_val, observed, observed <= second_val, False
-        )
-    )
-
-    bounds.append(
-        BoundValue(
-            "certified_min_sum", certified.value, observed, certified.ok, True
-        )
-    )
-
+    val = float_up(second)
+    rows.append(("prop_restricted_second", val, observed, observed <= val, False))
+    rows.append(("certified_min_sum", certified.value, observed, certified.ok, True))
     growth = growth_commutative_bound(graph)
-    bounds.append(
-        BoundValue(
-            "growth_commutative", growth.value, growth.observed, growth.ok, True
-        )
-    )
-
+    rows.append(("growth_commutative", growth.value, growth.observed, growth.ok, True))
     pv_ok, pv_obs, pv_cap = _per_vertex_binomial(graph)
-    bounds.append(
-        BoundValue(
-            "per_vertex_binomial",
-            float(pv_cap),
-            pv_obs,
-            pv_ok,
-            True,
-            "worst vertex shown; verdict covers all",
-        )
-    )
+    note = "worst vertex shown; verdict covers all"
+    rows.append(("per_vertex_binomial", float(pv_cap), pv_obs, pv_ok, True, note))
 
     t_value: float | None = None
     if h >= 2 and beta.lt(Fraction(hb) / alpha_1 ** (h - 1)):
         # alpha_1 < s^(1/(h-1)) guaranteed; intervals cannot hit the pole.
         t_value = float_up(_slope(s_iv, alpha_1, h))
 
+    bounds = tuple(BoundValue(*row) for row in rows)
     return BoundReport(
-        h,
-        m,
-        ab,
-        hb,
-        observed,
-        alpha,
-        alpha_1,
-        beta,
-        float_up(s_iv),
-        t_value,
-        ratios,
-        block_sizes,
-        tuple(bounds),
+        h, m, ab, hb, observed, alpha, alpha_1, beta, float_up(s_iv), t_value,
+        ratios, block_sizes, bounds,
     )
 
 

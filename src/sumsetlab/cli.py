@@ -28,7 +28,7 @@ from .graphs import (
     build_addition_graph,
     build_restricted_graph,
     check_commutative,
-    graph_to_json,
+    dump_graph,
     load_graph,
 )
 from .groups import (
@@ -74,15 +74,13 @@ def _cmd_graph(args) -> int:
     if args.graph_cmd == "build":
         a = load_gset(args.a)
         b = load_gset(args.b)
-        graph = build_addition_graph(a, b, args.h, args.max_size)
-        _write_json(graph_to_json(graph), args.out)
+        dump_graph(build_addition_graph(a, b, args.h, args.max_size), args.out)
         return 0
     if args.graph_cmd == "restrict":
         a = load_gset(args.a)
         b = load_gset(args.b)
         c = load_gset(args.c)
-        graph = build_restricted_graph(a, b, c, args.h, args.max_size)
-        _write_json(graph_to_json(graph), args.out)
+        dump_graph(build_restricted_graph(a, b, c, args.h, args.max_size), args.out)
         return 0
     graph = load_graph(args.graph)
     report = check_commutative(graph, args.max_edges)

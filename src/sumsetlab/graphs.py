@@ -36,21 +36,28 @@ W's bits.  Channels of commutative graphs stay commutative, and they
 re-root their layers to 0..j-i while keeping original vertex ids and
 labels.
 
+A graph stores its edges once, as a sorted tuple of int keys, one per
+edge: (u - lo) * span + (v - lo), with lo the least vertex id and span the
+id range, so ascending keys are ascending (u, v) pairs.  The builders,
+channels and the checking constructor emit keys; the adjacency, the
+commutativity masks and the graph writer read them.  The pairs themselves
+(`LayeredGraph.edges`) are a view made only when asked for.
+
 A graph is validated once.  The `LayeredGraph` constructor, and so every
 graph document, checks and normalizes its input.  Graphs the package builds
 itself (addition and restricted graphs, channels, the peel's singleton
 blocks) come out already normalized, so the private `LayeredGraph._trusted`
 takes them as they are.  Either kind builds its adjacency (the layer of
 each vertex, its out-neighbours) on first use and keeps each level's sweep
-once made, so writing a graph out builds neither.
+once made, so writing a graph out builds neither, nor the pair view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, compress, repeat
-from operator import add, is_not, or_
+from itertools import chain, repeat
+from operator import add, floordiv, mod, mul, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardError, InputError
@@ -59,12 +66,14 @@ from .groups import (
     GSet,
     _bit_positions,
     _document,
+    _fill_rows,
     _int_rows,
     _is_int,
+    _json_text,
     _layers,
     _layout,
     _read_json,
-    _write_json,
+    _write_text,
 )
 
 __all__ = [
@@ -89,9 +98,15 @@ DEFAULT_EDGE_GUARD = 10_000
 SUBSET_GUARD = 22
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, init=False)
 class LayeredGraph:
     """Immutable layered graph; vertex ids are unique across all layers.
+
+    The edges are stored once, as the sorted tuple `_keys`: with lo the
+    least id and span the id range, edge (u, v) has key
+    (u - lo) * span + (v - lo), so equal graphs have equal keys.  Graphs
+    the package builds number their vertices 0..|V|-1, so a key is
+    u * |V| + v.  `edges`, the (from, to) pairs, is made on first use.
 
     The constructor checks and normalizes its input; `_trusted` takes a
     graph the package built itself as it is.  Either way the adjacency
@@ -100,82 +115,107 @@ class LayeredGraph:
 
     height: int
     layers: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]
-    labels: dict[int, Coords] | None = None
+    _keys: tuple[int, ...]
+    labels: dict[int, Coords] | None
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.height) or self.height < 1:
+    def __init__(
+        self, height: int, layers: Iterable, edges: Iterable, labels: Mapping | None = None
+    ) -> None:
+        if not _is_int(height) or height < 1:
             raise InputError("layered graph height must be >= 1")
-        layers = tuple(tuple(sorted(layer)) for layer in self.layers)
-        if len(layers) != self.height + 1:
+        layers = tuple(tuple(sorted(layer)) for layer in layers)
+        if len(layers) != height + 1:
             raise InputError(
-                f"height {self.height} needs {self.height + 1} layers, got {len(layers)}"
+                f"height {height} needs {height + 1} layers, got {len(layers)}"
             )
-        object.__setattr__(self, "layers", layers)
         layer_of = {v: idx for idx, layer in enumerate(layers) for v in layer}
+        if set(map(type, layer_of)) - {int}:
+            raise InputError("vertex ids must be integers")
         if len(layer_of) < sum(map(len, layers)):
             seen: set[int] = set()
             for v in chain.from_iterable(layers):
                 if v in seen:
                     raise InputError(f"vertex id {v} appears twice")
                 seen.add(v)
-        # Sorting first is linear on sorted input; duplicates then merge.
-        edges = tuple(dict.fromkeys(sorted(map(tuple, self.edges))))
         # Whole-list tests first; the per-edge loop only names the culprit.
-        ends = list(map(layer_of.get, chain.from_iterable(edges)))
+        rows = list(edges)
+        ends = _int_rows(rows) if rows else ()
+        levels = list(map(layer_of.get, ends or ()))
         if (
-            set(map(len, edges)) - {2}
-            or None in ends
-            or list(map(add, ends[::2], repeat(1))) != ends[1::2]
+            ends is None
+            or set(map(len, rows)) - {2}
+            or None in levels
+            or list(map(add, levels[::2], repeat(1))) != levels[1::2]
         ):
-            for u, v in edges:
+            for row in rows:
+                if type(row) not in (list, tuple) or len(row) != 2 or not all(
+                    map(_is_int, row)
+                ):
+                    raise InputError("'edges' entries must be [from, to] integer pairs")
+                u, v = row
                 if u not in layer_of or v not in layer_of:
                     raise InputError(f"edge ({u}, {v}) uses unknown vertex ids")
                 if layer_of[v] != layer_of[u] + 1:
                     raise InputError(
                         f"edge ({u}, {v}) does not join consecutive layers"
                     )
-        object.__setattr__(self, "edges", edges)
-        if self.labels is not None:
-            missing = [v for v in layer_of if v not in self.labels]
+        # u * span + v is the key plus lo * (span + 1).
+        lo, span = _frame(layers)
+        keys = set(map(add, map(mul, ends[::2], repeat(span)), ends[1::2]))
+        keys = sorted(map(sub, keys, repeat(lo * (span + 1))))
+        if labels is not None:
+            missing = [v for v in layer_of if v not in labels]
             if missing:
                 raise InputError(f"labels missing for vertex ids {missing[:5]}")
-            rows = map(tuple, map(self.labels.__getitem__, layer_of))
-            labels = dict(zip(layer_of, rows))
+            coords = map(tuple, map(labels.__getitem__, layer_of))
+            named = dict(zip(layer_of, coords))
             for layer in layers:
-                if len(set(map(labels.__getitem__, layer))) == len(layer):
+                if len(set(map(named.__getitem__, layer))) == len(layer):
                     continue
                 seen_labels: set[Coords] = set()
                 for v in layer:
-                    if labels[v] in seen_labels:
+                    if named[v] in seen_labels:
                         raise InputError(
-                            f"duplicate label {labels[v]} inside one layer"
+                            f"duplicate label {named[v]} inside one layer"
                         )
-                    seen_labels.add(labels[v])
-            if len(self.labels) > len(labels):
-                key = next(k for k in self.labels if k not in layer_of)
+                    seen_labels.add(named[v])
+            if len(labels) > len(named):
+                key = next(k for k in labels if k not in layer_of)
                 raise InputError(f"label key '{key}' names no vertex")
-            object.__setattr__(self, "labels", labels)
-        self.__dict__["_layer_of"] = layer_of
+            labels = named
+        self.__dict__.update(
+            height=height, layers=layers, _keys=tuple(keys), labels=labels, _layer_of=layer_of
+        )
 
     @classmethod
     def _trusted(
         cls,
         height: int,
         layers: tuple[tuple[int, ...], ...],
-        edges: tuple[tuple[int, int], ...],
+        keys: tuple[int, ...],
         labels: dict[int, Coords] | None,
     ) -> "LayeredGraph":
         # For graphs the package builds itself, already in the constructor's
-        # normal form: each layer a sorted tuple of distinct ids, edges a
-        # sorted tuple of distinct pairs joining consecutive layers, labels
-        # tuples for exactly the vertices, in layer order.  Skips the checks.
+        # normal form: each layer a sorted tuple of distinct ids, keys the
+        # sorted distinct keys (over these layers' lo and span) of edges
+        # joining consecutive layers, labels tuples for exactly the
+        # vertices, in layer order.  Skips the checks.
         graph = object.__new__(cls)
-        object.__setattr__(graph, "height", height)
-        object.__setattr__(graph, "layers", layers)
-        object.__setattr__(graph, "edges", edges)
-        object.__setattr__(graph, "labels", labels)
+        graph.__dict__.update(height=height, layers=layers, _keys=keys, labels=labels)
         return graph
+
+    def _ends(self) -> tuple[list[int], list[int]]:
+        # The tails and the heads of the edges, in key order.
+        lo, span = _frame(self.layers)
+        tails = map(floordiv, self._keys, repeat(span))
+        heads = map(mod, self._keys, repeat(span))
+        if lo:
+            tails, heads = map(add, tails, repeat(lo)), map(add, heads, repeat(lo))
+        return list(tails), list(heads)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self._ends()))
 
     @cached_property
     def _layer_of(self) -> dict[int, int]:
@@ -183,9 +223,9 @@ class LayeredGraph:
 
     @cached_property
     def _out(self) -> dict[int, tuple[int, ...]]:
-        # Sorted edges give each vertex its out-neighbours ascending.
+        # Ascending keys give each vertex its out-neighbours ascending.
         adj: dict[int, list[int]] = {v: [] for v in self._layer_of}
-        for v, w in self.edges:
+        for v, w in zip(*self._ends()):
             adj[v].append(w)
         return {v: tuple(ns) for v, ns in adj.items()}
 
@@ -211,7 +251,7 @@ class LayeredGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._keys)
 
     @property
     def is_empty(self) -> bool:
@@ -224,6 +264,12 @@ class LayeredGraph:
         if self.labels is None:
             raise InputError("graph carries no labels")
         return self.labels[v]
+
+
+def _frame(layers: Sequence[Sequence[int]]) -> tuple[int, int]:
+    # (lo, span) of the keys over these sorted layers: least id, id range.
+    ends = [v for layer in layers if layer for v in (layer[0], layer[-1])] or [0]
+    return min(ends), max(ends) - min(ends) + 1
 
 
 def _sweep(graph: LayeredGraph, level: int) -> dict[int, int]:
@@ -302,7 +348,7 @@ def _sum_graph(
     # edge x -> x+b wherever both ends are kept.  C's fold starts one level
     # up, so C+(i-1)B shares the layout of A+iB.  Ids run layer by layer, in
     # sorted label order inside a layer, as the layout yields each layer.
-    # Edges come in one run per element of B; one sort merges the runs.
+    # Edge keys come in one run per element of B; one sort merges the runs.
     layout = _layout(
         a.space, b.elements, h, ((a.elements, 0), (forbidden, 1)), h + 1
     )
@@ -311,23 +357,26 @@ def _sum_graph(
     removed = chain([layout.encode((), 0)], cuts)
     layers: list[tuple[int, ...]] = []
     labels: dict[int, Coords] = {}
-    edges: list[tuple[int, int]] = []
-    prev_keys: list = []
-    prev_ids = range(0)
+    lookups = []
     for level, (layer, cut) in enumerate(zip(grown, removed)):
         kept = layout.minus(layer, cut)
-        keys, coords = layout.members(kept, level)
-        ids = range(len(labels), len(labels) + len(keys))
+        positions, coords = layout.members(kept, level)
+        ids = range(len(labels), len(labels) + len(positions))
         labels.update(zip(ids, coords))
         layers.append(tuple(ids))
-        get = layout.lookup(dict(zip(keys, ids)), kept).get
-        for targets in layout.sums(prev_keys):
-            found = list(map(get, targets))
-            hits = map(is_not, found, repeat(None))
-            edges.extend(compress(zip(prev_ids, found), hits))
-        prev_keys, prev_ids = keys, ids
-    edges.sort()
-    return LayeredGraph._trusted(h, tuple(layers), tuple(edges), labels)
+        lookups.append((positions, ids, layout.lookup(dict(zip(positions, ids)), kept)))
+    # With span = |V|, the edges x -> x+b out of the layer at ids s..t-1
+    # have keys u * span + v for u = s..t-1, one run per b.  A sum that
+    # left the next layer gets the id -span * span, so its key is negative.
+    span, miss = len(labels), -len(labels) ** 2
+    keys: list[int] = []
+    for (positions, ids, _), (_, _, found) in zip(lookups, lookups[1:]):
+        bases = range(ids.start * span, ids.stop * span, span)
+        for targets in layout.sums(positions):
+            run = map(add, bases, map(found.get, targets, repeat(miss)))
+            keys.extend(filter((0).__le__, run))
+    keys.sort()
+    return LayeredGraph._trusted(h, tuple(layers), tuple(keys), labels)
 
 
 def build_addition_graph(
@@ -390,16 +439,18 @@ def channel(graph: LayeredGraph, u_set: Iterable[int], w_set: Iterable[int]) -> 
     masks, out = _sweep(graph, j), graph._out
     target = reduce(or_, map(masks.__getitem__, w))
     layers = [tuple(v for v in u if masks[v] & target)]
-    edges: list[tuple[int, int]] = []
     for _ in range(j - i):
-        step = [(v, t) for v in layers[-1] for t in out[v] if masks[t] & target]
-        layers.append(tuple(sorted({t for _, t in step})))
-        edges += step
-    edges.sort()
+        step = {t for v in layers[-1] for t in out[v] if masks[t] & target}
+        layers.append(tuple(sorted(step)))
+    lo, span = _frame(layers)
+    keys = sorted(
+        (v - lo) * span + t - lo
+        for layer in layers[:-1] for v in layer for t in out[v] if masks[t] & target
+    )
     labels = None
     if graph.labels is not None:
         labels = {v: graph.labels[v] for layer in layers for v in layer}
-    return LayeredGraph._trusted(j - i, tuple(layers), tuple(edges), labels)
+    return LayeredGraph._trusted(j - i, tuple(layers), tuple(keys), labels)
 
 
 def channel_of(graph: LayeredGraph, zset: Iterable[int]) -> LayeredGraph:
@@ -470,16 +521,19 @@ def _first_unmatched(cands: Sequence[int]) -> int | None:
 
 
 def _exchange_failures(
-    pairs: Iterable[tuple[int, int]],
-    mids: Mapping[int, int],
-    rows: Mapping[int, list[int]],
+    xs: Sequence[int], ys: Sequence[int], mids: Mapping[int, int], masks: Mapping[int, int]
 ) -> Iterator[tuple[int, int, int]]:
-    """(x, y, j) for each pair whose target masks rows[y], cut down to the
+    """(x, y, j) for each pair (xs[k], ys[k]) whose targets, cut down to the
     middle mask mids[x], cannot take distinct bits; j indexes the target
-    left unmatched.  A greedy lowest-free-bit pass settles most pairs.
-    Upward reads the edges (u, v) with out-masks as mids and rows of
-    in-masks; downward reads (w, v) for each edge (v, w), roles swapped."""
-    for x, y in pairs:
+    left unmatched.  The targets of y are the masks[z] over the pairs
+    (y, z), in pair order, so sorted pairs list them ascending.  A greedy
+    lowest-free-bit pass settles most pairs.  Upward reads the edges (u, v)
+    with out-masks as mids and in-masks as targets; downward reads (w, v)
+    for each edge (v, w), roles swapped."""
+    rows: dict[int, list[int]] = {v: [] for v in masks}
+    for x, y in zip(xs, ys):
+        rows[x].append(masks[y])
+    for x, y in zip(xs, ys):
         row = rows[y]
         avail = mids[x]
         for mask in row:
@@ -493,38 +547,6 @@ def _exchange_failures(
         j = _first_unmatched([mask & mid for mask in row])
         if j is not None:
             yield x, y, j
-
-
-def _flip(edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    return ((v, u) for u, v in edges)
-
-
-def _rows(
-    pairs: Iterable[tuple[int, int]], masks: Mapping[int, int]
-) -> dict[int, list[int]]:
-    """Each vertex x to the list of masks[y] over the pairs (x, y), in
-    pair order; sorted pairs list each x's partners ascending."""
-    rows: dict[int, list[int]] = {v: [] for v in masks}
-    for x, y in pairs:
-        rows[x].append(masks[y])
-    return rows
-
-
-def _masks(graph: LayeredGraph) -> tuple[dict[int, int], dict[int, int]]:
-    """Each vertex's out- and in-neighbours as a bitmask over their layer.
-
-    Bit k stands for the k-th vertex of the layer, so ascending bits are
-    ascending ids.
-    """
-    bit: dict[int, int] = {}
-    for layer in graph.layers:
-        bit.update(zip(layer, map((1).__lshift__, range(len(layer)))))
-    out_mask = dict.fromkeys(bit, 0)
-    in_mask = dict.fromkeys(bit, 0)
-    for u, v in graph.edges:
-        out_mask[u] |= bit[v]
-        in_mask[v] |= bit[u]
-    return out_mask, in_mask
 
 
 def _nth_bit_vertex(layer: Sequence[int], mask: int, n: int) -> int:
@@ -546,17 +568,24 @@ def check_commutative(
         raise GuardError(
             f"commutativity edge guard: {graph.edge_count} edges exceed cap {max_edges}"
         )
-    # Each direction's rows live only while its own scan runs.
-    out_mask, in_mask = _masks(graph)
-    edges, layers, layer_of = graph.edges, graph.layers, graph.layer_of
+    # Each vertex's out- and in-neighbours as a bitmask over their layer: bit
+    # k stands for the layer's k-th vertex, so ascending bits are ascending
+    # ids.  Edges are read in key order, as (u, v) upward and (v, u) downward.
+    layers, layer_of = graph.layers, graph.layer_of
+    bit = {v: 1 << k for layer in layers for k, v in enumerate(layer)}
+    out_mask = dict.fromkeys(bit, 0)
+    in_mask = dict.fromkeys(bit, 0)
+    tails, heads = graph._ends()
+    for u, v in zip(tails, heads):
+        out_mask[u] |= bit[v]
+        in_mask[v] |= bit[u]
     upward = [
         ((u, v, _nth_bit_vertex(layers[layer_of(v) + 1], out_mask[v], j)), "upward")
-        for u, v, j in _exchange_failures(edges, out_mask, _rows(edges, in_mask))
+        for u, v, j in _exchange_failures(tails, heads, out_mask, in_mask)
     ]
-    down_rows = _rows(_flip(edges), out_mask)
     downward = [
         ((_nth_bit_vertex(layers[layer_of(v) - 1], in_mask[v], j), v, w), "downward")
-        for w, v, j in _exchange_failures(_flip(edges), in_mask, down_rows)
+        for w, v, j in _exchange_failures(heads, tails, in_mask, out_mask)
     ]
     return CommutativityReport(not upward, not downward, tuple(upward + downward))
 
@@ -567,15 +596,32 @@ def check_commutative(
 #  "edges": [[from, to], ...]}
 
 
-def graph_to_json(graph: LayeredGraph) -> dict:
+def _fields(graph: LayeredGraph) -> dict:
+    # Every field of a graph document but its edges.
     labels = graph.labels or {}
     ids = sorted(labels)
     return {
         "height": graph.height,
         "layers": list(map(list, graph.layers)),
         "labels": dict(zip(map(str, ids), map(list, map(labels.__getitem__, ids)))),
-        "edges": list(map(list, graph.edges)),
     }
+
+
+def graph_to_json(graph: LayeredGraph) -> dict:
+    return {**_fields(graph), "edges": list(map(list, zip(*graph._ends())))}
+
+
+def _graph_text(graph: LayeredGraph) -> str:
+    # `graph_to_json(graph)` as `_write_json` writes it: "edges" sorts
+    # first, its rows filled from the ends of the keys, interleaved.
+    edges = "[]"
+    if graph.edge_count:
+        tails, heads = graph._ends()
+        ends = tails * 2
+        ends[1::2] = heads
+        ends[::2] = tails
+        edges = _fill_rows(ends, [2] * graph.edge_count, "  ")
+    return f'{{\n  "edges": {edges},\n' + _json_text(_fields(graph), "")[2:] + "\n"
 
 
 def _vertex_key(key: object) -> bool:
@@ -605,10 +651,6 @@ def graph_from_json(obj: object) -> LayeredGraph:
                 raise InputError("'layers' entries must be lists of integer ids")
     if not isinstance(edges, list):
         raise InputError("'edges' must be a list of [from, to] pairs")
-    if edges and (_int_rows(edges) is None or set(map(len, edges)) != {2}):
-        for e in edges:
-            if not isinstance(e, list) or len(e) != 2 or not all(map(_is_int, e)):
-                raise InputError("'edges' entries must be [from, to] integer pairs")
     labels_raw = {} if obj.get("labels") is None else obj["labels"]
     if not isinstance(labels_raw, dict):
         raise InputError("'labels' must be an object keyed by vertex id")
@@ -637,8 +679,9 @@ def graph_from_json(obj: object) -> LayeredGraph:
         raise InputError(f"inconsistent graph document: {exc}") from exc
 
 
-def dump_graph(graph: LayeredGraph, path: str) -> None:
-    _write_json(graph_to_json(graph), path)
+def dump_graph(graph: LayeredGraph, path: str | None) -> None:
+    """Write graph_to_json(graph) to path, or to stdout if path is None."""
+    _write_text(_graph_text(graph), path)
 
 
 def load_graph(path: str) -> LayeredGraph:

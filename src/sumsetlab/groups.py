@@ -508,8 +508,16 @@ def cardinality_stream(
 #
 # {"moduli": [m_1, ..., m_k], "elements": [[c_1, ..., c_k], ...]}
 # Input need not be normalized; output always is (sorted, deduplicated).
-# Set and graph files and CLI reports are all read by `_read_json` and
-# written by `_write_json`.
+# Set and graph files and CLI reports are all read by `_read_json`; sets
+# and reports are written by `_write_json`, graphs by `graphs.dump_graph`,
+# which fills the same row templates (`_fill_rows`) from its edge keys.
+
+
+def _shown(path: str) -> str:
+    """A path as messages print it: each non-printable character escaped
+    as Python writes it (`\\x00`, `\\t`, `\\x1b`), so none reaches a
+    terminal raw; printable paths print unchanged."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(path))
 
 
 def _read_json(path: str, kind: str) -> object:
@@ -517,11 +525,11 @@ def _read_json(path: str, kind: str) -> object:
         with open(path, "rb") as fh:
             data = fh.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
+        raise InputError(f"cannot read {kind} file {_shown(path)}: {exc}") from exc
     try:
         return json.loads(data.decode("utf-8"))
     except ValueError as exc:  # bad JSON, non-UTF-8 bytes, an over-long int
-        raise InputError(f"malformed JSON in {path}: {exc}") from exc
+        raise InputError(f"malformed JSON in {_shown(path)}: {exc}") from exc
 
 
 def _document(obj: object, kind: str, keys: Sequence[str]) -> list:
@@ -543,13 +551,13 @@ def _write_text(text: str, path: str | None, mode: str = "w") -> None:
         with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise InputError(f"cannot write {_shown(path)}: {exc}") from exc
 
 
 def _int_rows(rows: Collection) -> tuple[int, ...] | None:
-    """The ints of rows, in order, if rows are non-empty lists of plain ints
-    only (no bool, float or nesting); else None."""
-    if set(map(type, rows)) != {list} or not all(rows):
+    """The ints of rows, in order, if rows are non-empty lists (or tuples)
+    of plain ints only (no bool, float or nesting); else None."""
+    if not set(map(type, rows)) <= {list, tuple} or not all(rows):
         return None
     ints = tuple(chain.from_iterable(rows))
     return ints if set(map(type, ints)) == {int} else None
@@ -560,6 +568,19 @@ def _row_template(width: int, pad: str) -> str:
     # out at pad.
     inner = pad + "  "
     return f"[\n{inner}" + f",\n{inner}".join(["%d"] * width) + f"\n{pad}]"
+
+
+def _fill_rows(ints: Sequence[int], widths: list[int], pad: str) -> str:
+    """The non-empty list of int rows, of the given widths in order, that
+    holds `ints` in order, as `json.dumps(indent=2)` lays it out at pad."""
+    inner = pad + "  "
+    row = {width: _row_template(width, inner) for width in set(widths)}
+    if len(row) == 1:
+        rows = [row[widths[0]]] * len(widths)
+    else:
+        rows = list(map(row.__getitem__, widths))
+    body = f",\n{inner}".join(rows)
+    return f"[\n{inner}{body}\n{pad}]" % tuple(ints)
 
 
 def _json_text(obj: object, pad: str) -> str:
@@ -579,14 +600,7 @@ def _json_text(obj: object, pad: str) -> str:
             return _row_template(len(obj), pad) % tuple(obj)
         ints = _int_rows(obj)
         if ints is not None:
-            widths = set(map(len, obj))
-            if len(widths) == 1:
-                rows = [_row_template(widths.pop(), inner)] * len(obj)
-            else:
-                row = {width: _row_template(width, inner) for width in widths}
-                rows = list(map(row.__getitem__, map(len, obj)))
-            body = f",\n{inner}".join(rows)
-            return f"[\n{inner}{body}\n{pad}]" % ints
+            return _fill_rows(ints, list(map(len, obj)), pad)
     if type(obj) is dict and obj and set(map(type, obj)) == {str}:
         keys = sorted(obj)
         values = list(map(obj.__getitem__, keys))

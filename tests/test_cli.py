@@ -189,13 +189,15 @@ def test_unwritable_output_exits_2(workdir, capsys, argv):
 
 
 # Paths no file can have are not malformed documents; `open` refuses a NUL
-# byte with ValueError, not OSError.
+# byte with ValueError, not OSError.  Messages escape a path's non-printable
+# characters, so the NUL byte prints as the four characters \x00.
 NUL_PATHS = {
-    "set file": (["sumset", "A\0.json", "B.json"], "cannot read set file A\0.json"),
+    "set file": (["sumset", "A\0.json", "B.json"], "cannot read set file A\\x00.json"),
     "graph file": (
-        ["mag", "G\0.json", "--level", "1"], "cannot read graph file G\0.json"),
+        ["mag", "G\0.json", "--level", "1"], "cannot read graph file G\\x00.json"),
     "--out": (
-        ["sumset", "A.json", "B.json", "--out", "out\0.json"], "cannot write out\0.json"),
+        ["sumset", "A.json", "B.json", "--out", "out\0.json"],
+        "cannot write out\\x00.json"),
 }
 
 
@@ -205,6 +207,29 @@ def test_nul_byte_in_a_path_exits_2(workdir, capsys, monkeypatch, argv, message)
     before = sorted(workdir.iterdir())
     assert run(capsys, *argv) == (2, "", f"error: {message}: embedded null byte\n")
     assert sorted(workdir.iterdir()) == before
+
+
+def test_control_bytes_in_a_path_print_escaped(workdir, capsys, monkeypatch):
+    # An ESC or a tab in a path prints as \x1b or \t; OSError quotes the
+    # path with repr, which escapes it the same way.
+    monkeypatch.chdir(workdir)
+    code, out, err = run(capsys, "sumset", "A\x1b[2J.json", "B.json")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: cannot read set file A\\x1b[2J.json: [Errno 2] "
+        "No such file or directory: 'A\\x1b[2J.json'\n"
+    )
+    code, out, err = run(capsys, "sumset", "A.json", "B.json", "--out", "no/o\tut.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write no/o\\tut.json: [Errno 2] ")
+    assert err[:-1].isprintable()
+    (workdir / "bad\x1b.json").write_text("{")
+    code, _, err = run(capsys, "sumset", "bad\x1b.json", "B.json")
+    assert code == 2
+    assert err.startswith("error: malformed JSON in bad\\x1b.json: ")
+    # printable paths print as they are
+    code, _, err = run(capsys, "sumset", "n o\u00e9.json", "B.json")
+    assert err.startswith("error: cannot read set file n o\u00e9.json: ")
 
 
 def test_graph_file_roundtrips_through_mag(workdir, capsys):

@@ -1,5 +1,7 @@
 """Addition graphs, restricted graphs, channels, commutativity."""
 
+import json
+import pickle
 import re
 from itertools import chain
 
@@ -17,12 +19,13 @@ from sumsetlab import (
     channel_of,
     check_commutative,
     dump_graph,
+    dump_gset,
     graph_from_json,
     graph_to_json,
     image,
     load_graph,
 )
-from sumsetlab import groups
+from sumsetlab import cli, groups
 from sumsetlab.graphs import _first_unmatched, image_masks, subset_images
 from sumsetlab.partition import partition_graph
 from sumsetlab.instances import (
@@ -602,3 +605,138 @@ def test_channels_and_images_match_oracle_on_scrambled_graphs():
         partial += len(w) < len(g.layers[j])
         pathless += ch.is_empty
     assert min(lifted, partial, pathless) >= 20
+
+
+# -- the key store ------------------------------------------------------------
+#
+# A graph keeps its edges once, as sorted int keys; `edges` is a pair view
+# made on first use.  Constructor graphs below take ids that are negative,
+# sparse, or lower in the upper layers than in layer 0, with repeated edges.
+
+ID_POOLS = {
+    "negative": lambda rng, n: rng.sample(range(-60, 0), n),
+    "sparse": lambda rng, n: rng.sample(range(-10**12, 10**12), n),
+    "sinking": lambda rng, n: sorted(rng.sample(range(-30, 30), n), reverse=True),
+}
+
+
+def random_keyed_graph(rng, pool):
+    h = rng.randint(1, 3)
+    sizes = [rng.randint(1 if level == 0 else 0, 5) for level in range(h + 1)]
+    ids = ID_POOLS[pool](rng, sum(sizes))
+    layers = [ids[sum(sizes[:k]) : sum(sizes[: k + 1])] for k in range(h + 1)]
+    pairs = [
+        (u, v)
+        for lower, upper in zip(layers, layers[1:])
+        for u in lower
+        for v in upper
+        if rng.random() < 0.6
+    ]
+    pairs += rng.sample(pairs, len(pairs) // 3)
+    rng.shuffle(pairs)
+    rows = [rng.choice([list, tuple])(pair) for pair in pairs]
+    labels = None
+    if rng.random() < 0.5:
+        labels = {v: (k, -k) for layer in layers for k, v in enumerate(layer)}
+    return LayeredGraph(h, layers, rows, labels), pairs
+
+
+@pytest.mark.parametrize("pool", ID_POOLS)
+def test_key_store_holds_the_sorted_distinct_pairs(pool):
+    rng = rng_for(20261019, f"keys {pool}")
+    sinking = 0
+    for _ in range(300):
+        g, pairs = random_keyed_graph(rng, pool)
+        assert "edges" not in vars(g)
+        assert g.edge_count == len(set(pairs))
+        assert g.edges == tuple(sorted(set(pairs)))
+        assert type(g.edges) is tuple
+        assert {(type(e), len(e)) for e in g.edges} <= {(tuple, 2)}
+        assert check_commutative(g).violations == tuple(naive_violations(pairs))
+        for u in chain.from_iterable(g.layers):
+            assert g.out_neighbors(u) == tuple(sorted({w for v, w in pairs if v == u}))
+        assert LayeredGraph(g.height, g.layers, g.edges, g.labels) == g
+        assert_derived_graphs_are_validated(g, rng)
+        sinking += bool(g.layers[-1]) and g.layers[-1][-1] < g.layers[0][0]
+    if pool == "sinking":
+        assert sinking >= 50
+
+
+def test_constructor_refuses_ids_and_edges_that_are_not_ints():
+    # Keys are int arithmetic on ids, so ids and edge ends are plain ints.
+    for rows in ([(0, 1, 2)], [(0,)], [(0, True)], [[0, 1.0]], [0], [(0, 1), None]):
+        with pytest.raises(InputError, match=r"^'edges' entries must be \[from, to\]"):
+            LayeredGraph(1, ((0,), (1,)), rows)
+    for layers in ((("a",), ("b",)), ((0.5,), (1,)), ((True,), (2,))):
+        with pytest.raises(InputError, match="^vertex ids must be integers$"):
+            LayeredGraph(1, layers, ())
+
+
+def test_built_graphs_round_trip_and_pickle():
+    rng = rng_for(20261019, "keys pickle")
+    for _ in range(40):
+        a, b, c = random_triple(rng, a_hi=6, b_hi=3)
+        h = rng.randint(1, 3)
+        for g in (build_addition_graph(a, b, h), build_restricted_graph(a, b, c, h)):
+            derived = [g, channel_of(g, g.layers[0])] if g.layers[-1] else [g]
+            for d in derived:
+                assert LayeredGraph(d.height, d.layers, d.edges, d.labels) == d
+            copy = pickle.loads(pickle.dumps(g))
+            assert copy == g
+            assert copy.edges == g.edges
+            assert check_commutative(copy) == check_commutative(g)
+
+
+def writer_graphs(rng):
+    """Built, restricted, channel, loaded and unlabeled graphs, and one with
+    no edges at all."""
+    for _ in range(25):
+        a, b, c = random_triple(rng, a_hi=7, b_hi=4)
+        h = rng.randint(1, 3)
+        g = build_addition_graph(a, b, h)
+        yield g
+        yield build_restricted_graph(a, b, c, h)
+        yield channel_of(g, rng.sample(g.layers[0], rng.randint(1, len(g.layers[0]))))
+        yield graph_from_json(json.loads(json.dumps(graph_to_json(g))))
+        scrambled = random_scrambled_graph(rng)
+        yield LayeredGraph(scrambled.height, scrambled.layers, scrambled.edges)
+    # V_1 = (A+B) \ C is empty, so nothing joins layers 0 and 1
+    yield build_restricted_graph(gs(0), gs(0, 1), gs(0, 1), 2)
+
+
+def test_writer_matches_json_dumps_of_graph_to_json(tmp_path):
+    rng = rng_for(20261019, "graph writer")
+    path = tmp_path / "g.json"
+    kinds = set()
+    for g in writer_graphs(rng):
+        dump_graph(g, str(path))
+        doc = graph_to_json(g)
+        assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert load_graph(str(path)) == g
+        kinds.add((bool(doc["edges"]), bool(doc["labels"])))
+    assert kinds >= {(True, True), (True, False), (False, True)}
+
+
+@pytest.mark.parametrize("command", ["build", "restrict"])
+def test_graph_command_writes_without_the_pair_view(tmp_path, capsys, monkeypatch, command):
+    built = []
+
+    def keeping(real):
+        def build(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        return build
+
+    for name in ("build_addition_graph", "build_restricted_graph"):
+        monkeypatch.setattr(cli, name, keeping(getattr(cli, name)))
+    a, b, c = gs(0, 2, 3, 7), gs(0, 1, 3), gs(4)
+    for name, s in zip("ABC", (a, b, c)):
+        dump_gset(s, str(tmp_path / f"{name}.json"))
+    files = [str(tmp_path / f"{name}.json") for name in "ABC"[: 2 + (command == "restrict")]]
+    assert cli.main(["graph", command, *files, "--h", "3"]) == 0
+    (g,) = built
+    assert g.edge_count > 0
+    assert "edges" not in vars(g)
+    want = json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == want
