@@ -10,9 +10,10 @@ techniques are used:
   Fraction; a bound of the form x <= y^(1/h) is cross-powered to integers;
   and any comparison against beta is translated through the equivalence
 
-      beta <= r  <=>  C(r+h-1, h) >= |hB|      (r rational, r > 0)
+      beta <= p/q  <=>  prod_{i<h} (p + i q) >= |hB| h! q^h     (p, q > 0)
 
-  which needs no root-finding at all;
+  which needs no root-finding at all.  That one integer product, `_rising`,
+  is behind every binomial test, and beta's bracket endpoints are dyadic;
 * outward rounding: genuinely irrational bounds (those mixing e and
   fractional powers) are evaluated in interval arithmetic and rounded up to
   the nearest binary-64 value before comparison, so a reported violation is
@@ -27,6 +28,7 @@ from __future__ import annotations
 import io
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -77,8 +79,6 @@ __all__ = [
     "bound_report_to_json",
 ]
 
-# Relative width of a non-integer pseudo-cardinality bracket.
-_REL_TOL = Fraction(1, 10**12)
 # Evenly spaced points of the linear majorant's pointwise check.
 _MAJORANT_SAMPLES = 33
 
@@ -94,10 +94,6 @@ def _ival(x):
     return _IV.mpf(x)
 
 
-def _frac_interval(lo: Fraction, hi: Fraction):
-    return _IV.mpf([_ival(lo).a, _ival(hi).b])
-
-
 def float_up(x) -> float:
     """Smallest binary-64 value >= the upper endpoint of interval x."""
     hi = x.b
@@ -107,15 +103,17 @@ def float_up(x) -> float:
     return f
 
 
+def _rising(p: int, q: int, h: int) -> int:
+    """prod_{i<h} (p + i q) = q^h h! C(p/q + h - 1, h), for q >= 1."""
+    return math.prod(range(p, p + h * q, q))
+
+
 def rising_binomial(x: Fraction | int, h: int) -> Fraction:
     """Generalized binomial C(x+h-1, h) = prod_{i=0}^{h-1} (x+i) / h!."""
     if not _is_int(h) or h < 0:
         raise InputError(f"binomial order must be a non-negative integer, got {h!r}")
-    prod = Fraction(1)
-    x = Fraction(x)
-    for i in range(h):
-        prod *= x + i
-    return prod / math.factorial(h)
+    p, q = x.as_integer_ratio()
+    return Fraction(_rising(p, q, h), q**h * math.factorial(h))
 
 
 # -- pseudo-cardinality --------------------------------------------------------
@@ -126,9 +124,10 @@ class PseudoCardinality:
     """The positive real beta with C(beta+h-1, h) = n, bracketed certifiably.
 
     lo and hi are rationals with C(lo+h-1, h) <= n <= C(hi+h-1, h); when n is
-    a binomial value at an integer the bracket collapses and exact is True.
-    beta is the float midpoint, for display only; every decision should go
-    through leq / lt, which are exact.
+    a binomial value at an integer the bracket collapses and exact is True;
+    otherwise lo and hi are adjacent multiples of 1/2^k with hi - lo <= lo /
+    10^12.  beta is the float midpoint, for display only; every decision
+    should go through leq / lt, which are exact.
     """
 
     n: int
@@ -153,42 +152,38 @@ class PseudoCardinality:
         return rising_binomial(r, self.h) > self.n
 
     def interval(self):
-        return _frac_interval(self.lo, self.hi)
+        return _IV.mpf([_ival(self.lo).a, _ival(self.hi).b])
 
 
 def pseudo_cardinality(n: int, h: int) -> PseudoCardinality:
     """Solve C(beta+h-1, h) = n for beta >= 1.
 
-    Integer solutions are detected exactly; otherwise beta is bisected to a
-    bracket of width <= _REL_TOL * max(1, beta) with rational endpoints,
-    each certified by evaluating the binomial exactly.
+    Each test compares _rising(p, q, h) with n h! q^h for beta <= p/q.  The
+    least integer c >= beta comes from doubling and bisection; unless beta =
+    c, the bracket [a, a+1] / 2^k is halved on its integer numerator a until
+    a >= 10^12, i.e. until its width is at most lo / 10^12.
     """
     if not _is_int(n) or n < 1:
         raise InputError(f"pseudo-cardinality needs a positive integer count, got {n!r}")
     if not _is_int(h) or h < 1:
         raise InputError(f"pseudo-cardinality needs a positive integer h, got {h!r}")
-    hi_int = 1
-    while rising_binomial(hi_int, h) < n:
-        hi_int *= 2
-    lo_int, cand = 1, hi_int
-    while lo_int < cand:
-        mid = (lo_int + cand) // 2
-        if rising_binomial(mid, h) >= n:
-            cand = mid
-        else:
-            lo_int = mid + 1
-    exact_val = rising_binomial(cand, h)
-    if exact_val == n:
-        r = Fraction(cand)
-        return PseudoCardinality(n, h, float(cand), r, r, True)
-    lo, hi = Fraction(cand - 1), Fraction(cand)
-    while hi - lo > _REL_TOL * max(Fraction(1), lo):
-        mid = (lo + hi) / 2
-        if rising_binomial(mid, h) >= n:
-            hi = mid
-        else:
-            lo = mid
-    return PseudoCardinality(n, h, float((lo + hi) / 2), lo, hi, False)
+    target = n * math.factorial(h)
+    top = 1
+    while _rising(top, 1, h) < target:
+        top *= 2
+    c = bisect_left(range(top + 1), target, lo=1, key=lambda x: _rising(x, 1, h))
+    if _rising(c, 1, h) == target:
+        r = Fraction(c)
+        return PseudoCardinality(n, h, float(c), r, r, True)
+    a, k = c - 1, 0
+    while a < 10**12:
+        # Test the midpoint (2a+1) / 2^(k+1) and keep the half holding beta.
+        a, k = 2 * a, k + 1
+        target <<= h
+        if _rising(a + 1, 1 << k, h) < target:
+            a += 1
+    lo, hi = Fraction(a, 1 << k), Fraction(a + 1, 1 << k)
+    return PseudoCardinality(n, h, (2 * a + 1) / (1 << (k + 1)), lo, hi, False)
 
 
 # -- bound report --------------------------------------------------------------
@@ -612,7 +607,7 @@ def large_subset_search(
 
     Basic form: (|X| - t) (n / (m - t))^h with n = |V_1|, m = |V_0|.
     With alpha_1: alpha_1^h t + (|X| - t) ((n - alpha_1 t) / (m - t))^h.
-    All arithmetic is rational, so membership is exact.
+    The budgets are rational, one per subset size, so membership is exact.
     """
     bottom = list(graph.layers[0])
     m = len(bottom)
@@ -628,22 +623,23 @@ def large_subset_search(
     n = len(graph.layers[1])
     h = graph.height
     masks = image_masks(graph, h)
-    a1 = magnification_flow(graph, 1).value if with_alpha_1 else None
-    scale = (
-        ((n - a1 * t) / (m - t)) ** h if with_alpha_1 else (Fraction(n, 1) / (m - t)) ** h
-    )
-    offset = a1**h * t if with_alpha_1 else Fraction(0)
+    a1 = magnification_flow(graph, 1).value if with_alpha_1 else 0  # 0: basic form
+    scale = ((n - a1 * t) / (m - t)) ** h
+    # One budget per |X|; an image size is an integer, so it is within a
+    # budget exactly when it is within the budget's floor.
+    budgets = [a1**h * t + (size - t) * scale for size in range(m + 1)]
+    caps = list(map(math.floor, budgets))
+    least = math.floor(t) + 1  # the least |X| above t
     checked = 0
     for mask, im in subset_images(masks):
         size = mask.bit_count()
-        if size <= t:
+        if size < least:
             continue
         checked += 1
-        budget = offset + (size - t) * scale
-        if im.bit_count() <= budget:
+        if im.bit_count() <= caps[size]:
             subset = tuple(bottom[k] for k in range(m) if mask >> k & 1)
             return LargeSubsetResult(
-                True, subset, im.bit_count(), budget, t, with_alpha_1, checked
+                True, subset, im.bit_count(), budgets[size], t, with_alpha_1, checked
             )
     return LargeSubsetResult(False, None, None, None, t, with_alpha_1, checked)
 

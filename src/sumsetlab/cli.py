@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
 from .bounds import (
     bound_report,
@@ -139,7 +138,7 @@ def _cmd_construct(args) -> int:
     else:
         if args.alpha is None:
             raise InputError("construct example2 requires --alpha")
-        a, b, spec = example2(args.h, args.a, Fraction(args.alpha))
+        a, b, spec = example2(args.h, args.a, args.alpha)
     dump_gset(a, args.out_a)
     dump_gset(b, args.out_b)
     payload = construction_spec_to_json(spec)

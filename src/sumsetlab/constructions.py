@@ -20,6 +20,7 @@ b+1 disjoint translates of A_1.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,13 +104,15 @@ def example1(h: int, a: int, l: int) -> tuple[GSet, GSet, ConstructionSpec]:
     _check_positive_int("l", l)
     if a ** (h - 1) % h != 0:
         raise InputError(
-            f"divisibility h | a^(h-1) required: {h} does not divide {a ** (h - 1)}"
+            f"divisibility h | a^(h-1) required: {h} does not divide {a}^{h - 1}"
         )
     b = l * a
     if b < 2:
         raise InputError(f"need b = l*a >= 2 for distinct unit vectors, got {b}")
     extra = a ** (h - 1) // h
     k = h + extra
+    if k > sys.maxsize:
+        raise InputError(f"h = {h} and a = {a} need more than {sys.maxsize} coordinates")
     space = GroupSpace((b,) * k)
     grid: list[tuple[int, ...]] = [()]
     for _ in range(h):
@@ -143,16 +146,18 @@ def example2(h: int, a: int, alpha) -> tuple[GSet, GSet, ConstructionSpec]:
     """
     _check_positive_int("h", h)
     _check_positive_int("a", a)
+    # Messages show alpha as given: its value may have too many digits to print.
+    given = alpha
     try:
         alpha = Fraction(alpha)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"alpha must be a real number, got {alpha!r}") from exc
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise InputError(f"alpha must be a real number, got {given!r}") from exc
     if not 1 <= alpha <= 2:
-        raise InputError(f"alpha must lie in [1, 2], got {alpha}")
+        raise InputError(f"alpha must lie in [1, 2], got {given!r}")
     b_frac = (alpha - 1) * a ** (h - 1) / h
     if b_frac.denominator != 1:
         raise InputError(
-            f"(alpha-1) a^(h-1) / h must be an integer, got {b_frac}"
+            f"(alpha-1) a^(h-1) / h must be an integer at alpha = {given!r}, a = {a}, h = {h}"
         )
     b = int(b_frac)
     k = h + 1

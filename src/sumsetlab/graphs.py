@@ -164,6 +164,16 @@ class LayeredGraph:
         keys = set(map(add, map(mul, ends[::2], repeat(span)), ends[1::2]))
         keys = sorted(map(sub, keys, repeat(lo * (span + 1))))
         if labels is not None:
+            values = list(labels.values())
+            if values and _int_rows(values) is None:
+                for row in values:
+                    if type(row) not in (list, tuple) or not all(map(_is_int, row)):
+                        raise InputError("'labels' values must be integer coordinate lists")
+            ranks = sorted(set(map(len, values)))
+            if len(ranks) > 1:
+                raise InputError(
+                    f"'labels' coordinate lists differ in length: {ranks[0]} and {ranks[-1]}"
+                )
             missing = [v for v in layer_of if v not in labels]
             if missing:
                 raise InputError(f"labels missing for vertex ids {missing[:5]}")
@@ -638,7 +648,8 @@ def graph_from_json(obj: object) -> LayeredGraph:
 
     Each list is first tested whole; only when that test fails does a loop
     over its entries find the one to name in the error.  The constructor
-    then checks the structure.  Duplicate edges are merged.
+    then checks the structure and the label values.  Duplicate edges are
+    merged.
     """
     height, layers, edges = _document(obj, "graph", ("height", "layers", "edges"))
     if not _is_int(height) or height < 1:
@@ -655,24 +666,17 @@ def graph_from_json(obj: object) -> LayeredGraph:
     if not isinstance(labels_raw, dict):
         raise InputError("'labels' must be an object keyed by vertex id")
     keys = list(labels_raw)
-    coords = list(labels_raw.values())
     try:
         ids = list(map(int, keys))
     except (TypeError, ValueError):
         ids = []
-    if coords and (list(map(str, ids)) != keys or _int_rows(coords) is None):
-        for key, row in labels_raw.items():
+    if list(map(str, ids)) != keys:
+        for key in keys:
             if not _vertex_key(key):
                 raise InputError(f"label key {key!r} is not a vertex id")
-            if not isinstance(row, list) or not all(map(_is_int, row)):
-                raise InputError("'labels' values must be integer coordinate lists")
-    ranks = sorted(set(map(len, coords)))
-    if len(ranks) > 1:
-        raise InputError(
-            f"'labels' coordinate lists differ in length: {ranks[0]} and {ranks[-1]}"
-        )
+    labels = dict(zip(ids, labels_raw.values())) or None
     try:
-        return LayeredGraph(height, layers, edges, dict(zip(ids, coords)) or None)
+        return LayeredGraph(height, layers, edges, labels)
     except InputError:
         raise
     except Exception as exc:  # defensive: malformed structure

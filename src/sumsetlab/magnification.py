@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 from .errors import GuardError, InputError
@@ -80,13 +82,6 @@ def _validate_level(graph: LayeredGraph, level: int) -> None:
         raise InputError("magnification of an empty bottom layer is undefined")
 
 
-def _union(vertex_masks: Sequence[int], idx: Sequence[int]) -> int:
-    image = 0
-    for k in idx:
-        image |= vertex_masks[k]
-    return image
-
-
 def magnification_bruteforce(graph: LayeredGraph, level: int) -> MagnificationResult:
     """Enumerate every non-empty subset of the bottom layer.
 
@@ -115,7 +110,7 @@ def magnification_bruteforce(graph: LayeredGraph, level: int) -> MagnificationRe
     value = Fraction(best_num, best_den)
     tight_idx = [k for k in range(n) if union_mask >> k & 1]
     tight = tuple(bottom[k] for k in tight_idx)
-    union_im = _union(vertex_masks, tight_idx)
+    union_im = reduce(or_, map(vertex_masks.__getitem__, tight_idx), 0)
     witness = union_im.bit_count() * value.denominator == value.numerator * len(tight)
     return MagnificationResult(level, value, tight, witness)
 
@@ -124,13 +119,13 @@ def _tight(vertex_masks: Sequence[int]) -> tuple[Ratio, list[int], int]:
     """The ratio, the maximal tight set (ascending indices) and its image,
     where vertex_masks[k] is the image of bottom vertex k as a bitmask."""
     z = list(range(len(vertex_masks)))
-    z_image = _union(vertex_masks, z)
+    z_image = reduce(or_, vertex_masks, 0)
     # Start from Z = V_0; each cut at Z's ratio p/q yields the maximal
     # minimizer of q|image(Z')| - p|Z'|, which becomes the next Z.
     while True:
         value = Fraction(z_image.bit_count(), len(z))
         saturated, z = ratio_cut(vertex_masks, value.numerator, value.denominator)
-        z_image = _union(vertex_masks, z)
+        z_image = reduce(or_, map(vertex_masks.__getitem__, z), 0)
         if saturated:
             return value, z, z_image
 

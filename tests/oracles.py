@@ -8,6 +8,7 @@ package cannot hide inside its own oracle.
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 
 def naive_normalize(coords, moduli):
@@ -416,3 +417,68 @@ def naive_restricted_sumset(x, b, j_set, j, h, samples, moduli):
         rhs = len(rest(xs, js, j - 1))
         reiher.append(lhs**j * size <= c * rhs**j)
     return hypothesis, Fraction(c, size), observed, conclusion, tuple(reiher)
+
+
+def naive_rising_binomial(x, h):
+    """C(x+h-1, h) = prod_{i<h} (x+i) / h!, multiplied out in Fractions."""
+    prod = Fraction(1)
+    x = Fraction(x)
+    for i in range(h):
+        prod *= x + i
+    return prod / factorial(h)
+
+
+def naive_pseudo_cardinality(n, h):
+    """(n, h, beta, lo, hi, exact) for C(beta+h-1, h) = n by Fraction
+    bisection: an integer bracket first, then halving until the width is at
+    most max(1, lo) / 10^12."""
+    rel_tol = Fraction(1, 10**12)
+    hi_int = 1
+    while naive_rising_binomial(hi_int, h) < n:
+        hi_int *= 2
+    lo_int, cand = 1, hi_int
+    while lo_int < cand:
+        mid = (lo_int + cand) // 2
+        if naive_rising_binomial(mid, h) >= n:
+            cand = mid
+        else:
+            lo_int = mid + 1
+    exact_val = naive_rising_binomial(cand, h)
+    if exact_val == n:
+        r = Fraction(cand)
+        return n, h, float(cand), r, r, True
+    lo, hi = Fraction(cand - 1), Fraction(cand)
+    while hi - lo > rel_tol * max(Fraction(1), lo):
+        mid = (lo + hi) / 2
+        if naive_rising_binomial(mid, h) >= n:
+            hi = mid
+        else:
+            lo = mid
+    return n, h, float((lo + hi) / 2), lo, hi, False
+
+
+def naive_large_subset(edges, bottom, n, h, t, alpha_1=None):
+    """(found, subset, image size, bound, checked): the first X of the
+    sorted bottom, in ascending bitmask order, with |X| > t and
+    |image(X, h)| within its budget, the budget rebuilt as a Fraction for
+    every subset: (|X| - t) (n / (m - t))^h, or with alpha_1
+    alpha_1^h t + (|X| - t) ((n - alpha_1 t) / (m - t))^h."""
+    bottom = sorted(bottom)
+    m = len(bottom)
+    t = Fraction(t)
+    images = [naive_image(edges, [v], h) for v in bottom]
+    checked = 0
+    for mask in range(1, 1 << m):
+        idx = [k for k in range(m) if mask >> k & 1]
+        if len(idx) <= t:
+            continue
+        checked += 1
+        if alpha_1 is None:
+            budget = (len(idx) - t) * (Fraction(n) / (m - t)) ** h
+        else:
+            scale = ((n - alpha_1 * t) / (m - t)) ** h
+            budget = alpha_1**h * t + (len(idx) - t) * scale
+        size = len(frozenset().union(*(images[k] for k in idx)))
+        if size <= budget:
+            return True, tuple(bottom[k] for k in idx), size, budget, checked
+    return False, None, None, None, checked

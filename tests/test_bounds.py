@@ -24,6 +24,7 @@ from sumsetlab import (
     growth_general_bound,
     large_subset_search,
     linear_majorant,
+    magnification_flow,
     nap_check,
     partition_graph,
     pseudo_cardinality,
@@ -31,10 +32,18 @@ from sumsetlab import (
     restricted_sumset_check,
     rising_binomial,
 )
+from sumsetlab import bounds
 from sumsetlab.bounds import BOUND_NAMES, check_majorant_pointwise, majorant_from_root
-from sumsetlab.instances import random_gset, random_pair, rng_for
+from sumsetlab.instances import random_gset, random_pair, random_triple, rng_for
 
-from oracles import naive_image, naive_restricted_sumset, naive_sumset
+from oracles import (
+    naive_image,
+    naive_large_subset,
+    naive_pseudo_cardinality,
+    naive_rising_binomial,
+    naive_restricted_sumset,
+    naive_sumset,
+)
 
 Z = GroupSpace((0,))
 
@@ -87,6 +96,48 @@ def test_pseudo_cardinality_exact_comparisons():
     assert not p.leq(0) and not p.lt(-3)
     q = pseudo_cardinality(15, 2)  # beta = 5 exactly
     assert q.leq(5) and not q.lt(5)
+
+
+def test_pseudo_cardinality_matches_fraction_bisection():
+    # The integer search against the Fraction bisection it replaced: every
+    # field, the float midpoint included, on random counts and on every
+    # binomial value C(r+h-1, h) the exact branch must catch.
+    rng = rng_for(20261019, "pseudo-cardinality")
+    cases = [(rng.randrange(1, 10**8), rng.randint(1, 7)) for _ in range(600)]
+    cases += [(rng.randrange(1, 100), rng.randint(1, 7)) for _ in range(100)]
+    cases += [(math.comb(r + h - 1, h), h) for h in range(1, 7) for r in range(1, 31)]
+    cases += [
+        (math.comb(r + h - 1, h) + d, h) for h in range(2, 7) for r in (2, 30) for d in (-1, 1)
+    ]
+    for n, h in cases:
+        p = pseudo_cardinality(n, h)
+        assert (p.n, p.h, p.beta, p.lo, p.hi, p.exact) == naive_pseudo_cardinality(n, h)
+        assert type(p.beta) is float
+
+
+def test_pseudo_cardinality_makes_fractions_only_for_its_bracket(monkeypatch):
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(bounds, "Fraction", counted)
+    p = pseudo_cardinality(12345, 5)
+    assert not p.exact
+    assert len(made) <= 2
+    made.clear()
+    assert pseudo_cardinality(math.comb(9, 5), 5).exact
+    assert len(made) <= 2
+
+
+def test_rising_binomial_matches_fraction_product():
+    rng = rng_for(20261019, "rising binomial")
+    for _ in range(300):
+        x = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        h = rng.randint(0, 7)
+        assert rising_binomial(x, h) == naive_rising_binomial(x, h)
+    assert rising_binomial(2.5, 2) == Fraction(35, 8)
 
 
 def test_pseudo_cardinality_validation():
@@ -456,6 +507,46 @@ def test_large_subset_random_reverified():
         assert len(im) == res.image_size
         assert res.image_size <= res.bound
         assert len(res.subset) > t
+
+
+def _subset_graphs(rng):
+    # Addition graphs and restricted graphs (whose bottom vertices may reach
+    # nothing), each with |V_0| <= 12.
+    while True:
+        if rng.random() < 0.5:
+            a, b = random_pair(rng, a_hi=12, b_hi=4)
+            g = build_addition_graph(a, b, rng.randint(1, 3))
+        else:
+            a, b, c = random_triple(rng, a_hi=12, b_hi=4, c_hi=8)
+            g = build_restricted_graph(a, b, c, rng.randint(1, 3))
+        if len(g.layers[0]) <= 12:
+            yield g
+
+
+def test_large_subset_matches_per_subset_budgets():
+    # One budget per subset size, compared by its floor, against a budget
+    # rebuilt as a Fraction for every subset.
+    rng = rng_for(20261019, "large subsets")
+    graphs = _subset_graphs(rng)
+    found = 0
+    for _ in range(60):
+        g = next(graphs)
+        m, n, h = len(g.layers[0]), len(g.layers[1]), g.height
+        a1 = magnification_flow(g, 1).value if g.layers[1] else None
+        for t in {Fraction(0), Fraction(m, 4), Fraction(m, 2), Fraction(1, 3)}:
+            if t >= m:
+                continue
+            for with_alpha_1 in (False, True):
+                if with_alpha_1 and a1 is None:
+                    continue
+                res = large_subset_search(g, t, with_alpha_1)
+                want = naive_large_subset(
+                    g.edges, g.layers[0], n, h, t, a1 if with_alpha_1 else None
+                )
+                assert (res.found, res.subset, res.image_size, res.bound, res.checked) == want
+                assert res.t == t and res.with_alpha_1 == with_alpha_1
+                found += res.found
+    assert found > 100
 
 
 # -- set-addition statements ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON payloads, reproducibility."""
 
 import json
+import sys
 
 import pytest
 
@@ -638,6 +639,47 @@ def test_construct_invalid_parameters_exit_2(workdir, capsys):
     )
     assert code == 2
     assert "divisibility" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ["example2", "--h", "2", "--a", "8", "--alpha", "3/0"],
+            "alpha must be a real number, got '3/0'",
+            id="alpha 3/0",
+        ),
+        pytest.param(
+            ["example1", "--h", "5000", "--a", "10"],
+            f"h = 5000 and a = 10 need more than {sys.maxsize} coordinates",
+            id="k past an index",
+        ),
+        pytest.param(
+            ["example2", "--h", "2", "--a", "8", "--alpha", "1e1000000"],
+            "alpha must lie in [1, 2], got '1e1000000'",
+            id="alpha past the digit limit",
+        ),
+        pytest.param(
+            ["example1", "--h", "5001", "--a", "10"],
+            "divisibility h | a^(h-1) required: 5001 does not divide 10^5000",
+            id="a^(h-1) past the digit limit",
+        ),
+        pytest.param(
+            ["example2", "--h", "5001", "--a", "10", "--alpha", "3/2"],
+            "(alpha-1) a^(h-1) / h must be an integer at alpha = '3/2', a = 10, h = 5001",
+            id="b past the digit limit",
+        ),
+    ],
+)
+def test_construct_out_of_reach_parameters_exit_2(workdir, capsys, argv, message):
+    # Values too large to build or to print still get a one-line message
+    # that shows the arguments as typed.
+    code, out, err = run(
+        capsys, "construct", *argv,
+        "--out-a", workdir / "XA.json", "--out-b", workdir / "XB.json",
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (workdir / "XA.json").exists()
 
 
 def test_construct_example2_needs_alpha(workdir, capsys):

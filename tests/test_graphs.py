@@ -317,6 +317,43 @@ def test_graph_json_without_labels():
         assert graph_from_json(doc) == unlabeled
 
 
+# Label maps a graph document cannot hold, with the message load_graph
+# gives for each; the constructor refuses them with the same message.
+UNLOADABLE_LABELS = (
+    ({0: (0,), 1: (0, 1)}, "'labels' coordinate lists differ in length: 1 and 2"),
+    ({0: ("a",), 1: ("b",)}, "'labels' values must be integer coordinate lists"),
+    ({0: (1.5,), 1: (2,)}, "'labels' values must be integer coordinate lists"),
+    ({0: (True,), 1: (0,)}, "'labels' values must be integer coordinate lists"),
+)
+
+
+@pytest.mark.parametrize("labels, message", UNLOADABLE_LABELS)
+def test_constructor_refuses_labels_a_document_cannot_hold(tmp_path, labels, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        LayeredGraph(1, [[0], [1]], [(0, 1)], labels)
+    doc = {"height": 1, "layers": [[0], [1]], "edges": [[0, 1]]}
+    doc["labels"] = {str(v): list(row) for v, row in labels.items()}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        load_graph(str(path))
+
+
+def test_every_constructed_labeling_loads_back(tmp_path):
+    # Whatever labels the constructor accepts, dump_graph writes and
+    # load_graph reads back, rank-0 labels included.
+    path = tmp_path / "g.json"
+    for labels in (
+        {0: (), 1: ()},
+        {0: [], 1: []},
+        {0: (0,), 1: (1,)},
+        {0: [-5, 7], 1: (10**30, 0)},
+    ):
+        g = LayeredGraph(1, [[0], [1]], [(0, 1)], labels)
+        dump_graph(g, str(path))
+        assert load_graph(str(path)) == g
+
+
 def test_load_graph_reports_unreadable_and_malformed_files(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(InputError, match=re.escape(f"cannot read graph file {missing}")):
