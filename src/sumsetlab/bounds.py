@@ -112,7 +112,12 @@ def rising_binomial(x: Fraction | int, h: int) -> Fraction:
     """Generalized binomial C(x+h-1, h) = prod_{i=0}^{h-1} (x+i) / h!."""
     if not _is_int(h) or h < 0:
         raise InputError(f"binomial order must be a non-negative integer, got {h!r}")
-    p, q = x.as_integer_ratio()
+    try:  # ints, Fractions, floats and Decimals, if finite
+        p, q = x.as_integer_ratio()
+    except (AttributeError, ValueError, OverflowError):
+        raise InputError(
+            f"binomial argument must be a finite real number, got {x!r}"
+        ) from None
     return Fraction(_rising(p, q, h), q**h * math.factorial(h))
 
 
@@ -138,18 +143,12 @@ class PseudoCardinality:
     exact: bool
 
     def leq(self, r: Fraction | int) -> bool:
-        """Exact test beta <= r."""
-        r = Fraction(r)
-        if r <= 0:
-            return False
-        return rising_binomial(r, self.h) >= self.n
+        """Exact test beta <= r, for r as `rising_binomial` takes x."""
+        return rising_binomial(r, self.h) >= self.n and r > 0
 
     def lt(self, r: Fraction | int) -> bool:
-        """Exact test beta < r."""
-        r = Fraction(r)
-        if r <= 0:
-            return False
-        return rising_binomial(r, self.h) > self.n
+        """Exact test beta < r, for r as `rising_binomial` takes x."""
+        return rising_binomial(r, self.h) > self.n and r > 0
 
     def interval(self):
         return _IV.mpf([_ival(self.lo).a, _ival(self.hi).b])

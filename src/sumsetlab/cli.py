@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from dataclasses import asdict
+from functools import cache
 
 from .bounds import (
     bound_report,
@@ -170,6 +171,7 @@ def _add_max_size(p: argparse.ArgumentParser) -> None:
     )
 
 
+@cache  # one parser per process, built by the first `main`
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sumsetlab",

@@ -309,9 +309,9 @@ def image(graph: LayeredGraph, zset: Iterable[int], steps: int) -> frozenset:
     bottom = set(graph.layers[0])
     if not z <= bottom:
         raise InputError("image source must be a subset of the bottom layer")
-    if not 0 <= steps <= graph.height:
+    if not _is_int(steps) or not 0 <= steps <= graph.height:
         raise InputError(
-            f"step count {steps} outside 0..{graph.height}"
+            f"step count {steps!r} outside 0..{graph.height}"
         )
     reached = reduce(or_, map(_sweep(graph, steps).__getitem__, z), 0)
     return frozenset(map(graph.layers[steps].__getitem__, _bit_positions(reached)))
@@ -358,6 +358,7 @@ def _sum_graph(
     # edge x -> x+b wherever both ends are kept.  C's fold starts one level
     # up, so C+(i-1)B shares the layout of A+iB.  Ids run layer by layer, in
     # sorted label order inside a layer, as the layout yields each layer.
+    # Sums come folded, onto the positions the next layer's ids are keyed by.
     # Edge keys come in one run per element of B; one sort merges the runs.
     layout = _layout(
         a.space, b.elements, h, ((a.elements, 0), (forbidden, 1)), h + 1
@@ -374,7 +375,7 @@ def _sum_graph(
         ids = range(len(labels), len(labels) + len(positions))
         labels.update(zip(ids, coords))
         layers.append(tuple(ids))
-        lookups.append((positions, ids, layout.lookup(dict(zip(positions, ids)), kept)))
+        lookups.append((positions, ids, dict(zip(positions, ids))))
     # With span = |V|, the edges x -> x+b out of the layer at ids s..t-1
     # have keys u * span + v for u = s..t-1, one run per b.  A sum that
     # left the next layer gets the id -span * span, so its key is negative.

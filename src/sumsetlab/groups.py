@@ -176,7 +176,7 @@ def _check_fold(a: GSet, b: GSet, h: int) -> None:
 # one int, `_Sparse` as a set of ints.  Both answer the same calls: `encode`
 # a start set, `step` (add B), `size`, `minus` (set difference), `members`
 # (ascending positions with their coordinates), and, for the graph builders,
-# `sums` (the positions of x+b for each b) and `lookup` (position to id).
+# `sums` (the folded positions of x+b for each b).
 
 # What a lift costs, in point additions of the set container: a full-width
 # pass over a layer (a shift-or, a cyclic fold, a popcount) costs one per
@@ -234,8 +234,8 @@ class _Box:
     c - low - i * min(B) over the width of the bounding box of every fold,
     so adding b shifts by b - min(B) and no position is ever negative.  On a
     cyclic coordinate of modulus m the digit is c itself over width 2m - 1,
-    which holds the sum of two residues; each step folds the digits >= m
-    back by m.
+    which holds the sum of two residues; `fold` takes each digit d >= m of
+    a sum back to d - m, so every position it returns is a point's own.
     """
 
     def __init__(
@@ -280,13 +280,23 @@ class _Box:
         positions = self.ascending(layer)
         return positions, self._coords(positions, level)
 
-    def sums(self, keys: list[int]) -> list[Iterator[int]]:
-        return [map(add, keys, repeat(shift)) for shift in self.shifts]
+    def fold(self, row: Iterable[int]) -> Iterable[int]:
+        """The positions of `row`, sums of two points, with each cyclic
+        digit d >= m taken back to d - m; `row` itself if none is cyclic.
+        The lower digits of a sum p stay below the digit's stride s, so
+        d >= m exactly when p mod (w * s) >= m * s."""
+        for s, m, w in self.cyclic:
+            jump, block = m * s, w * s
+            row = [p - jump if p % block >= jump else p for p in row]
+        return row
+
+    def sums(self, keys: list[int]) -> Iterator[Iterable[int]]:
+        return (self.fold(map(add, keys, repeat(shift))) for shift in self.shifts)
 
 
 class _Lift(_Box):
     """Layers as ints: bit p set means point p is in.  A step folds each
-    cyclic coordinate of the whole layer with one precomputed mask."""
+    cyclic coordinate of the whole layer with one mask: `fold`, int-wide."""
 
     size = staticmethod(int.bit_count)
     ascending = staticmethod(_bit_positions)
@@ -321,24 +331,11 @@ class _Lift(_Box):
     def minus(layer: int, cut: int) -> int:
         return layer & ~cut
 
-    def lookup(self, ids: dict[int, int], layer: int) -> dict[int, int]:
-        # A sum x+b lands on a cyclic digit in [m, 2m - 2] before the fold;
-        # give every such unfolded position the id of the point it folds to.
-        if not self.folds:
-            return ids
-        ids = dict(ids)
-        for high, jump in self.folds:
-            low = layer & (high >> jump)
-            moved = _bit_positions(low)
-            ids.update(zip(map(add, moved, repeat(jump)), map(ids.__getitem__, moved)))
-            layer |= low << jump
-        return ids
-
 
 class _Sparse(_Box):
     """Layers as sets of positions: the fallback for boxes too sparse to
-    lift, which can be far too wide for one int.  A step folds the cyclic
-    digits of each sum on its own."""
+    lift, which can be far too wide for one int.  A step adds B to one
+    point at a time and `fold`s that row of sums."""
 
     size = staticmethod(len)
     ascending = staticmethod(sorted)
@@ -351,12 +348,9 @@ class _Sparse(_Box):
         # large allocation; every folded row is a subset of the layer.
         nxt: set[int] = set()
         grow = nxt.update
+        fold = self.fold
         for x in cur:
-            row = list(map(x.__add__, self.shifts))
-            for s, m, w in self.cyclic:
-                jump = m * s
-                row = [p - jump if p // s % w >= m else p for p in row]
-            grow(row)
+            grow(fold(map(x.__add__, self.shifts)))
             if len(nxt) > cap:
                 break
         return nxt
@@ -364,13 +358,6 @@ class _Sparse(_Box):
     @staticmethod
     def minus(layer: set[int], cut: set[int]) -> set[int]:
         return layer - cut
-
-    def lookup(self, ids: dict[int, int], layer: set[int]) -> dict[int, int]:
-        # As `_Lift.lookup`: a kept digit d < m - 1 also answers for d + m.
-        for s, m, w in self.cyclic:
-            moved = [(p + m * s, i) for p, i in ids.items() if p // s % w < m - 1]
-            ids = {**ids, **dict(moved)}
-        return ids
 
 
 def _lift_pays(

@@ -129,9 +129,9 @@ def verify_partition(result: PartitionResult) -> PartitionCheck:
     """Re-derive every claimed property of a partition from scratch.
 
     top_accounted compares the sum of per-block top-layer image sizes with
-    |V_h| of the original graph; equality holds for graphs of sumsets and
-    is reported, not required, for general graphs (the other four checks
-    are structural and must hold always).
+    |V_h| of the original graph; equality holds for graphs of sumsets, but a
+    general graph can fail it (say, with a top vertex no path reaches), and
+    `PartitionCheck.ok` requires it as it does the four structural checks.
     """
     graph = result.graph
     blocks = result.blocks

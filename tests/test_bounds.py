@@ -2,7 +2,9 @@
 majorants, growth and set-addition statements."""
 
 import math
+import re
 from dataclasses import astuple
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -138,6 +140,24 @@ def test_rising_binomial_matches_fraction_product():
         h = rng.randint(0, 7)
         assert rising_binomial(x, h) == naive_rising_binomial(x, h)
     assert rising_binomial(2.5, 2) == Fraction(35, 8)
+
+
+def test_binomial_arguments_are_finite_reals():
+    # Ints, Fractions, finite floats and Decimals give the same value; a
+    # string, NaN or an infinity is refused by name, by rising_binomial and
+    # by both exact beta tests, which pass it on.
+    for x in (Fraction(5, 2), 2.5, Decimal("2.5")):
+        assert rising_binomial(x, 2) == Fraction(35, 8)
+    p = pseudo_cardinality(16, 2)  # 5 < beta < 6
+    for r in (6, Fraction(6), 6.0, Decimal(6)):
+        assert p.leq(r) and p.lt(r)
+    for x in ("5/2", float("nan"), float("inf"), -float("inf"), Decimal("NaN")):
+        shown = re.escape(f"must be a finite real number, got {x!r}")
+        with pytest.raises(InputError, match="binomial argument " + shown):
+            rising_binomial(x, 2)
+        for test in (p.leq, p.lt):
+            with pytest.raises(InputError, match="binomial argument " + shown):
+                test(x)
 
 
 def test_pseudo_cardinality_validation():

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON payloads, reproducibility."""
 
+import argparse
 import json
 import sys
 
@@ -769,6 +770,24 @@ def test_argparse_usage_error_is_2(workdir):
     with pytest.raises(SystemExit) as exc:
         main(["mag"])  # missing required positional and --level
     assert exc.value.code == 2
+
+
+def test_second_main_builds_no_parser(workdir, capsys, monkeypatch):
+    # The parser is built once per process: a repeated command line
+    # constructs no `argparse.ArgumentParser`, subparsers included.
+    argv = ["sumset", workdir / "A.json", workdir / "B.json", "--cardinality-only"]
+    assert run(capsys, *argv)[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, _ = run(capsys, *argv)
+    assert (code, json.loads(out)["cardinalities"]) == (0, [2, 5])
+    assert built == []
 
 
 def test_unknown_command_is_2():

@@ -98,6 +98,11 @@ def test_image_validation(g253):
         image(g253, {top_vertex}, 1)
     with pytest.raises(InputError):
         image(g253, {g253.layers[0][0]}, 3)
+    # A step count is an int, as a magnification level is: not a float or
+    # a bool, even of an in-range value.
+    for steps in (1.0, True):
+        with pytest.raises(InputError, match=rf"step count {steps!r} outside 0\.\.2"):
+            image(g253, {g253.layers[0][0]}, steps)
 
 
 def test_restricted_graph_literal_layers():
@@ -467,8 +472,8 @@ def test_sum_graph_edges_complete_random():
     "moduli", [(0,), (7,), (5, 5), (0, 4), (3, 0), (0, 3, 0), (2, 3, 4)], ids=str
 )
 def test_sum_graphs_match_oracle_on_every_space(moduli, lift, monkeypatch):
-    # Cyclic coordinates make sums land on unfolded positions, which the
-    # builder maps back to the folded vertex.  Both layouts run every case.
+    # Cyclic coordinates make sums wrap, which the layout folds back onto
+    # the vertex's own position.  Both layouts run every case.
     # (The id "tuples" names the set container, the fallback, which once
     # held coordinate tuples.)
     monkeypatch.setattr(groups, "_lift_pays", lambda *args: lift)

@@ -3,6 +3,7 @@
 import json
 import pickle
 import re
+from operator import add
 
 import pytest
 
@@ -37,6 +38,7 @@ from sumsetlab.graphs import LayeredGraph
 from sumsetlab.groups import (
     _DECODE_BYTES,
     _bit_positions,
+    _layers,
     _layout,
     _Lift,
     _Sparse,
@@ -319,6 +321,28 @@ def _wrapping_set(rng, space, lo, hi):
     return GSet.from_coords(
         space, [[rng.randint(-3, 3) for _ in space.moduli] for _ in range(size)]
     )
+
+
+@pytest.mark.parametrize("lift", [True, False], ids=["lift", "sparse"])
+@pytest.mark.parametrize("moduli", [(7,), (5, 5), (0, 4), (3, 0), (2, 3, 4)], ids=str)
+def test_layout_sums_come_folded(moduli, lift, monkeypatch):
+    # Each row of `sums` over the positions of a layer at level i decodes,
+    # at level i + 1, to the normalized coordinates of x + b, row by row:
+    # no cyclic digit of a sum is left at m or more.
+    monkeypatch.setattr(groups, "_lift_pays", lambda *args: lift)
+    rng = rng_for(20261019, f"folded sums {moduli}")
+    space = GroupSpace(moduli)
+    for _ in range(20):
+        a, b = _wrapping_set(rng, space, 1, 6), _wrapping_set(rng, space, 1, 4)
+        h = rng.randint(1, 3)
+        layout = _layout(space, b.elements, h, ((a.elements, 0),), h + 1)
+        assert isinstance(layout, _Lift if lift else _Sparse)
+        layers = list(_layers(layout, a.elements, 0, h, None))
+        for level, layer in enumerate(layers[:h]):
+            positions, coords = layout.members(layer, level)
+            for row, y in zip(layout.sums(positions), b.elements, strict=True):
+                want = [space.normalize_coords(list(map(add, x, y))) for x in coords]
+                assert layout._coords(list(row), level + 1) == want
 
 
 @pytest.mark.parametrize("lift", [True, False], ids=["lift", "sparse"])
