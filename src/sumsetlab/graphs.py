@@ -40,8 +40,11 @@ A graph stores its edges once, as a sorted tuple of int keys, one per
 edge: (u - lo) * span + (v - lo), with lo the least vertex id and span the
 id range, so ascending keys are ascending (u, v) pairs.  The builders,
 channels and the checking constructor emit keys; the adjacency, the
-commutativity masks and the graph writer read them.  The pairs themselves
-(`LayeredGraph.edges`) are a view made only when asked for.
+commutativity masks and the graph writer read them.  Labels are stored once
+too, as flat ints in vertex order, which the builders fill from the sumset
+layout's coordinate columns and channels and the writer gather rows from.
+The pairs (`LayeredGraph.edges`) and the id-to-label dict
+(`LayeredGraph.labels`) are views made only when asked for.
 
 A graph is validated once.  The `LayeredGraph` constructor, and so every
 graph document, checks and normalizes its input.  Graphs the package builds
@@ -49,14 +52,14 @@ itself (addition and restricted graphs, channels, the peel's singleton
 blocks) come out already normalized, so the private `LayeredGraph._trusted`
 takes them as they are.  Either kind builds its adjacency (the layer of
 each vertex, its out-neighbours) on first use and keeps each level's sweep
-once made, so writing a graph out builds neither, nor the pair view.
+once made, so writing a graph out builds neither, nor either view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import add, floordiv, mod, mul, or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -73,6 +76,7 @@ from .groups import (
     _layers,
     _layout,
     _read_json,
+    _row_template,
     _write_text,
 )
 
@@ -102,21 +106,24 @@ SUBSET_GUARD = 22
 class LayeredGraph:
     """Immutable layered graph; vertex ids are unique across all layers.
 
-    The edges are stored once, as the sorted tuple `_keys`: with lo the
-    least id and span the id range, edge (u, v) has key
-    (u - lo) * span + (v - lo), so equal graphs have equal keys.  Graphs
-    the package builds number their vertices 0..|V|-1, so a key is
-    u * |V| + v.  `edges`, the (from, to) pairs, is made on first use.
+    The edges are stored once, as the sorted int keys `_keys` (see the
+    module docstring); graphs the package builds number their vertices
+    0..|V|-1, so a key is u * |V| + v.  The labels are stored once, as the
+    flat ints `_flat`: `_rank` coordinates per vertex, in the order of
+    `chain(*layers)`, or None without labels.  Equality and hashing compare
+    these stores, which pickling keeps.  The views `edges`, the (from, to)
+    pairs, and `labels`, each id's coordinate tuple, are made on first use.
 
     The constructor checks and normalizes its input; `_trusted` takes a
     graph the package built itself as it is.  Either way the adjacency
     (`_layer_of`, `_out`) and the sweeps (`_sweeps`) are built on first use.
+    Asking for a vertex the graph lacks raises `InputError`.
     """
 
     height: int
     layers: tuple[tuple[int, ...], ...]
     _keys: tuple[int, ...]
-    labels: dict[int, Coords] | None
+    _flat: tuple[int, ...] | None
 
     def __init__(
         self, height: int, layers: Iterable, edges: Iterable, labels: Mapping | None = None
@@ -163,38 +170,9 @@ class LayeredGraph:
         lo, span = _frame(layers)
         keys = set(map(add, map(mul, ends[::2], repeat(span)), ends[1::2]))
         keys = sorted(map(sub, keys, repeat(lo * (span + 1))))
-        if labels is not None:
-            values = list(labels.values())
-            if values and _int_rows(values) is None:
-                for row in values:
-                    if type(row) not in (list, tuple) or not all(map(_is_int, row)):
-                        raise InputError("'labels' values must be integer coordinate lists")
-            ranks = sorted(set(map(len, values)))
-            if len(ranks) > 1:
-                raise InputError(
-                    f"'labels' coordinate lists differ in length: {ranks[0]} and {ranks[-1]}"
-                )
-            missing = [v for v in layer_of if v not in labels]
-            if missing:
-                raise InputError(f"labels missing for vertex ids {missing[:5]}")
-            coords = map(tuple, map(labels.__getitem__, layer_of))
-            named = dict(zip(layer_of, coords))
-            for layer in layers:
-                if len(set(map(named.__getitem__, layer))) == len(layer):
-                    continue
-                seen_labels: set[Coords] = set()
-                for v in layer:
-                    if named[v] in seen_labels:
-                        raise InputError(
-                            f"duplicate label {named[v]} inside one layer"
-                        )
-                    seen_labels.add(named[v])
-            if len(labels) > len(named):
-                key = next(k for k in labels if k not in layer_of)
-                raise InputError(f"label key '{key}' names no vertex")
-            labels = named
+        flat = None if labels is None else _label_store(labels, layer_of)
         self.__dict__.update(
-            height=height, layers=layers, _keys=tuple(keys), labels=labels, _layer_of=layer_of
+            height=height, layers=layers, _keys=tuple(keys), _flat=flat, _layer_of=layer_of
         )
 
     @classmethod
@@ -203,15 +181,16 @@ class LayeredGraph:
         height: int,
         layers: tuple[tuple[int, ...], ...],
         keys: tuple[int, ...],
-        labels: dict[int, Coords] | None,
+        flat: tuple[int, ...] | None,
     ) -> "LayeredGraph":
         # For graphs the package builds itself, already in the constructor's
         # normal form: each layer a sorted tuple of distinct ids, keys the
         # sorted distinct keys (over these layers' lo and span) of edges
-        # joining consecutive layers, labels tuples for exactly the
-        # vertices, in layer order.  Skips the checks.
+        # joining consecutive layers, flat the labels of exactly the
+        # vertices, in vertex order, distinct inside each layer.  Skips the
+        # checks.
         graph = object.__new__(cls)
-        graph.__dict__.update(height=height, layers=layers, _keys=keys, labels=labels)
+        graph.__dict__.update(height=height, layers=layers, _keys=keys, _flat=flat)
         return graph
 
     def _ends(self) -> tuple[list[int], list[int]]:
@@ -226,6 +205,23 @@ class LayeredGraph:
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(*self._ends()))
+
+    @cached_property
+    def labels(self) -> dict[int, Coords] | None:
+        if self._flat is None:
+            return None
+        rows = zip(*[iter(self._flat)] * self._rank) if self._rank else repeat(())
+        return dict(zip(chain.from_iterable(self.layers), rows))
+
+    @property
+    def _rank(self) -> int:
+        # The label length; 0 without labels or vertices.
+        return len(self._flat) // self.vertex_count if self._flat else 0
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        # Each vertex id to its row in the label store.
+        return dict(zip(chain.from_iterable(self.layers), count()))
 
     @cached_property
     def _layer_of(self) -> dict[int, int]:
@@ -247,10 +243,16 @@ class LayeredGraph:
     # -- structure queries --------------------------------------------------
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return self._out[v]
+        try:
+            return self._out[v]
+        except KeyError:
+            raise _not_a_vertex(v) from None
 
     def layer_of(self, v: int) -> int:
-        return self._layer_of[v]
+        try:
+            return self._layer_of[v]
+        except KeyError:
+            raise _not_a_vertex(v) from None
 
     def has_vertex(self, v: int) -> bool:
         return v in self._layer_of
@@ -271,9 +273,65 @@ class LayeredGraph:
         return tuple(len(layer) for layer in self.layers)
 
     def label_of(self, v: int) -> Coords:
-        if self.labels is None:
+        if self._flat is None:
             raise InputError("graph carries no labels")
-        return self.labels[v]
+        rank = self._rank
+        try:
+            start = self._index[v] * rank
+        except KeyError:
+            raise _not_a_vertex(v) from None
+        return self._flat[start : start + rank]
+
+
+def _not_a_vertex(v: object) -> InputError:
+    return InputError(f"vertex id {v!r} is not in the graph")
+
+
+def _label_store(labels: Mapping, layer_of: dict[int, int]) -> tuple[int, ...]:
+    # The labels of the vertices of layer_of, in its order, as flat ints,
+    # checked.  Whole-list tests first; the loops only name the culprit.
+    rows = list(map(labels.get, layer_of))
+    flat = _int_rows(rows) if rows else ()
+    if flat is None or len(labels) > len(rows) or len(set(map(len, rows))) > 1:
+        for row in labels.values():
+            if type(row) not in (list, tuple) or not all(map(_is_int, row)):
+                raise InputError("'labels' values must be integer coordinate lists")
+        ranks = sorted(set(map(len, labels.values())))
+        if len(ranks) > 1:
+            raise InputError(
+                f"'labels' coordinate lists differ in length: {ranks[0]} and {ranks[-1]}"
+            )
+        missing = [v for v, row in zip(layer_of, rows) if row is None]
+        if missing:
+            raise InputError(f"labels missing for vertex ids {missing[:5]}")
+        flat = tuple(chain.from_iterable(rows))
+    # One (layer, coordinates...) tuple per vertex: a repeat is a label
+    # used twice inside one layer.
+    levels = layer_of.values()
+    rank = len(rows[0]) if rows else 0
+    if len(set(zip(levels, *[iter(flat)] * rank))) < len(rows):
+        seen: set[tuple[int, Coords]] = set()
+        for level, row in zip(levels, map(tuple, rows)):
+            if (level, row) in seen:
+                raise InputError(f"duplicate label {row} inside one layer")
+            seen.add((level, row))
+    if len(labels) > len(rows):
+        key = next(k for k in labels if k not in layer_of)
+        raise InputError(f"label key '{key}' names no vertex")
+    return flat
+
+
+def _label_rows(graph: LayeredGraph, picks: Sequence[int], *lead: Iterable[int]) -> list[int]:
+    # The rows of the label store at the vertex indices `picks`, in that
+    # order, as flat ints; each row starts with the next int of each `lead`.
+    flat, rank = graph._flat, graph._rank
+    width = len(lead) + rank
+    rows = [0] * (len(picks) * width)
+    for j, column in enumerate(lead):
+        rows[j::width] = column
+    for j in range(rank):
+        rows[len(lead) + j :: width] = map(flat[j::rank].__getitem__, picks)
+    return rows
 
 
 def _frame(layers: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -286,6 +344,8 @@ def _sweep(graph: LayeredGraph, level: int) -> dict[int, int]:
     """Each vertex of layers 0..level to its image in the level layer as a
     bitmask (bit k: that layer's k-th vertex), from one top-down sweep that
     the graph keeps, so each level is swept once per graph."""
+    if not _is_int(level) or not 0 <= level <= graph.height:
+        raise InputError(f"step count {level!r} outside 0..{graph.height}")
     sweeps = graph._sweeps
     if level not in sweeps:
         out = graph._out
@@ -309,16 +369,13 @@ def image(graph: LayeredGraph, zset: Iterable[int], steps: int) -> frozenset:
     bottom = set(graph.layers[0])
     if not z <= bottom:
         raise InputError("image source must be a subset of the bottom layer")
-    if not _is_int(steps) or not 0 <= steps <= graph.height:
-        raise InputError(
-            f"step count {steps!r} outside 0..{graph.height}"
-        )
     reached = reduce(or_, map(_sweep(graph, steps).__getitem__, z), 0)
     return frozenset(map(graph.layers[steps].__getitem__, _bit_positions(reached)))
 
 
 def image_masks(graph: LayeredGraph, level: int) -> list[int]:
-    """The `_sweep` masks of the bottom layer, in layer order."""
+    """The `_sweep` masks of the bottom layer, in layer order; level ranges
+    over 0..height."""
     return list(map(_sweep(graph, level).__getitem__, graph.layers[0]))
 
 
@@ -366,20 +423,25 @@ def _sum_graph(
     grown = _layers(layout, a.elements, 0, h, max_size)
     cuts = _layers(layout, forbidden, 1, h - 1, max_size)
     removed = chain([layout.encode((), 0)], cuts)
+    rank = a.space.rank
     layers: list[tuple[int, ...]] = []
-    labels: dict[int, Coords] = {}
+    flat: list[int] = []
     lookups = []
+    span = 0  # the ids given so far
     for level, (layer, cut) in enumerate(zip(grown, removed)):
-        kept = layout.minus(layer, cut)
-        positions, coords = layout.members(kept, level)
-        ids = range(len(labels), len(labels) + len(positions))
-        labels.update(zip(ids, coords))
+        positions = layout.ascending(layout.minus(layer, cut))
+        ids = range(span, span + len(positions))
+        span = ids.stop
+        rows = [0] * (len(positions) * rank)
+        for j, column in enumerate(layout.columns(positions, level)):
+            rows[j::rank] = column
+        flat += rows
         layers.append(tuple(ids))
         lookups.append((positions, ids, dict(zip(positions, ids))))
     # With span = |V|, the edges x -> x+b out of the layer at ids s..t-1
     # have keys u * span + v for u = s..t-1, one run per b.  A sum that
     # left the next layer gets the id -span * span, so its key is negative.
-    span, miss = len(labels), -len(labels) ** 2
+    miss = -span * span
     keys: list[int] = []
     for (positions, ids, _), (_, _, found) in zip(lookups, lookups[1:]):
         bases = range(ids.start * span, ids.stop * span, span)
@@ -387,7 +449,7 @@ def _sum_graph(
             run = map(add, bases, map(found.get, targets, repeat(miss)))
             keys.extend(filter((0).__le__, run))
     keys.sort()
-    return LayeredGraph._trusted(h, tuple(layers), tuple(keys), labels)
+    return LayeredGraph._trusted(h, tuple(layers), tuple(keys), tuple(flat))
 
 
 def build_addition_graph(
@@ -436,14 +498,10 @@ def channel(graph: LayeredGraph, u_set: Iterable[int], w_set: Iterable[int]) -> 
     w = sorted(set(w_set))
     if not u or not w:
         raise InputError("channel endpoints must be non-empty")
-    for v in u + w:
-        if not graph.has_vertex(v):
-            raise InputError(f"channel endpoint {v} is not a vertex")
-    i = graph.layer_of(u[0])
-    j = graph.layer_of(w[0])
-    if any(graph.layer_of(v) != i for v in u):
+    i, j = graph.layer_of(u[0]), graph.layer_of(w[0])
+    if set(map(graph.layer_of, u)) != {i}:
         raise InputError("channel source vertices must share one layer")
-    if any(graph.layer_of(v) != j for v in w):
+    if set(map(graph.layer_of, w)) != {j}:
         raise InputError("channel target vertices must share one layer")
     if not i < j:
         raise InputError(f"channel needs source layer below target layer ({i} >= {j})")
@@ -458,10 +516,11 @@ def channel(graph: LayeredGraph, u_set: Iterable[int], w_set: Iterable[int]) -> 
         (v - lo) * span + t - lo
         for layer in layers[:-1] for v in layer for t in out[v] if masks[t] & target
     )
-    labels = None
-    if graph.labels is not None:
-        labels = {v: graph.labels[v] for layer in layers for v in layer}
-    return LayeredGraph._trusted(j - i, tuple(layers), tuple(keys), labels)
+    flat = None
+    if graph._flat is not None:
+        picks = list(map(graph._index.__getitem__, chain.from_iterable(layers)))
+        flat = tuple(_label_rows(graph, picks))
+    return LayeredGraph._trusted(j - i, tuple(layers), tuple(keys), flat)
 
 
 def channel_of(graph: LayeredGraph, zset: Iterable[int]) -> LayeredGraph:
@@ -607,24 +666,35 @@ def check_commutative(
 #  "edges": [[from, to], ...]}
 
 
-def _fields(graph: LayeredGraph) -> dict:
-    # Every field of a graph document but its edges.
+def graph_to_json(graph: LayeredGraph) -> dict:
     labels = graph.labels or {}
     ids = sorted(labels)
     return {
         "height": graph.height,
         "layers": list(map(list, graph.layers)),
         "labels": dict(zip(map(str, ids), map(list, map(labels.__getitem__, ids)))),
+        "edges": list(map(list, zip(*graph._ends()))),
     }
 
 
-def graph_to_json(graph: LayeredGraph) -> dict:
-    return {**_fields(graph), "edges": list(map(list, zip(*graph._ends())))}
+def _labels_text(graph: LayeredGraph) -> str:
+    # The "labels" object as `_write_json` writes it inside a graph
+    # document: one `"%d": [...]` row per vertex, key included, in
+    # `sort_keys` order of the decimal keys, filled in one `%` pass.
+    if graph._flat is None or graph.is_empty:
+        return "{}"
+    ids = list(chain.from_iterable(graph.layers))
+    order = sorted(range(len(ids)), key=list(map(str, ids)).__getitem__)
+    args = _label_rows(graph, order, map(ids.__getitem__, order))
+    rank = graph._rank
+    row = '"%d": ' + (_row_template(rank, "    ") if rank else "[]")
+    return ("{\n    " + ",\n    ".join([row] * len(ids)) + "\n  }") % tuple(args)
 
 
 def _graph_text(graph: LayeredGraph) -> str:
-    # `graph_to_json(graph)` as `_write_json` writes it: "edges" sorts
-    # first, its rows filled from the ends of the keys, interleaved.
+    # `graph_to_json(graph)` as `_write_json` writes it, keys sorted: the
+    # edge rows filled from the ends of the keys, interleaved, and the
+    # label rows from the label store.
     edges = "[]"
     if graph.edge_count:
         tails, heads = graph._ends()
@@ -632,7 +702,11 @@ def _graph_text(graph: LayeredGraph) -> str:
         ends[1::2] = heads
         ends[::2] = tails
         edges = _fill_rows(ends, [2] * graph.edge_count, "  ")
-    return f'{{\n  "edges": {edges},\n' + _json_text(_fields(graph), "")[2:] + "\n"
+    layers = _json_text(list(map(list, graph.layers)), "  ")
+    return (
+        f'{{\n  "edges": {edges},\n  "height": {graph.height},\n'
+        f'  "labels": {_labels_text(graph)},\n  "layers": {layers}\n}}\n'
+    )
 
 
 def _vertex_key(key: object) -> bool:

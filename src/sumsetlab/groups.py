@@ -33,7 +33,6 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from json.encoder import encode_basestring_ascii
 from math import inf, prod
 from operator import add, floordiv, mod, mul
 from typing import Collection, Iterable, Iterator, Sequence
@@ -174,9 +173,10 @@ def _check_fold(a: GSet, b: GSet, h: int) -> None:
 # one position in the box layout of `_Box`; `_layout` picks from the input
 # sizes alone how a layer holds its positions: `_Lift` as the set bits of
 # one int, `_Sparse` as a set of ints.  Both answer the same calls: `encode`
-# a start set, `step` (add B), `size`, `minus` (set difference), `members`
-# (ascending positions with their coordinates), and, for the graph builders,
-# `sums` (the folded positions of x+b for each b).
+# a start set, `step` (add B), `size`, `minus` (set difference), `ascending`
+# (the positions in order), `columns` (their coordinates, one column per
+# coordinate), and, for the graph builders, `sums` (the folded positions of
+# x+b for each b).
 
 # What a lift costs, in point additions of the set container: a full-width
 # pass over a layer (a shift-or, a cyclic fold, a popcount) costs one per
@@ -264,7 +264,9 @@ class _Box:
         strides = self.strides
         return [sum(map(mul, c, strides), base) for c in coords]
 
-    def _coords(self, positions: list[int], level: int) -> list[Coords]:
+    def columns(self, positions: list[int], level: int) -> list[Iterable[int]]:
+        """The coordinate columns of the points at `positions` of a level,
+        first coordinate first, each in the order of `positions`."""
         offsets = [low + level * b for low, b in zip(self.lows, self.b_lows)]
         cols = []
         rest = positions
@@ -272,13 +274,7 @@ class _Box:
             cols.append(map(add, map(mod, rest, repeat(w)), repeat(off)))
             rest = list(map(floordiv, rest, repeat(w)))
         cols.append(map(add, rest, repeat(offsets[0])))
-        return list(zip(*cols[::-1]))
-
-    def members(
-        self, layer: int | set[int], level: int
-    ) -> tuple[list[int], list[Coords]]:
-        positions = self.ascending(layer)
-        return positions, self._coords(positions, level)
+        return cols[::-1]
 
     def fold(self, row: Iterable[int]) -> Iterable[int]:
         """The positions of `row`, sums of two points, with each cyclic
@@ -461,7 +457,7 @@ def _top_layer(a: GSet, b: GSet, h: int, max_size: int | None) -> GSet:
     layout = _layout(a.space, b.elements, h, ((a.elements, 0),), 1)
     for layer in _layers(layout, a.elements, 0, h, max_size):
         pass
-    _, coords = layout.members(layer, h)
+    coords = zip(*layout.columns(layout.ascending(layer), h))
     return GSet._trusted(a.space, tuple(coords))
 
 
@@ -575,11 +571,10 @@ def _json_text(obj: object, pad: str) -> str:
     first indented by `pad` more.
 
     With an indent, `json` runs its pure-Python encoder, several times
-    slower than the compact C one.  Int lists, lists of int rows and
-    objects of int rows of one width under string keys, the bulk of every
-    set and graph document, therefore fill %-templates, one per row width,
-    as `%d` prints an int as `json` does.  Other objects recurse key by
-    key, and every other value goes to `json.dumps` as it is.
+    slower than the compact C one.  Int lists and lists of int rows, the
+    bulk of every set document, therefore fill %-templates, one per row
+    width, as `%d` prints an int as `json` does.  Objects with string keys
+    recurse key by key, and every other value goes to `json.dumps` as it is.
     """
     inner = pad + "  "
     if type(obj) is list and obj:
@@ -589,20 +584,9 @@ def _json_text(obj: object, pad: str) -> str:
         if ints is not None:
             return _fill_rows(ints, list(map(len, obj)), pad)
     if type(obj) is dict and obj and set(map(type, obj)) == {str}:
-        keys = sorted(obj)
-        values = list(map(obj.__getitem__, keys))
-        ints = _int_rows(values)
-        if ints is not None and len(set(map(len, values))) == 1:
-            # An encoded key holds no raw newline, so one pass over the
-            # joined keys escapes their `%`s for the template.
-            names = "\n".join(map(encode_basestring_ascii, keys))
-            names = names.replace("%", "%%").split("\n")
-            row = _row_template(len(values[0]), inner)
-            body = f": {row},\n{inner}".join(names) + f": {row}"
-            return f"{{\n{inner}{body % ints}\n{pad}}}"
         items = (
-            f"{inner}{json.dumps(key)}: {_json_text(value, inner)}"
-            for key, value in zip(keys, values)
+            f"{inner}{json.dumps(key)}: {_json_text(obj[key], inner)}"
+            for key in sorted(obj)
         )
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)

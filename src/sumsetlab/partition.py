@@ -74,7 +74,7 @@ def _singleton_block(
         graph.height,
         ((vertex,),) + ((),) * graph.height,
         (),
-        None if graph.labels is None else {vertex: graph.labels[vertex]},
+        None if graph._flat is None else graph.label_of(vertex),
     )
     return PartitionBlock(index, (vertex,), Fraction(0), lone, True)
 

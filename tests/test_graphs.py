@@ -103,6 +103,10 @@ def test_image_validation(g253):
     for steps in (1.0, True):
         with pytest.raises(InputError, match=rf"step count {steps!r} outside 0\.\.2"):
             image(g253, {g253.layers[0][0]}, steps)
+    # The bottom layer's masks take their level by the same rule.
+    for level in (5, -1, 1.0, True):
+        with pytest.raises(InputError, match=rf"step count {level!r} outside 0\.\.2"):
+            image_masks(g253, level)
 
 
 def test_restricted_graph_literal_layers():
@@ -507,6 +511,38 @@ def test_label_of_needs_labels():
         g.label_of(0)
 
 
+def test_vertex_queries_name_an_unknown_id(g253):
+    loaded = LayeredGraph(1, ((0,), (1,)), ((0, 1),), {0: [5], 1: [6]})
+    for g in (g253, loaded):
+        for query in (g.label_of, g.layer_of, g.out_neighbors):
+            with pytest.raises(InputError, match="^vertex id 999 is not in the graph$"):
+                query(999)
+
+
+def test_graphs_hash_by_their_stores():
+    # Equal graphs hash alike, whether built, loaded or given in another
+    # order; a graph differing only in one label, or in having labels, is
+    # another graph.
+    rng = rng_for(20261020, "graph hash")
+    for _ in range(30):
+        a, b, c = random_triple(rng, a_hi=6, b_hi=3)
+        h = rng.randint(1, 3)
+        for g in (build_addition_graph(a, b, h), build_restricted_graph(a, b, c, h)):
+            copy = graph_from_json(graph_to_json(g))
+            assert copy == g
+            assert hash(copy) == hash(g)
+            assert {g: 1}[copy] == 1
+    labeled = LayeredGraph(1, ((0,), (1,)), ((0, 1),), {0: [1, 2], 1: [3, 4]})
+    again = LayeredGraph(1, [[0], [1]], [[0, 1], [0, 1]], {1: (3, 4), 0: (1, 2)})
+    assert labeled == again
+    assert hash(labeled) == hash(again)
+    assert labeled != LayeredGraph(1, ((0,), (1,)), ((0, 1),), {0: [1, 2], 1: [3, 5]})
+    assert labeled != LayeredGraph(1, ((0,), (1,)), ((0, 1),))
+    rank0 = LayeredGraph(1, ((0,), (1,)), ((0, 1),), {0: [], 1: []})
+    assert rank0 != LayeredGraph(1, ((0,), (1,)), ((0, 1),))
+    assert hash(rank0) == hash(graph_from_json(graph_to_json(rank0)))
+
+
 def test_channel_targets_share_one_layer(g253):
     mixed = {g253.layers[1][0], g253.layers[2][0]}
     with pytest.raises(InputError, match="target vertices must share one layer"):
@@ -744,19 +780,54 @@ def writer_graphs(rng):
         yield LayeredGraph(scrambled.height, scrambled.layers, scrambled.edges)
     # V_1 = (A+B) \ C is empty, so nothing joins layers 0 and 1
     yield build_restricted_graph(gs(0), gs(0, 1), gs(0, 1), 2)
+    yield LayeredGraph(1, [[], []], [])
+
+
+def label_writer_graphs(rng):
+    """Graphs whose label rows the writer could misplace: rank 0, ids whose
+    decimal order is not their numeric order, and subgraphs keeping
+    non-contiguous ids of a larger graph."""
+    yield LayeredGraph(1, [[0], [2]], [[0, 2]], {0: [], 2: []})
+    yield LayeredGraph(2, [[0], [2], [7]], [], {0: [], 2: [], 7: []})
+    layers = [[9, 10, 2], [100, 11, 1000], [-1, -10]]
+    edges = [[9, 100], [10, 11], [2, 1000], [11, -10], [1000, -1]]
+    labels = {v: (k, -v) for layer in layers for k, v in enumerate(layer)}
+    yield LayeredGraph(2, layers, edges, labels)
+    yield LayeredGraph(2, layers, edges)
+    layers = [[-1, -10, 3, -2], [20, -20, 0]]
+    edges = [[-1, 20], [-10, -20], [3, 0], [-2, 0]]
+    yield LayeredGraph(1, layers, edges, {v: [v * v + v] for layer in layers for v in layer})
+    # 10 + B lies in C, so 10 is a singleton block, and 0 and 20 one block
+    g = build_restricted_graph(gs(0, 10, 20), gs(0, 1), gs(10, 11), 2)
+    blocks = partition_graph(g).blocks
+    assert any(block.degenerate for block in blocks)
+    yield from (block.subgraph for block in blocks)
+    for _ in range(20):
+        moduli = rng.choice([(0,), (5, 5), (0, 7), (0, 0, 0)])
+        space = GroupSpace(moduli)
+        a = random_gset(rng, space, 3, 12, spread=rng.choice([4, 30]))
+        b = random_gset(rng, space, 1, 4, spread=4)
+        g = build_addition_graph(a, b, 2)
+        u = rng.sample(g.layers[0], rng.randint(1, len(g.layers[0])))
+        reached = sorted(image(g, u, 2))
+        yield channel(g, u, rng.sample(reached, rng.randint(1, len(reached))))
+        yield from (block.subgraph for block in partition_graph(g).blocks)
 
 
 def test_writer_matches_json_dumps_of_graph_to_json(tmp_path):
     rng = rng_for(20261019, "graph writer")
     path = tmp_path / "g.json"
     kinds = set()
-    for g in writer_graphs(rng):
+    ranks = set()
+    for g in chain(writer_graphs(rng), label_writer_graphs(rng)):
         dump_graph(g, str(path))
         doc = graph_to_json(g)
         assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert load_graph(str(path)) == g
         kinds.add((bool(doc["edges"]), bool(doc["labels"])))
-    assert kinds >= {(True, True), (True, False), (False, True)}
+        ranks |= set(map(len, doc["labels"].values()))
+    assert kinds >= {(True, True), (True, False), (False, True), (False, False)}
+    assert ranks >= {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("command", ["build", "restrict"])
@@ -779,6 +850,23 @@ def test_graph_command_writes_without_the_pair_view(tmp_path, capsys, monkeypatc
     assert cli.main(["graph", command, *files, "--h", "3"]) == 0
     (g,) = built
     assert g.edge_count > 0
-    assert "edges" not in vars(g)
+    assert not {"edges", "labels"} & vars(g).keys()
     want = json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n"
     assert capsys.readouterr().out == want
+
+
+def test_partition_command_makes_neither_view(tmp_path, monkeypatch):
+    # The peel reads labels (its singleton blocks, its channels) from the
+    # store, and edges from the keys.
+    loaded = []
+
+    def keeping(path):
+        loaded.append(load_graph(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_graph", keeping)
+    path = str(tmp_path / "G.json")
+    dump_graph(build_restricted_graph(gs(0, 10, 20), gs(0, 1), gs(10, 11), 2), path)
+    assert cli.main(["partition", path, "--out", str(tmp_path / "P.json")]) == 0
+    (g,) = loaded
+    assert not {"edges", "labels"} & vars(g).keys()

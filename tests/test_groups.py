@@ -339,10 +339,11 @@ def test_layout_sums_come_folded(moduli, lift, monkeypatch):
         assert isinstance(layout, _Lift if lift else _Sparse)
         layers = list(_layers(layout, a.elements, 0, h, None))
         for level, layer in enumerate(layers[:h]):
-            positions, coords = layout.members(layer, level)
+            positions = layout.ascending(layer)
+            coords = list(zip(*layout.columns(positions, level)))
             for row, y in zip(layout.sums(positions), b.elements, strict=True):
                 want = [space.normalize_coords(list(map(add, x, y))) for x in coords]
-                assert layout._coords(list(row), level + 1) == want
+                assert list(zip(*layout.columns(list(row), level + 1))) == want
 
 
 @pytest.mark.parametrize("lift", [True, False], ids=["lift", "sparse"])
