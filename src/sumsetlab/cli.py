@@ -129,7 +129,7 @@ def _cmd_bounds(args) -> int:
     report = bound_report(a, b, args.h, args.max_size)
     _report(bound_report_to_json(report), args.out)
     if args.csv:
-        _write_text(csv_header() + csv_row(report), args.csv)
+        _write_text([csv_header(), csv_row(report)], args.csv)
     return 0 if report.all_ok else 1
 
 
@@ -274,7 +274,7 @@ def _check_outputs(args) -> None:
     for path in map(vars(args).get, ("out_a", "out_b", "csv", "out")):
         if path is not None:
             existed = os.path.lexists(path)
-            _write_text("", path, "a")
+            _write_text((), path, "a")
             if not existed:
                 os.remove(path)
 

@@ -44,7 +44,10 @@ commutativity masks and the graph writer read them.  Labels are stored once
 too, as flat ints in vertex order, which the builders fill from the sumset
 layout's coordinate columns and channels and the writer gather rows from.
 The pairs (`LayeredGraph.edges`) and the id-to-label dict
-(`LayeredGraph.labels`) are views made only when asked for.
+(`LayeredGraph.labels`) are views made only when asked for.  The writer
+streams a document in chunks of rows: each chunk of edge rows comes from one
+slice of the keys, and each chunk of label rows from one slice of the
+vertices in decimal key order, so no whole document is ever held.
 
 A graph is validated once.  The `LayeredGraph` constructor, and so every
 graph document, checks and normalizes its input.  Graphs the package builds
@@ -72,7 +75,7 @@ from .groups import (
     _fill_rows,
     _int_rows,
     _is_int,
-    _json_text,
+    _json_pieces,
     _layers,
     _layout,
     _read_json,
@@ -110,9 +113,10 @@ class LayeredGraph:
     module docstring); graphs the package builds number their vertices
     0..|V|-1, so a key is u * |V| + v.  The labels are stored once, as the
     flat ints `_flat`: `_rank` coordinates per vertex, in the order of
-    `chain(*layers)`, or None without labels.  Equality and hashing compare
-    these stores, which pickling keeps.  The views `edges`, the (from, to)
-    pairs, and `labels`, each id's coordinate tuple, are made on first use.
+    `chain(*layers)`, or None without labels or without vertices.  Equality
+    and hashing compare these stores, which pickling keeps.  The views
+    `edges`, the (from, to) pairs, and `labels`, each id's coordinate tuple,
+    are made on first use.
 
     The constructor checks and normalizes its input; `_trusted` takes a
     graph the package built itself as it is.  Either way the adjacency
@@ -171,6 +175,8 @@ class LayeredGraph:
         keys = set(map(add, map(mul, ends[::2], repeat(span)), ends[1::2]))
         keys = sorted(map(sub, keys, repeat(lo * (span + 1))))
         flat = None if labels is None else _label_store(labels, layer_of)
+        if not layer_of:  # no vertices, so no labels, as its document reads
+            flat = None
         self.__dict__.update(
             height=height, layers=layers, _keys=tuple(keys), _flat=flat, _layer_of=layer_of
         )
@@ -187,17 +193,18 @@ class LayeredGraph:
         # normal form: each layer a sorted tuple of distinct ids, keys the
         # sorted distinct keys (over these layers' lo and span) of edges
         # joining consecutive layers, flat the labels of exactly the
-        # vertices, in vertex order, distinct inside each layer.  Skips the
-        # checks.
+        # vertices, in vertex order, distinct inside each layer, or None if
+        # there are no vertices.  Skips the checks.
         graph = object.__new__(cls)
         graph.__dict__.update(height=height, layers=layers, _keys=keys, _flat=flat)
         return graph
 
-    def _ends(self) -> tuple[list[int], list[int]]:
-        # The tails and the heads of the edges, in key order.
+    def _ends(self, start: int = 0, stop: int | None = None) -> tuple[list[int], list[int]]:
+        # The tails and the heads of the edges start..stop-1, in key order.
         lo, span = _frame(self.layers)
-        tails = map(floordiv, self._keys, repeat(span))
-        heads = map(mod, self._keys, repeat(span))
+        keys = self._keys[start:stop]
+        tails = map(floordiv, keys, repeat(span))
+        heads = map(mod, keys, repeat(span))
         if lo:
             tails, heads = map(add, tails, repeat(lo)), map(add, heads, repeat(lo))
         return list(tails), list(heads)
@@ -324,13 +331,17 @@ def _label_store(labels: Mapping, layer_of: dict[int, int]) -> tuple[int, ...]:
 def _label_rows(graph: LayeredGraph, picks: Sequence[int], *lead: Iterable[int]) -> list[int]:
     # The rows of the label store at the vertex indices `picks`, in that
     # order, as flat ints; each row starts with the next int of each `lead`.
+    # Only the picked rows are read, so the cost follows len(picks): row k
+    # starts at flat[k * rank].
     flat, rank = graph._flat, graph._rank
     width = len(lead) + rank
     rows = [0] * (len(picks) * width)
     for j, column in enumerate(lead):
         rows[j::width] = column
+    starts = list(map(mul, picks, repeat(rank))) if rank > 1 else picks
     for j in range(rank):
-        rows[len(lead) + j :: width] = map(flat[j::rank].__getitem__, picks)
+        at = map(add, starts, repeat(j)) if j else starts
+        rows[len(lead) + j :: width] = map(flat.__getitem__, at)
     return rows
 
 
@@ -517,7 +528,7 @@ def channel(graph: LayeredGraph, u_set: Iterable[int], w_set: Iterable[int]) -> 
         for layer in layers[:-1] for v in layer for t in out[v] if masks[t] & target
     )
     flat = None
-    if graph._flat is not None:
+    if graph._flat is not None and layers[0]:
         picks = list(map(graph._index.__getitem__, chain.from_iterable(layers)))
         flat = tuple(_label_rows(graph, picks))
     return LayeredGraph._trusted(j - i, tuple(layers), tuple(keys), flat)
@@ -677,36 +688,34 @@ def graph_to_json(graph: LayeredGraph) -> dict:
     }
 
 
-def _labels_text(graph: LayeredGraph) -> str:
-    # The "labels" object as `_write_json` writes it inside a graph
-    # document: one `"%d": [...]` row per vertex, key included, in
-    # `sort_keys` order of the decimal keys, filled in one `%` pass.
-    if graph._flat is None or graph.is_empty:
-        return "{}"
-    ids = list(chain.from_iterable(graph.layers))
-    order = sorted(range(len(ids)), key=list(map(str, ids)).__getitem__)
-    args = _label_rows(graph, order, map(ids.__getitem__, order))
-    rank = graph._rank
-    row = '"%d": ' + (_row_template(rank, "    ") if rank else "[]")
-    return ("{\n    " + ",\n    ".join([row] * len(ids)) + "\n  }") % tuple(args)
-
-
-def _graph_text(graph: LayeredGraph) -> str:
-    # `graph_to_json(graph)` as `_write_json` writes it, keys sorted: the
-    # edge rows filled from the ends of the keys, interleaved, and the
-    # label rows from the label store.
-    edges = "[]"
-    if graph.edge_count:
-        tails, heads = graph._ends()
+def _graph_pieces(graph: LayeredGraph) -> Iterator[str]:
+    # `graph_to_json(graph)` as `_write_json` writes it, keys sorted, in
+    # pieces of at most one chunk of rows: the edge rows filled from the
+    # ends of a slice of the keys, and the "labels" object, one
+    # `"%d": [...]` row per vertex in `sort_keys` order of the decimal keys,
+    # from the label store.
+    def edge_ends(start: int, stop: int) -> list[int]:
+        tails, heads = graph._ends(start, stop)
         ends = tails * 2
         ends[1::2] = heads
         ends[::2] = tails
-        edges = _fill_rows(ends, [2] * graph.edge_count, "  ")
-    layers = _json_text(list(map(list, graph.layers)), "  ")
-    return (
-        f'{{\n  "edges": {edges},\n  "height": {graph.height},\n'
-        f'  "labels": {_labels_text(graph)},\n  "layers": {layers}\n}}\n'
-    )
+        return ends
+
+    def label_rows(start: int, stop: int) -> list[int]:
+        picks = order[start:stop]
+        return _label_rows(graph, picks, map(ids.__getitem__, picks))
+
+    yield '{\n  "edges": '
+    yield from _fill_rows(_row_template(2, "    "), graph.edge_count, edge_ends, "  ")
+    yield f',\n  "height": {graph.height},\n  "labels": '
+    ids = list(chain.from_iterable(graph.layers)) if graph._flat is not None else []
+    order = sorted(range(len(ids)), key=list(map(str, ids)).__getitem__)
+    rank = graph._rank
+    row = '"%d": ' + (_row_template(rank, "    ") if rank else "[]")
+    yield from _fill_rows(row, len(ids), label_rows, "  ", "{}")
+    yield ',\n  "layers": '
+    yield from _json_pieces(list(map(list, graph.layers)), "  ")
+    yield "\n}\n"
 
 
 def _vertex_key(key: object) -> bool:
@@ -760,7 +769,7 @@ def graph_from_json(obj: object) -> LayeredGraph:
 
 def dump_graph(graph: LayeredGraph, path: str | None) -> None:
     """Write graph_to_json(graph) to path, or to stdout if path is None."""
-    _write_text(_graph_text(graph), path)
+    _write_text(_graph_pieces(graph), path)
 
 
 def load_graph(path: str) -> LayeredGraph:

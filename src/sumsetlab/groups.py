@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import accumulate, chain, repeat
 from math import inf, prod
 from operator import add, floordiv, mod, mul
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import GuardError, InputError
 
@@ -493,7 +493,11 @@ def cardinality_stream(
 # Input need not be normalized; output always is (sorted, deduplicated).
 # Set and graph files and CLI reports are all read by `_read_json`; sets
 # and reports are written by `_write_json`, graphs by `graphs.dump_graph`,
-# which fills the same row templates (`_fill_rows`) from its edge keys.
+# which fills the same row templates (`_fill_rows`) from its edge keys and
+# label store.  Every writer hands `_write_text` a stream of pieces, none
+# longer than one chunk of `_CHUNK` rows, so no whole document is built.
+
+_CHUNK = 4096
 
 
 def _shown(path: str) -> str:
@@ -525,14 +529,15 @@ def _document(obj: object, kind: str, keys: Sequence[str]) -> list:
     return [obj[key] for key in keys]
 
 
-def _write_text(text: str, path: str | None, mode: str = "w") -> None:
-    """Write (or with mode "a" append) text to path; to stdout if path is None."""
+def _write_text(pieces: Iterable[str], path: str | None, mode: str = "w") -> None:
+    """Write (or with mode "a" append) the text pieces to path, in order;
+    to stdout if path is None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, mode, encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise InputError(f"cannot write {_shown(path)}: {exc}") from exc
 
@@ -553,22 +558,46 @@ def _row_template(width: int, pad: str) -> str:
     return f"[\n{inner}" + f",\n{inner}".join(["%d"] * width) + f"\n{pad}]"
 
 
-def _fill_rows(ints: Sequence[int], widths: list[int], pad: str) -> str:
-    """The non-empty list of int rows, of the given widths in order, that
-    holds `ints` in order, as `json.dumps(indent=2)` lays it out at pad."""
+def _fill_rows(
+    rows: str | Sequence[str],
+    count: int,
+    gather: Callable[[int, int], Sequence[int]],
+    pad: str,
+    ends: str = "[]",
+) -> Iterator[str]:
+    """The pieces of a list of `count` rows (an object, with ends "{}") as
+    `json.dumps(indent=2)` lays it out at pad.  Each row is a %-template:
+    rows[k] for row k, or rows itself when it is one str for every row.
+    gather(start, stop) gives the ints that fill rows start..stop-1.
+
+    Rows are filled `_CHUNK` per `%` pass, so no piece holds more than one
+    chunk.  One repeated row makes its whole-chunk template once; only a
+    short last chunk gets its own."""
+    if not count:
+        yield ends
+        return
     inner = pad + "  "
-    row = {width: _row_template(width, inner) for width in set(widths)}
-    if len(row) == 1:
-        rows = [row[widths[0]]] * len(widths)
-    else:
-        rows = list(map(row.__getitem__, widths))
-    body = f",\n{inner}".join(rows)
-    return f"[\n{inner}{body}\n{pad}]" % tuple(ints)
+    lead, sep = "\n" + inner, ",\n" + inner
+    full = ""
+    yield ends[0]
+    for start in range(0, count, _CHUNK):
+        stop = min(start + _CHUNK, count)
+        if type(rows) is not str:
+            template = lead + sep.join(rows[start:stop])
+        elif stop - start < _CHUNK:
+            template = lead + sep.join([rows] * (stop - start))
+        else:
+            full = full or lead + sep.join([rows] * _CHUNK)
+            template = full
+        if start:
+            yield ","
+        yield template % tuple(gather(start, stop))
+    yield "\n" + pad + ends[1]
 
 
-def _json_text(obj: object, pad: str) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)`, each line after the
-    first indented by `pad` more.
+def _json_pieces(obj: object, pad: str) -> Iterator[str]:
+    """The pieces of `json.dumps(obj, indent=2, sort_keys=True)`, each line
+    after the first indented by `pad` more.
 
     With an indent, `json` runs its pure-Python encoder, several times
     slower than the compact C one.  Int lists and lists of int rows, the
@@ -579,21 +608,32 @@ def _json_text(obj: object, pad: str) -> str:
     inner = pad + "  "
     if type(obj) is list and obj:
         if set(map(type, obj)) == {int}:
-            return _row_template(len(obj), pad) % tuple(obj)
-        ints = _int_rows(obj)
-        if ints is not None:
-            return _fill_rows(ints, list(map(len, obj)), pad)
+            yield _row_template(len(obj), pad) % tuple(obj)
+            return
+        if _int_rows(obj) is not None:
+            widths = list(map(len, obj))
+            row = {width: _row_template(width, inner) for width in set(widths)}
+            rows = list(map(row.__getitem__, widths)) if len(row) > 1 else row[widths[0]]
+            yield from _fill_rows(
+                rows,
+                len(obj),
+                lambda start, stop: tuple(chain.from_iterable(obj[start:stop])),
+                pad,
+            )
+            return
     if type(obj) is dict and obj and set(map(type, obj)) == {str}:
-        items = (
-            f"{inner}{json.dumps(key)}: {_json_text(obj[key], inner)}"
-            for key in sorted(obj)
-        )
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+        sep = "{\n"
+        for key in sorted(obj):
+            yield f"{sep}{inner}{json.dumps(key)}: "
+            yield from _json_pieces(obj[key], inner)
+            sep = ",\n"
+        yield f"\n{pad}}}"
+        return
+    yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 def _write_json(obj: object, path: str | None) -> None:
-    _write_text(_json_text(obj, "") + "\n", path)
+    _write_text(chain(_json_pieces(obj, ""), ["\n"]), path)
 
 
 def gset_to_json(a: GSet) -> dict:

@@ -19,8 +19,12 @@ provided:
   maximal tight set; otherwise |image(Z)| / |Z| < p/q becomes the next
   candidate.  |Z| strictly falls from step to step, so at most |V_0| cuts
   are made, typically two or three.  Each step is one `maxflow.ratio_cut`
-  on the bitmask images, with no network built.  The loop, `_tight`, reads
-  only those images, which the peel in `partition` restricts on its own.
+  on the bitmask images, with no network built.  The maximal minimizers
+  nest: at a lower ratio the maximal minimizer lies inside the one at a
+  higher ratio (parametric min cuts, Gallo, Grigoriadis and Tarjan 1989),
+  so each cut after the first runs on the previous Z's images alone.  The
+  loop, `_tight`, reads only those images, which the peel in `partition`
+  restricts on its own.
 
 Minimizing subsets of the cut objective form a lattice (the objective is
 submodular), so the union of all minimizers is itself a minimizer: the
@@ -121,11 +125,16 @@ def _tight(vertex_masks: Sequence[int]) -> tuple[Ratio, list[int], int]:
     z = list(range(len(vertex_masks)))
     z_image = reduce(or_, vertex_masks, 0)
     # Start from Z = V_0; each cut at Z's ratio p/q yields the maximal
-    # minimizer of q|image(Z')| - p|Z'|, which becomes the next Z.
+    # minimizer of q|image(Z')| - p|Z'|, which becomes the next Z.  The
+    # ratio falls from cut to cut, and a lower ratio's maximal minimizer lies
+    # inside a higher one's, so each cut runs on the rows of Z alone.
+    rows = vertex_masks
     while True:
         value = Fraction(z_image.bit_count(), len(z))
-        saturated, z = ratio_cut(vertex_masks, value.numerator, value.denominator)
-        z_image = reduce(or_, map(vertex_masks.__getitem__, z), 0)
+        saturated, kept = ratio_cut(rows, value.numerator, value.denominator)
+        z = list(map(z.__getitem__, kept))
+        rows = list(map(rows.__getitem__, kept))
+        z_image = reduce(or_, rows, 0)
         if saturated:
             return value, z, z_image
 

@@ -3,6 +3,7 @@
 import json
 import pickle
 import re
+import tracemalloc
 from itertools import chain
 
 import pytest
@@ -203,6 +204,19 @@ def test_channel_can_be_empty():
     ch = channel(g, {1}, {3})
     assert ch.is_empty
     assert ch.height == 1
+
+
+def test_vertexless_labeled_graphs_equal_their_documents(tmp_path):
+    # A graph without vertices stores no labels, as its document ("labels":
+    # {}) reads back; so does a pathless channel of a labeled graph.
+    g = LayeredGraph(1, ((0, 1), (2, 3)), ((0, 2),), {0: [0], 1: [1], 2: [0], 3: [1]})
+    path = str(tmp_path / "g.json")
+    for empty in (channel(g, {1}, {3}), LayeredGraph(1, ((), ()), (), {})):
+        assert empty.is_empty
+        assert empty.labels is None
+        assert graph_from_json(graph_to_json(empty)) == empty
+        dump_graph(empty, path)
+        assert load_graph(path) == empty
 
 
 def test_channel_validation(g253):
@@ -678,7 +692,8 @@ def test_channels_and_images_match_oracle_on_scrambled_graphs():
         kept = set().union(*want)
         assert set(ch.edges) == {e for e in g.edges if set(e) <= kept}
         if g.labels is not None:
-            assert ch.labels == {v: g.labels[v] for v in kept}
+            # A pathless channel has no vertices, so it carries no labels.
+            assert ch.labels == ({v: g.labels[v] for v in kept} if kept else None)
         lifted += i > 0
         partial += len(w) < len(g.layers[j])
         pathless += ch.is_empty
@@ -828,6 +843,60 @@ def test_writer_matches_json_dumps_of_graph_to_json(tmp_path):
         ranks |= set(map(len, doc["labels"].values()))
     assert kinds >= {(True, True), (True, False), (False, True), (False, False)}
     assert ranks >= {0, 1, 2, 3}
+
+
+CHUNK_SIZES = (0, 1, groups._CHUNK - 1, groups._CHUNK, groups._CHUNK + 1, 2 * groups._CHUNK + 1)
+
+
+def chunk_graphs(n):
+    """Two graphs with n vertices, one a path, and one with n edges, as
+    (height, layers, edges).  Ids 0..|V|-1 sort differently as decimal keys,
+    so label chunks cut through the `sort_keys` order."""
+    bottom, top = list(range(0, n, 2)), list(range(1, n, 2))
+    yield 1, (bottom, top), [(v, v + 1) for v in bottom if v + 1 < n]
+    height = max(n, 2) - 1
+    layers = [[v] for v in range(n)] + [[]] * (height + 1 - n)
+    yield height, layers, [(v, v + 1) for v in range(n - 1)]
+    top = list(range(3, 3 + -(-n // 3)))
+    yield 1, ([0, 1, 2], top), [(u, v) for v in top for u in (0, 1, 2)][:n]
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+def test_writer_fills_rows_across_chunk_boundaries(tmp_path, capsys, n):
+    path = tmp_path / "g.json"
+    for height, layers, edges in chunk_graphs(n):
+        # Rank-0 labels are all (), so they fit one vertex per layer only.
+        lone = max(map(len, layers)) <= 1
+        for rank in (None, 0, 1, 2) if lone else (None, 1, 2):
+            labels = None if rank is None else {
+                v: (v, -v)[:rank] for layer in layers for v in layer
+            }
+            g = LayeredGraph(height, layers, edges, labels)
+            want = json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n"
+            dump_graph(g, str(path))
+            assert path.read_text() == want
+            dump_graph(g, None)
+            assert capsys.readouterr().out == want
+
+
+def test_writer_holds_less_than_the_document(tmp_path):
+    # The writer streams the document in chunks, so its traced peak stays
+    # below the document's length; a whole-text writer holds it several
+    # times over.  tracemalloc counts Python allocations, not RSS, so the
+    # figure does not depend on the machine.
+    rng = rng_for(20261019, "writer memory")
+    a = GSet.from_coords(Z, [(x,) for x in rng.sample(range(-9800, 9800), 980)])
+    b = GSet.from_coords(Z, [(x,) for x in rng.sample(range(12), 8)])
+    g = build_addition_graph(a, b, 2)
+    assert g.edge_count > 50_000
+    path = tmp_path / "g.json"
+    tracemalloc.start()
+    try:
+        dump_graph(g, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 @pytest.mark.parametrize("command", ["build", "restrict"])

@@ -644,6 +644,24 @@ def test_writer_matches_json_dumps(tmp_path, monkeypatch):
                 assert bool(templates) == templated, doc
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 1, groups._CHUNK + 1])
+def test_writer_fills_documents_across_chunk_boundaries(tmp_path, capsys, extra):
+    # Rows are filled one chunk per `%` pass: a set document, rows of mixed
+    # widths and a flat int list, each longer than one chunk.
+    n = groups._CHUNK + extra
+    a = GSet.from_coords(GroupSpace((0, 7)), [(i, -i % 7) for i in range(n)])
+    report = {"blocks": [list(range(i % 3 + 1)) for i in range(n)], "sizes": list(range(n))}
+    path = tmp_path / "doc.json"
+    for doc in (gset_to_json(a), report):
+        want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        _write_json(doc, str(path))
+        assert path.read_text() == want
+        _write_json(doc, None)
+        assert capsys.readouterr().out == want
+    dump_gset(a, str(path))
+    assert load_gset(str(path)) == a
+
+
 def _graph():
     return build_addition_graph(gs(0, 1), gs(0), 2)
 

@@ -20,6 +20,7 @@ from sumsetlab import (
     plunnecke_chain,
     tight_channel_power_check,
 )
+from sumsetlab.graphs import image_masks
 from sumsetlab.instances import random_pair, rng_for
 
 from oracles import (
@@ -207,8 +208,9 @@ def test_dinkelbach_matches_oracles_on_general_graphs(monkeypatch):
     ratio_cut = magnification.ratio_cut
 
     def counted(vertex_masks, p, q):
-        cuts.append(1)
-        return ratio_cut(vertex_masks, p, q)
+        saturated, kept = ratio_cut(vertex_masks, p, q)
+        cuts.append((list(vertex_masks), kept))
+        return saturated, kept
 
     monkeypatch.setattr(magnification, "ratio_cut", counted)
     rng = random.Random("mag:dinkelbach")
@@ -221,6 +223,11 @@ def test_dinkelbach_matches_oracles_on_general_graphs(monkeypatch):
         flow = magnification_flow(g, level)
         flow_cuts = len(cuts)
         assert flow_cuts <= len(bottom) + 1
+        # The maximal minimizers nest, so each later cut runs on exactly
+        # the rows the cut before it kept.
+        assert cuts[0][0] == image_masks(g, level)
+        for (rows, kept), (later, _) in zip(cuts, cuts[1:]):
+            assert later == [rows[k] for k in kept]
         brute = magnification_bruteforce(g, level)
         assert flow.value == brute.value
         assert flow.maximal_tight_set == brute.maximal_tight_set
