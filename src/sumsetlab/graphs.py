@@ -50,21 +50,25 @@ slice of the keys, and each chunk of label rows from one slice of the
 vertices in decimal key order, so no whole document is ever held.
 
 A graph is validated once.  The `LayeredGraph` constructor, and so every
-graph document, checks and normalizes its input.  Graphs the package builds
-itself (addition and restricted graphs, channels, the peel's singleton
-blocks) come out already normalized, so the private `LayeredGraph._trusted`
-takes them as they are.  Either kind builds its adjacency (the layer of
-each vertex, its out-neighbours) on first use and keeps each level's sweep
-once made, so writing a graph out builds neither, nor either view.
+graph document, checks and normalizes its input.  A document loads in one
+pass of those checks over its own fields: each vertex finds its label row
+under its decimal id, and a count shows that every key names a vertex.
+Only a document that fails a check is read again, key by key and entry by
+entry, to name the culprit.  Graphs the package builds itself (addition
+and restricted graphs, channels, the peel's singleton blocks) come out
+already normalized, so the private `LayeredGraph._trusted` takes them as
+they are.  Either kind builds its adjacency (the layer of each vertex, its
+out-neighbours) on first use and keeps each level's sweep once made, so
+writing a graph out builds neither, nor either view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, count, repeat
-from operator import add, floordiv, mod, mul, or_, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, count, islice, repeat
+from operator import add, floordiv, lt, mod, mul, or_, sub
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardError, InputError
 from .groups import (
@@ -118,9 +122,10 @@ class LayeredGraph:
     `edges`, the (from, to) pairs, and `labels`, each id's coordinate tuple,
     are made on first use.
 
-    The constructor checks and normalizes its input; `_trusted` takes a
-    graph the package built itself as it is.  Either way the adjacency
-    (`_layer_of`, `_out`) and the sweeps (`_sweeps`) are built on first use.
+    The constructor checks and normalizes its input, and `_fill` runs its
+    checks on a document's fields too; `_trusted` takes a graph the package
+    built itself as it is.  Either way the adjacency (`_layer_of`, `_out`)
+    and the sweeps (`_sweeps`) are built on first use.
     Asking for a vertex the graph lacks raises `InputError`.
     """
 
@@ -132,6 +137,19 @@ class LayeredGraph:
     def __init__(
         self, height: int, layers: Iterable, edges: Iterable, labels: Mapping | None = None
     ) -> None:
+        self._fill(height, layers, edges, labels, None)
+
+    def _fill(
+        self,
+        height: int,
+        layers: Iterable,
+        edges: Iterable,
+        labels: Mapping | None,
+        name: Callable[[int], object] | None,
+    ) -> None:
+        # The checks and the normal form of the constructor.  Vertex v's
+        # label row is labels[v], or labels[name(v)] when name is given, as
+        # `graph_from_json` gives str to read a document's decimal keys.
         if not _is_int(height) or height < 1:
             raise InputError("layered graph height must be >= 1")
         layers = tuple(tuple(sorted(layer)) for layer in layers)
@@ -170,11 +188,16 @@ class LayeredGraph:
                     raise InputError(
                         f"edge ({u}, {v}) does not join consecutive layers"
                     )
-        # u * span + v is the key plus lo * (span + 1).
+        # u * span + v is the key plus lo * (span + 1).  Sorted rows (as
+        # documents hold them) sort in one pass; only equal neighbours repeat.
         lo, span = _frame(layers)
-        keys = set(map(add, map(mul, ends[::2], repeat(span)), ends[1::2]))
-        keys = sorted(map(sub, keys, repeat(lo * (span + 1))))
-        flat = None if labels is None else _label_store(labels, layer_of)
+        keys = list(map(add, map(mul, ends[::2], repeat(span)), ends[1::2]))
+        keys.sort()
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            keys = sorted(set(keys))
+        if lo:
+            keys = map(sub, keys, repeat(lo * (span + 1)))
+        flat = None if labels is None else _label_store(labels, layer_of, name)
         if not layer_of:  # no vertices, so no labels, as its document reads
             flat = None
         self.__dict__.update(
@@ -294,10 +317,14 @@ def _not_a_vertex(v: object) -> InputError:
     return InputError(f"vertex id {v!r} is not in the graph")
 
 
-def _label_store(labels: Mapping, layer_of: dict[int, int]) -> tuple[int, ...]:
+def _label_store(
+    labels: Mapping, layer_of: dict[int, int], name: Callable[[int], object] | None
+) -> tuple[int, ...]:
     # The labels of the vertices of layer_of, in its order, as flat ints,
-    # checked.  Whole-list tests first; the loops only name the culprit.
-    rows = list(map(labels.get, layer_of))
+    # checked; v's row is labels[v], or labels[name(v)] when name is given.
+    # Whole-list tests first; the loops only name the culprit.  Each vertex
+    # finds its own row, so with as many rows as vertices every key names one.
+    rows = list(map(labels.get, map(name, layer_of) if name else layer_of))
     flat = _int_rows(rows) if rows else ()
     if flat is None or len(labels) > len(rows) or len(set(map(len, rows))) > 1:
         for row in labels.values():
@@ -731,8 +758,11 @@ def graph_from_json(obj: object) -> LayeredGraph:
     """The graph of a JSON document; every field is checked once.
 
     Each list is first tested whole; only when that test fails does a loop
-    over its entries find the one to name in the error.  The constructor
-    then checks the structure and the label values.  Duplicate edges are
+    over its entries find the one to name in the error.  The constructor's
+    checks then run on the document's own fields, each vertex reading its
+    label row under its decimal id.  If any check fails, the label keys are
+    checked first and the constructor runs again on int keys, so an error
+    names the same culprit whichever check found it.  Duplicate edges are
     merged.
     """
     height, layers, edges = _document(obj, "graph", ("height", "layers", "edges"))
@@ -746,19 +776,19 @@ def graph_from_json(obj: object) -> LayeredGraph:
                 raise InputError("'layers' entries must be lists of integer ids")
     if not isinstance(edges, list):
         raise InputError("'edges' must be a list of [from, to] pairs")
-    labels_raw = {} if obj.get("labels") is None else obj["labels"]
-    if not isinstance(labels_raw, dict):
+    labels = {} if obj.get("labels") is None else obj["labels"]
+    if not isinstance(labels, dict):
         raise InputError("'labels' must be an object keyed by vertex id")
-    keys = list(labels_raw)
     try:
-        ids = list(map(int, keys))
-    except (TypeError, ValueError):
-        ids = []
-    if list(map(str, ids)) != keys:
-        for key in keys:
-            if not _vertex_key(key):
-                raise InputError(f"label key {key!r} is not a vertex id")
-    labels = dict(zip(ids, labels_raw.values())) or None
+        graph = object.__new__(LayeredGraph)
+        graph._fill(height, layers, edges, labels or None, str)
+        return graph
+    except Exception:  # any failure is named below, label keys first
+        pass
+    for key in labels:
+        if not _vertex_key(key):
+            raise InputError(f"label key {key!r} is not a vertex id")
+    labels = {int(key): row for key, row in labels.items()} or None
     try:
         return LayeredGraph(height, layers, edges, labels)
     except InputError:

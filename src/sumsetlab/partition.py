@@ -1,24 +1,27 @@
 """Peeling a layered graph into channels by level-1 magnification.
 
-The peel runs on top-down bitmask sweeps and builds one graph per block.
-With U the top vertices no block has claimed yet, a round keeps the level-1
-vertices whose top image meets U (alive); remaining bottom vertices with no
-level-1 neighbour in alive become degenerate singleton blocks of ratio 0, in
-sorted order, so the bottom layer stays exactly covered.  The block is the
-maximal tight set Z of the others under level-1 images cut down to alive,
-from the Dinkelbach loop of `magnification`; its subgraph is the channel
-from Z to the part of U it claims.  Blocks share no vertex at any level, so
-top-layer images add up block by block.  The alive rule is too loose: a
-later ratio can fall below an earlier one, even with a degenerate block in
-a sumset graph (suite seed 1, instance 80); `verify_partition` reports it,
-and ROADMAP item 1 plans the fix.
+The peel runs on top-down bitmask sweeps.  With U the top vertices no block
+has claimed yet, a round keeps the level-1 vertices whose top image meets U
+(alive); remaining bottom vertices with no level-1 neighbour in alive become
+degenerate singleton blocks of ratio 0, in sorted order, so the bottom layer
+stays exactly covered.  The block is the maximal tight set Z of the others
+under level-1 images cut down to alive, from the Dinkelbach loop of
+`magnification`, and it claims the part of U that Z reaches.  Its subgraph,
+the channel from Z to that part (a degenerate block's lone vertex), is made
+the first time it is read and then kept: `verify_partition` reads every
+one, while the bound report reads none.  Blocks share no vertex at any
+level, so top-layer images add up block by block.  The alive rule is too
+loose: a later ratio can fall below an earlier one, even with a degenerate
+block in a sumset graph (suite seed 1, instance 80); `verify_partition`
+reports it, and ROADMAP item 1 plans the fix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import chain
 from operator import or_
 
 from .errors import InputError
@@ -38,11 +41,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PartitionBlock:
+    """One block of a peel: its bottom vertices, its level-1 ratio, and the
+    top vertices of `graph` it claims (none for a degenerate block).
+
+    `subgraph` is the channel from the block's vertices to the top it
+    claims, or for a degenerate block its vertices alone; it is made the
+    first time it is read, then kept.
+    """
+
     index: int
     vertices: tuple[int, ...]
     ratio: Ratio
-    subgraph: LayeredGraph
+    graph: LayeredGraph = field(repr=False)
+    top: tuple[int, ...]
     degenerate: bool
+
+    @cached_property
+    def subgraph(self) -> LayeredGraph:
+        graph = self.graph
+        if not self.degenerate:
+            return channel(graph, self.vertices, self.top)
+        lone = tuple(sorted(set(self.vertices)))
+        flat = None
+        if graph._flat is not None and lone:
+            flat = tuple(chain.from_iterable(map(graph.label_of, lone)))
+        return LayeredGraph._trusted(graph.height, (lone,) + ((),) * graph.height, (), flat)
 
 
 @dataclass(frozen=True)
@@ -67,18 +90,6 @@ def partition_to_json(result: PartitionResult) -> dict:
     }
 
 
-def _singleton_block(
-    graph: LayeredGraph, index: int, vertex: int
-) -> PartitionBlock:
-    lone = LayeredGraph._trusted(
-        graph.height,
-        ((vertex,),) + ((),) * graph.height,
-        (),
-        None if graph._flat is None else graph.label_of(vertex),
-    )
-    return PartitionBlock(index, (vertex,), Fraction(0), lone, True)
-
-
 def partition_graph(graph: LayeredGraph) -> PartitionResult:
     if not graph.layers[0]:
         raise InputError("cannot partition a graph with an empty bottom layer")
@@ -98,14 +109,14 @@ def partition_graph(graph: LayeredGraph) -> PartitionResult:
             if near[x] & alive:
                 live.append(x)
             else:
-                blocks.append(_singleton_block(graph, len(blocks), x))
+                blocks.append(PartitionBlock(len(blocks), (x,), Fraction(0), graph, (), True))
         if not live:
             break
         ratio, idx, _ = _tight([near[x] & alive for x in live])
         tight = tuple(live[k] for k in idx)
         claimed = reduce(or_, (far[x] for x in tight)) & unclaimed
-        subgraph = channel(graph, tight, [top[k] for k in _bit_positions(claimed)])
-        blocks.append(PartitionBlock(len(blocks), tight, ratio, subgraph, False))
+        claim = tuple(map(top.__getitem__, _bit_positions(claimed)))
+        blocks.append(PartitionBlock(len(blocks), tight, ratio, graph, claim, False))
         unclaimed ^= claimed
         taken = set(tight)
         remaining = [x for x in live if x not in taken]

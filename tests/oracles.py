@@ -383,6 +383,101 @@ def naive_peel(layers, edges):
     return blocks
 
 
+class DocumentError(ValueError):
+    """A graph document the checking loader refuses; the message names the
+    first culprit."""
+
+
+def _plain_int(v):
+    return type(v) is int
+
+
+def checking_graph_loader(doc):
+    """The checks and normal form of a graph document, one entry at a time.
+
+    Returns (height, layers, keys, flat): the layers as sorted tuples, the
+    edges as the sorted distinct keys (u - lo) * span + (v - lo) over the
+    least id lo and the id range span, and the labels as flat ints in the
+    order of the layers' vertices (None without labels or vertices).  A
+    malformed document raises DocumentError with the message of the first
+    check it fails, in the order: document keys, height, layers, edges,
+    labels object, label keys, layer count, repeated ids, edge rows, label
+    values, label ranks, missing labels, repeated labels, unknown keys.
+    """
+    if not isinstance(doc, dict):
+        raise DocumentError("graph document must be a JSON object")
+    for key in ("height", "layers", "edges"):
+        if key not in doc:
+            raise DocumentError(f"graph document missing key '{key}'")
+    height, layers, edges = doc["height"], doc["layers"], doc["edges"]
+    if not _plain_int(height) or height < 1:
+        raise DocumentError("'height' must be an integer >= 1")
+    if not isinstance(layers, list):
+        raise DocumentError("'layers' must be a list of id lists")
+    for layer in layers:
+        if not isinstance(layer, list) or not all(map(_plain_int, layer)):
+            raise DocumentError("'layers' entries must be lists of integer ids")
+    if not isinstance(edges, list):
+        raise DocumentError("'edges' must be a list of [from, to] pairs")
+    raw = {} if doc.get("labels") is None else doc["labels"]
+    if not isinstance(raw, dict):
+        raise DocumentError("'labels' must be an object keyed by vertex id")
+    labels = {}
+    for key, row in raw.items():
+        try:
+            canonical = str(int(key)) == key
+        except ValueError:
+            canonical = False
+        if not canonical:
+            raise DocumentError(f"label key {key!r} is not a vertex id")
+        labels[int(key)] = row
+    layers = [sorted(layer) for layer in layers]
+    if len(layers) != height + 1:
+        raise DocumentError(f"height {height} needs {height + 1} layers, got {len(layers)}")
+    level = {}
+    for k, layer in enumerate(layers):
+        for v in layer:
+            if v in level:
+                raise DocumentError(f"vertex id {v} appears twice")
+            level[v] = k
+    pairs = set()
+    for row in edges:
+        if not isinstance(row, list) or len(row) != 2 or not all(map(_plain_int, row)):
+            raise DocumentError("'edges' entries must be [from, to] integer pairs")
+        u, v = row
+        if u not in level or v not in level:
+            raise DocumentError(f"edge ({u}, {v}) uses unknown vertex ids")
+        if level[v] != level[u] + 1:
+            raise DocumentError(f"edge ({u}, {v}) does not join consecutive layers")
+        pairs.add((u, v))
+    ids = [v for layer in layers for v in layer]
+    lo, hi = (min(ids), max(ids)) if ids else (0, 0)
+    keys = tuple(sorted((u - lo) * (hi - lo + 1) + v - lo for u, v in pairs))
+    flat = None
+    if labels:
+        for row in labels.values():
+            if not isinstance(row, list) or not all(map(_plain_int, row)):
+                raise DocumentError("'labels' values must be integer coordinate lists")
+        ranks = sorted({len(row) for row in labels.values()})
+        if len(ranks) > 1:
+            raise DocumentError(
+                f"'labels' coordinate lists differ in length: {ranks[0]} and {ranks[-1]}"
+            )
+        missing = [v for v in ids if v not in labels]
+        if missing:
+            raise DocumentError(f"labels missing for vertex ids {missing[:5]}")
+        seen = set()
+        for v in ids:
+            if (level[v], tuple(labels[v])) in seen:
+                raise DocumentError(f"duplicate label {tuple(labels[v])} inside one layer")
+            seen.add((level[v], tuple(labels[v])))
+        for key in labels:
+            if key not in level:
+                raise DocumentError(f"label key '{key}' names no vertex")
+        flat = tuple(c for v in ids for c in labels[v]) if ids else None
+    return height, tuple(map(tuple, layers)), keys, flat
+
+
 def naive_restricted_sumset(x, b, j_set, j, h, samples, moduli):
     """The restricted-sumset statement, sum by sum and subset by subset.
 

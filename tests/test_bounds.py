@@ -1,6 +1,7 @@
 """Certified bound evaluation: pseudo-cardinality, the named report rows,
 majorants, growth and set-addition statements."""
 
+import json
 import math
 import re
 from dataclasses import astuple
@@ -24,6 +25,7 @@ from sumsetlab import (
     csv_row,
     growth_commutative_bound,
     growth_general_bound,
+    gset_to_json,
     large_subset_search,
     linear_majorant,
     magnification_flow,
@@ -334,6 +336,30 @@ def test_bound_report_sweeps_its_graph_once_per_level(monkeypatch):
     monkeypatch.setattr(bounds_mod, "build_addition_graph", build)
     assert bound_report_to_json(bound_report(a, b, h)) == plain
     assert sorted(misses) == [1, h]
+
+
+def test_bound_report_makes_no_channel(monkeypatch, tmp_path, capsys):
+    # The report reads the peel's ratios and vertices, never a block's
+    # subgraph, so the peel's blocks build no channel; nor does the
+    # certified chain of suite criterion 5.
+    from sumsetlab.cli import main
+    from sumsetlab.suite import check_certified_chain
+
+    def refuse(*args):
+        raise AssertionError("a block subgraph was built")
+
+    monkeypatch.setattr("sumsetlab.partition.channel", refuse)
+    rng = rng_for(20261019, "no channel")
+    for _ in range(20):
+        a, b = random_pair(rng, a_hi=9, b_hi=4)
+        bound_report(a, b, rng.randint(1, 3))
+    a, b = gs(0, 1, 2, 3, 100), gs(0, 1)
+    for name, s in (("A.json", a), ("B.json", b)):
+        (tmp_path / name).write_text(json.dumps(gset_to_json(s)))
+    argv = ["bounds", str(tmp_path / "A.json"), str(tmp_path / "B.json"), "--h", "3"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["alpha_1"] == [5, 4]
+    assert check_certified_chain(1).ok
 
 
 def test_report_rows_complete_and_deterministic(grid_report):

@@ -20,6 +20,8 @@ from sumsetlab import (
 from sumsetlab.cli import main
 from sumsetlab.instances import random_gset, random_space, rng_for
 
+from oracles import DocumentError, checking_graph_loader
+
 Z = GroupSpace((0,))
 
 
@@ -415,6 +417,95 @@ def test_label_keys_must_name_vertices(tmp_path, capsys, argv):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
     gpath.write_text(json.dumps({**base, "labels": {"0": [1], "1": [2]}}))
     assert run(capsys, *argv)[0] == 0
+
+
+def _small_doc(**change):
+    doc = {
+        "height": 2,
+        "layers": [[0, 1, 7], [2, 3, 8], [4]],
+        "edges": [[0, 2], [1, 3], [7, 8], [2, 4], [3, 4], [8, 4]],
+        "labels": {"0": [0], "1": [1], "7": [2], "2": [1], "3": [2], "8": [3], "4": [2]},
+    }
+    return {**doc, **change}
+
+
+def _rekeyed(doc, old, new):
+    labels = {new if key == old else key: row for key, row in doc["labels"].items()}
+    return {**doc, "labels": labels}
+
+
+def _adversarial_graph_docs(rng):
+    """(case, document, message) for documents a loader that finds each
+    label row under its vertex's decimal id, and counts the rows, could
+    take for valid.  Every message is the one the entry-by-entry checks
+    give."""
+    for key in ("4", "0"):
+        yield f"key 9 for vertex {key}", _rekeyed(_small_doc(), key, "9"), (
+            f"labels missing for vertex ids [{key}]")
+    doc = _graph_doc(rng)
+    ids = [v for layer in doc["layers"] for v in layer]
+    v = rng.choice(ids)
+    yield "built, one key off the ids", _rekeyed(doc, str(v), str(max(ids) + 1)), (
+        f"labels missing for vertex ids [{v}]")
+    for bad in ("07", "-0", "+1", " 1"):
+        doc = _rekeyed(_small_doc(), str(int(bad)), bad)
+        yield f"key {bad!r} for its vertex", doc, f"label key {bad!r} is not a vertex id"
+        doc = _small_doc()
+        doc["labels"][bad] = [9]
+        yield f"key {bad!r} besides its vertex", doc, f"label key {bad!r} is not a vertex id"
+    for bad in ("", [], 0, False):
+        yield f"labels {bad!r}", _small_doc(labels=bad), (
+            "'labels' must be an object keyed by vertex id")
+    for row in ([0, True], [True, 2], [False, 2], [0.0, 2], [0, 2.0]):
+        doc = _small_doc()
+        doc["edges"][1] = row
+        yield f"edge {row!r}", doc, "'edges' entries must be [from, to] integer pairs"
+    doc = _graph_doc(rng)
+    doc["edges"][rng.randrange(len(doc["edges"]))] = [doc["edges"][0][0], 1.0]
+    yield "built, one float end", doc, "'edges' entries must be [from, to] integer pairs"
+    # Two faults at once: the earlier check names its own.
+    doc = _rekeyed(_small_doc(), "1", "01")
+    doc["edges"].append([0, 4])
+    yield "key '01' and an edge past a layer", doc, "label key '01' is not a vertex id"
+    doc = _rekeyed(_small_doc(), "2", "+2")
+    doc["layers"].pop()
+    yield "key '+2' and a missing layer", doc, "label key '+2' is not a vertex id"
+    doc = _rekeyed(_small_doc(), "4", "9")
+    doc["layers"][0].append(3)
+    yield "key 9 for vertex 4 and id 3 twice", doc, "vertex id 3 appears twice"
+    doc = _small_doc()
+    doc["labels"]["9"] = "x"
+    yield "key 9 besides, a bad value", doc, "'labels' values must be integer coordinate lists"
+    doc = _small_doc()
+    doc["labels"]["9"] = [5, 5]
+    yield "key 9 besides, another rank", doc, (
+        "'labels' coordinate lists differ in length: 1 and 2")
+    doc = _small_doc()
+    doc["labels"]["3"] = [1]
+    doc["labels"]["9"] = [5]
+    yield "key 9 besides, a repeated label", doc, "duplicate label (1,) inside one layer"
+
+
+ADVERSARIAL_GRAPHS = list(_adversarial_graph_docs(rng_for(20261019, "adversarial graphs")))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [pytest.param(doc, message, id=case) for case, doc, message in ADVERSARIAL_GRAPHS],
+)
+def test_adversarial_graph_document_exits_2(tmp_path, capsys, doc, message):
+    gpath = tmp_path / "G.json"
+    gpath.write_text(json.dumps(doc))
+    assert run(capsys, "graph", "check", gpath) == (2, "", f"error: {message}\n")
+
+
+def test_graph_document_messages_match_the_checking_loader():
+    # The entry-by-entry loader of tests/oracles.py names the same culprit
+    # in every document of both corpora.
+    for case, doc, message in MALFORMED_GRAPHS + ADVERSARIAL_GRAPHS:
+        with pytest.raises(DocumentError) as info:
+            checking_graph_loader(json.loads(json.dumps(doc)))
+        assert str(info.value) == message, case
 
 
 def _set_doc(rng, space=None):

@@ -38,6 +38,8 @@ from sumsetlab.instances import (
 )
 
 from oracles import (
+    DocumentError,
+    checking_graph_loader,
     naive_channel,
     naive_commutative,
     naive_image,
@@ -939,3 +941,182 @@ def test_partition_command_makes_neither_view(tmp_path, monkeypatch):
     assert cli.main(["partition", path, "--out", str(tmp_path / "P.json")]) == 0
     (g,) = loaded
     assert not {"edges", "labels"} & vars(g).keys()
+
+
+# -- the document loader ------------------------------------------------------
+#
+# `graph_from_json` against the entry-by-entry checking loader of
+# `tests/oracles.py`: the same fields on every document it accepts, and the
+# same message on every document it refuses.
+
+
+def assert_loads_as_checked(doc):
+    """Load doc both ways; True when it is valid."""
+    try:
+        want = checking_graph_loader(doc)
+    except DocumentError as exc:
+        with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+            graph_from_json(doc)
+        return False
+    g = graph_from_json(doc)
+    assert (g.height, g.layers, g._keys, g._flat) == want
+    assert g == LayeredGraph._trusted(*want)
+    return True
+
+
+def random_document(rng):
+    """A layered graph document with ids from a random pool, each layer's
+    ids unsorted, edges unsorted with repeats, and labels absent, null,
+    empty, or at rank 0-3 in random key order."""
+    form = rng.choice(["absent", "null", "empty", 0, 1, 2, 3])
+    h = rng.randint(1, 3)
+    most = 1 if form == 0 and rng.random() < 0.5 else 6  # rank 0 fits one per layer
+    sizes = [rng.randint(1 if level == 0 else 0, most) for level in range(h + 1)]
+    pool = rng.choice([range(0, 30), range(-40, 40), range(-10**12, 10**12)])
+    ids = rng.sample(pool, sum(sizes))
+    layers = [ids[sum(sizes[:k]) : sum(sizes[: k + 1])] for k in range(h + 1)]
+    p = rng.choice([0.2, 0.5, 0.9])
+    edges = [[u, v] for lower, upper in zip(layers, layers[1:]) for u in lower for v in upper
+             if rng.random() < p]
+    edges += [list(e) for e in rng.sample(edges, len(edges) // 3)]
+    rng.shuffle(edges)
+    doc = {"height": h, "layers": layers, "edges": edges}
+    if form == "null":
+        doc["labels"] = None
+    elif form == "empty":
+        doc["labels"] = {}
+    elif form != "absent":
+        rows = [(str(v), [k] + [rng.randint(-3, 3) for _ in range(form - 1)] if form else [])
+                for layer in layers for k, v in enumerate(layer)]
+        rng.shuffle(rows)
+        doc["labels"] = dict(rows)
+    return doc
+
+
+def loader_documents(rng):
+    """Documents the package writes for built graphs and for channels of
+    graphs with scrambled, negative or sparse ids, then random documents."""
+    for _ in range(25):
+        a, b, c = random_triple(rng, a_hi=8, b_hi=4)
+        h = rng.randint(1, 3)
+        g = build_addition_graph(a, b, h)
+        yield graph_to_json(g)
+        yield graph_to_json(build_restricted_graph(a, b, c, h))
+        u = rng.sample(g.layers[0], rng.randint(1, len(g.layers[0])))
+        yield graph_to_json(channel(g, u, g.layers[-1]))
+    for pool in ["scrambled", *ID_POOLS] * 15:
+        g = random_scrambled_graph(rng) if pool == "scrambled" else random_keyed_graph(rng, pool)[0]
+        levels = [k for k, layer in enumerate(g.layers) if layer]
+        if len(levels) > 1:
+            i, j = sorted(rng.sample(levels, 2))
+            u = rng.sample(g.layers[i], rng.randint(1, len(g.layers[i])))
+            w = rng.sample(g.layers[j], rng.randint(1, len(g.layers[j])))
+            yield graph_to_json(channel(g, u, w))
+        yield graph_to_json(g)
+    for _ in range(300):
+        yield random_document(rng)
+
+
+def file_form(doc):
+    return json.loads(json.dumps(doc, sort_keys=True))
+
+
+def test_loader_matches_the_checking_loader():
+    rng = rng_for(20261019, "loader")
+    valid, ranks, forms = 0, set(), set()
+    for doc in loader_documents(rng):
+        for form in (doc, file_form(doc)):
+            valid += assert_loads_as_checked(form)
+        labels = doc.get("labels", "absent")
+        forms.add("rows" if isinstance(labels, dict) and labels else repr(labels))
+        ranks |= set(map(len, labels.values())) if isinstance(labels, dict) else set()
+    assert valid > 700
+    assert forms == {"'absent'", "None", "{}", "rows"}
+    assert ranks == {0, 1, 2, 3}
+
+
+def test_valid_documents_load_in_one_pass(monkeypatch):
+    # A document the checks accept is never read a second time: the
+    # constructor, which names the culprit of a refused one, is not called.
+    rng = rng_for(20261019, "one pass")
+    valid = []
+    for doc in map(file_form, loader_documents(rng)):
+        try:
+            checking_graph_loader(doc)
+        except DocumentError:
+            continue
+        valid.append(doc)
+
+    def refuse(self, *args):
+        raise AssertionError("the document was read twice")
+
+    monkeypatch.setattr(LayeredGraph, "__init__", refuse)
+    for doc in valid:
+        graph_from_json(doc)
+    assert len(valid) > 350
+
+
+def corrupt(doc, rng):
+    """A copy of a document with one more random fault."""
+    doc = json.loads(json.dumps(doc))
+    layers, edges = doc["layers"], doc["edges"]
+    ids = [v for layer in layers for v in layer]
+    labels = doc.get("labels") or {}
+    free = max(ids, default=0) + 1
+    keys = [key for key, row in labels.items() if type(row) is list]
+    pairs = [row for row in edges if len(row) == 2]  # a fault before may have cut one
+    needs = (keys, keys, True, keys, keys, keys, keys, ids, pairs, pairs, ids, True)
+    kind = rng.choice([k for k, need in enumerate(needs) if need])
+    if kind == 0:  # a spelling int() reads as the same id
+        key = rng.choice(keys)
+        spelled = rng.choice(["0{}", "+{}", " {}", "{} ", "0_{}"]).format(key)
+        if key == "0":
+            spelled = rng.choice([spelled, "-0"])
+        labels[spelled] = labels.pop(key)
+    elif kind == 1:  # as many keys as vertices, one naming none
+        labels[str(free)] = labels.pop(rng.choice(keys))
+    elif kind == 2:  # one key more
+        labels[str(rng.choice([free, -free]))] = rng.choice([[0], [], [1, 2], "x"])
+        doc["labels"] = labels
+    elif kind == 3:
+        labels[rng.choice(keys)] = rng.choice(["1", [True], [1.5], None, [[1]], {"0": 1}])
+    elif kind == 4:  # another rank
+        row = labels[rng.choice(keys)]
+        row[:] = row + [0] if rng.random() < 0.5 or not row else row[1:]
+    elif kind == 5:  # a repeated label, inside one layer unless p is alone
+        level = {str(v): k for k, layer in enumerate(layers) for v in layer}
+        p = rng.choice(keys)
+        mates = [key for key in keys if key != p and level.get(key) == level.get(p)]
+        labels[rng.choice(mates or keys)] = list(labels[p])
+    elif kind == 6:
+        del labels[rng.choice(keys)]
+    elif kind == 7:  # an edge to an unknown id, or across layers
+        u = rng.choice(ids)
+        edges.insert(rng.randint(0, len(edges)), rng.choice([[u, free], [free, u], [u, rng.choice(ids)]]))
+    elif kind == 8:  # a bool or float end
+        row = rng.choice(pairs)
+        row[rng.randrange(2)] = rng.choice([True, False, 1.0, 0.5])
+    elif kind == 9:
+        rng.choice(pairs)[:] = rng.choice([[], [0], [0, 1, 2]])
+    elif kind == 10:  # an id in two layers
+        rng.choice(layers).append(rng.choice(ids))
+    elif rng.random() < 0.5:
+        layers.pop()
+    else:
+        layers.append([free])
+    return doc
+
+
+def test_loader_names_the_checking_loaders_culprit():
+    # One or two faults in a valid document: both loaders refuse it, or
+    # accept it, alike, and name the same culprit.
+    rng = rng_for(20261019, "loader faults")
+    docs = [doc for doc in loader_documents(rng) if assert_loads_as_checked(doc)]
+    refused = 0
+    for doc in docs:
+        bad = corrupt(doc, rng)
+        if rng.random() < 0.3:
+            bad = corrupt(bad, rng)
+        for form in (bad, file_form(bad)):
+            refused += not assert_loads_as_checked(form)
+    assert refused > 600

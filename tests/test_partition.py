@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import is_
 
 import pytest
 
@@ -99,7 +100,7 @@ def test_dropped_vertex_fails_coverage():
     tampered = PartitionResult(
         g,
         (
-            PartitionBlock(0, blk.vertices[1:], blk.ratio, blk.subgraph, False),
+            PartitionBlock(0, blk.vertices[1:], blk.ratio, g, blk.top, False),
             part.blocks[1],
         ),
     )
@@ -117,8 +118,9 @@ def test_merged_equal_blocks_fail_strict_increase():
     blocks = []
     for idx, verts in enumerate((low, high)):
         top = image(g, set(verts), 1)
-        sub = channel(g, set(verts), top)
-        blocks.append(PartitionBlock(idx, tuple(verts), Fraction(5, 4), sub, False))
+        block = PartitionBlock(idx, tuple(verts), Fraction(5, 4), g, tuple(sorted(top)), False)
+        assert block.subgraph == channel(g, set(verts), top)
+        blocks.append(block)
     tampered = PartitionResult(g, tuple(blocks))
     check = verify_partition(tampered)
     assert check.disjoint_cover
@@ -137,7 +139,7 @@ def test_wrong_ratio_fails_tightness():
         g,
         (
             part.blocks[0],
-            PartitionBlock(1, blk.vertices, Fraction(3), blk.subgraph, False),
+            PartitionBlock(1, blk.vertices, Fraction(3), g, blk.top, False),
         ),
     )
     assert not verify_partition(tampered).blocks_tight
@@ -224,6 +226,8 @@ def test_peel_matches_naive_peel_where_ratios_fall(seed, index):
 
 
 def test_one_channel_per_block(monkeypatch):
+    # A block's channel is made the first time its subgraph is read, and
+    # kept: the peel itself makes none.
     calls = []
     real = channel
 
@@ -239,4 +243,44 @@ def test_one_channel_per_block(monkeypatch):
     for g in graphs:
         calls.clear()
         part = partition_graph(g)
+        assert calls == []
+        first = [blk.subgraph for blk in part.blocks]
+        again = [blk.subgraph for blk in part.blocks]
         assert len(calls) == sum(not blk.degenerate for blk in part.blocks)
+        assert all(map(is_, first, again))
+
+
+def eager_subgraphs(g, part):
+    """Each block's subgraph and claimed top as the peel once built them
+    while it ran: the channel from the block to the top vertices it is the
+    first to reach, or a degenerate block's lone vertex under the checking
+    constructor."""
+    unclaimed = set(g.layers[-1])
+    rows = []
+    for blk in part.blocks:
+        if blk.degenerate:
+            (v,) = blk.vertices
+            labels = None if g.labels is None else {v: g.label_of(v)}
+            lone = LayeredGraph(g.height, [[v]] + [[]] * g.height, [], labels)
+            rows.append((lone, ()))
+            continue
+        claimed = image(g, blk.vertices, g.height) & unclaimed
+        unclaimed -= claimed
+        rows.append((channel(g, blk.vertices, claimed), tuple(sorted(claimed))))
+    return rows
+
+
+def test_lazy_subgraphs_equal_the_eager_ones():
+    rng = rng_for(20261019, "lazy blocks")
+    graphs = [random_layered(rng) for _ in range(60)]
+    graphs += [_partition_instance(seed, index)[3] for seed, index in ((1, 80), (3, 53))]
+    for _ in range(40):
+        a, b = random_pair(rng, a_hi=9, b_hi=4)
+        graphs.append(build_addition_graph(a, b, rng.randint(1, 3)))
+    degenerate = 0
+    for g in graphs:
+        part = partition_graph(g)
+        want = eager_subgraphs(g, part)
+        assert [(blk.subgraph, blk.top) for blk in part.blocks] == want
+        degenerate += sum(blk.degenerate for blk in part.blocks)
+    assert degenerate > 20
