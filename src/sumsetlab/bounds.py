@@ -53,9 +53,7 @@ __all__ = [
     "BoundValue",
     "BoundReport",
     "CertifiedMinSum",
-    "LinearMajorant",
     "GrowthBound",
-    "GrowthGeneralReport",
     "LargeSubsetResult",
     "NapReport",
     "RestrictedSumsetReport",
@@ -64,11 +62,9 @@ __all__ = [
     "pseudo_cardinality",
     "bound_report",
     "certified_min_sum",
-    "linear_majorant",
     "majorant_from_root",
     "check_majorant_pointwise",
     "growth_commutative_bound",
-    "growth_general_bound",
     "large_subset_search",
     "nap_check",
     "restricted_sumset_check",
@@ -78,9 +74,6 @@ __all__ = [
     "csv_row",
     "bound_report_to_json",
 ]
-
-# Evenly spaced points of the linear majorant's pointwise check.
-_MAJORANT_SAMPLES = 33
 
 # Private interval context so the global mpmath state is never touched.
 _IV = type(mpmath.iv)()
@@ -441,17 +434,6 @@ def bound_report(
 # -- linear majorant -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearMajorant:
-    alpha_1: Fraction
-    s: Fraction
-    h: int
-    t: float
-    t_exact: Fraction | None
-    samples_checked: int
-    samples_ok: bool
-
-
 def _slope(s_iv, alpha_1: Fraction, h: int):
     """Interval slope t = (s^(h/(h-1)) - alpha_1^h) / (s^(1/(h-1)) - alpha_1)."""
     root = s_iv ** _ival(Fraction(1, h - 1))
@@ -493,46 +475,6 @@ def check_majorant_pointwise(
     return ok
 
 
-def linear_majorant(alpha_1, s, h: int) -> LinearMajorant:
-    """Slope t of the line through (alpha_1, alpha_1^h) majorizing min(a^h, s a).
-
-    Inputs are taken exactly (floats are exact binary rationals).  Requires
-    alpha_1^(h-1) < s strictly; otherwise the slope denominator is not
-    positive and the construction is undefined.  The returned t is rounded
-    up, which preserves domination for a >= alpha_1.  The sampled pointwise
-    check never reports a violation caused by rounding.
-    """
-    if not _is_int(h) or h < 2:
-        raise InputError(f"linear majorant needs h >= 2, got {h!r}")
-    a1 = Fraction(alpha_1)
-    s_f = Fraction(s)
-    if a1 <= 0:
-        raise InputError("linear majorant domain: alpha_1 must be positive")
-    if a1 ** (h - 1) >= s_f:
-        raise InputError(
-            "linear majorant domain: alpha_1^(h-1) must be strictly below s"
-        )
-    t_exact: Fraction | None = None
-    if h == 2:
-        t_exact = s_f + a1
-        t_val = float_up(_ival(t_exact))
-        t_iv = _ival(t_exact)
-    else:
-        t_iv = _slope(_ival(s_f), a1, h)
-        t_val = float_up(t_iv)
-    hi = a1 + 2 * (s_f + 1)
-    step = (hi - a1) / (_MAJORANT_SAMPLES - 1)
-    ok = True
-    anchor = _ival(a1) ** h
-    for k in range(_MAJORANT_SAMPLES):
-        a = a1 + step * k
-        lhs = min(_ival(a**h), _ival(s_f * a))
-        rhs = anchor + t_iv * _ival(a - a1)
-        if lhs.a > rhs.b:
-            ok = False
-    return LinearMajorant(a1, s_f, h, t_val, t_exact, _MAJORANT_SAMPLES, ok)
-
-
 # -- growth bounds -------------------------------------------------------------
 
 
@@ -560,31 +502,6 @@ def growth_commutative_bound(graph: LayeredGraph) -> GrowthBound:
     beta_m = pseudo_cardinality(m_img, h)
     ok, value = _top_bound(m_img, len(graph.layers[1]), vh, beta_m)
     return GrowthBound(m_img, beta_m, value, vh, ok)
-
-
-@dataclass(frozen=True)
-class GrowthGeneralReport:
-    """Main term (n - m^(1-1/h) + 3h)^h / h! (reported, never asserted) next
-    to the unconditional contraction bound C(n+h-1, h)."""
-
-    value: float | None
-    contraction: int
-    precondition_ok: bool
-
-
-def growth_general_bound(m: int, n: int, h: int) -> GrowthGeneralReport:
-    for name, val in (("m", m), ("n", n)):
-        if not _is_int(val) or val < 1:
-            raise InputError(f"growth bound needs positive integer {name}, got {val!r}")
-    if not _is_int(h) or h < 1:
-        raise InputError(f"growth bound needs positive integer h, got {h!r}")
-    pre_ok = n**h >= m ** (h - 1)  # n >= m^(1-1/h) cross-powered
-    contraction = math.comb(n + h - 1, h)
-    if not pre_ok:
-        return GrowthGeneralReport(None, contraction, False)
-    base = _ival(n) - _ival(m) ** _ival(Fraction(h - 1, h)) + _ival(3 * h)
-    value = float_up(base**h / _ival(math.factorial(h)))
-    return GrowthGeneralReport(value, contraction, True)
 
 
 @dataclass(frozen=True)

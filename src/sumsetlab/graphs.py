@@ -53,13 +53,13 @@ A graph is validated once.  The `LayeredGraph` constructor, and so every
 graph document, checks and normalizes its input.  A document loads in one
 pass of those checks over its own fields: each vertex finds its label row
 under its decimal id, and a count shows that every key names a vertex.
-Only a document that fails a check is read again, key by key and entry by
-entry, to name the culprit.  Graphs the package builds itself (addition
-and restricted graphs, channels, the peel's singleton blocks) come out
-already normalized, so the private `LayeredGraph._trusted` takes them as
-they are.  Either kind builds its adjacency (the layer of each vertex, its
-out-neighbours) on first use and keeps each level's sweep once made, so
-writing a graph out builds neither, nor either view.
+A document that fails a check is named by that same pass, label keys
+first.  Graphs the package builds itself (addition and restricted graphs,
+channels, the peel's singleton blocks) come out already normalized, so the
+private `LayeredGraph._trusted` takes them as they are.  Either kind
+builds its adjacency (the layer of each vertex, its out-neighbours) on first
+use and keeps each level's sweep once made, so writing a graph out builds
+neither, nor either view.
 """
 
 from __future__ import annotations
@@ -284,9 +284,6 @@ class LayeredGraph:
         except KeyError:
             raise _not_a_vertex(v) from None
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._layer_of
-
     @property
     def vertex_count(self) -> int:
         return sum(map(len, self.layers))
@@ -350,7 +347,8 @@ def _label_store(
                 raise InputError(f"duplicate label {row} inside one layer")
             seen.add((level, row))
     if len(labels) > len(rows):
-        key = next(k for k in labels if k not in layer_of)
+        known = set(map(name, layer_of)) if name else layer_of
+        key = next(k for k in labels if k not in known)
         raise InputError(f"label key '{key}' names no vertex")
     return flat
 
@@ -760,9 +758,11 @@ def graph_from_json(obj: object) -> LayeredGraph:
     Each list is first tested whole; only when that test fails does a loop
     over its entries find the one to name in the error.  The constructor's
     checks then run on the document's own fields, each vertex reading its
-    label row under its decimal id.  If any check fails, the label keys are
-    checked first and the constructor runs again on int keys, so an error
-    names the same culprit whichever check found it.  Duplicate edges are
+    label row under its decimal id.  If any check fails, a label key that is
+    not a vertex id in canonical decimal is named first; otherwise the failed
+    check's own error is raised.  With canonical keys, labels[str(v)] is the
+    row the constructor reads at labels[v], so an error names the same
+    culprit as the constructor would on int keys.  Duplicate edges are
     merged.
     """
     height, layers, edges = _document(obj, "graph", ("height", "layers", "edges"))
@@ -779,22 +779,17 @@ def graph_from_json(obj: object) -> LayeredGraph:
     labels = {} if obj.get("labels") is None else obj["labels"]
     if not isinstance(labels, dict):
         raise InputError("'labels' must be an object keyed by vertex id")
+    graph = object.__new__(LayeredGraph)
     try:
-        graph = object.__new__(LayeredGraph)
         graph._fill(height, layers, edges, labels or None, str)
-        return graph
-    except Exception:  # any failure is named below, label keys first
-        pass
-    for key in labels:
-        if not _vertex_key(key):
-            raise InputError(f"label key {key!r} is not a vertex id")
-    labels = {int(key): row for key, row in labels.items()} or None
-    try:
-        return LayeredGraph(height, layers, edges, labels)
-    except InputError:
-        raise
-    except Exception as exc:  # defensive: malformed structure
+    except Exception as exc:  # a bad label key first, then the failed check
+        for key in labels:
+            if not _vertex_key(key):
+                raise InputError(f"label key {key!r} is not a vertex id") from None
+        if isinstance(exc, InputError):
+            raise
         raise InputError(f"inconsistent graph document: {exc}") from exc
+    return graph
 
 
 def dump_graph(graph: LayeredGraph, path: str | None) -> None:

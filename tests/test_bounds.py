@@ -24,10 +24,8 @@ from sumsetlab import (
     csv_header,
     csv_row,
     growth_commutative_bound,
-    growth_general_bound,
     gset_to_json,
     large_subset_search,
-    linear_majorant,
     magnification_flow,
     nap_check,
     partition_graph,
@@ -406,32 +404,6 @@ def test_random_same_set_reports_all_ok():
 # -- linear majorant ------------------------------------------------------------
 
 
-def test_linear_majorant_h2_exact():
-    lm = linear_majorant(2, 4, 2)
-    assert lm.t_exact == 6
-    assert lm.t == 6.0
-    assert lm.samples_ok
-    # frozen sample: min(9, 12) = 9 <= 4 + 6*(3-2) = 10
-    assert check_majorant_pointwise(2, 4, 6, 2, [Fraction(3)])
-
-
-def test_linear_majorant_higher_h_interval():
-    lm = linear_majorant(1, 4, 3)
-    # chord slope through sigma = 2 is exactly 7; rounded up
-    assert lm.t_exact is None
-    assert 7 <= lm.t < 7 + 1e-9
-    assert lm.samples_ok
-
-
-def test_linear_majorant_domain_errors():
-    with pytest.raises(InputError, match="strictly below"):
-        linear_majorant(8, 4, 3)
-    with pytest.raises(InputError):
-        linear_majorant(0, 4, 2)
-    with pytest.raises(InputError):
-        linear_majorant(2, 4, 1)
-
-
 def test_majorant_from_root_dominates_on_grid():
     alpha_1, sigma, h = Fraction(1), Fraction(2), 3
     s, t = majorant_from_root(alpha_1, sigma, h)
@@ -439,6 +411,8 @@ def test_majorant_from_root_dominates_on_grid():
     span = 3 * sigma - alpha_1
     grid = [alpha_1 + Fraction(k, 1000) * span for k in range(1001)]
     assert check_majorant_pointwise(alpha_1, s, t, h, grid)
+    # frozen sample: min(9, 12) = 9 <= 4 + 6*(3-2) = 10
+    assert check_majorant_pointwise(2, 4, 6, 2, [Fraction(3)])
 
 
 def test_majorant_from_root_random():
@@ -476,23 +450,6 @@ def test_growth_commutative_empty_top():
     g = build_restricted_graph(gs(0), gs(1), gs(1), 1)
     gb = growth_commutative_bound(g)
     assert gb.max_image == 0 and gb.value == 0.0 and gb.ok
-
-
-def test_growth_general_frozen():
-    rep = growth_general_bound(16, 8, 2)
-    # (8 - 16^(1/2) + 6)^2 / 2 = 50
-    assert rep.precondition_ok
-    assert abs(rep.value - 50.0) < 1e-9 and rep.value >= 50.0
-    assert rep.contraction == math.comb(9, 2) == 36
-
-
-def test_growth_general_precondition():
-    rep = growth_general_bound(16, 2, 3)
-    assert not rep.precondition_ok
-    assert rep.value is None
-    assert rep.contraction == math.comb(4, 3)
-    with pytest.raises(InputError):
-        growth_general_bound(0, 4, 2)
 
 
 def test_growth_commutative_random():

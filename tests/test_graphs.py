@@ -577,7 +577,7 @@ def test_graph_document_maps_constructor_failures(monkeypatch):
     def broken(*args):
         raise TypeError("unhashable vertex")
 
-    monkeypatch.setattr("sumsetlab.graphs.LayeredGraph", broken)
+    monkeypatch.setattr(LayeredGraph, "_fill", broken)
     doc = {"height": 1, "layers": [[0], [1]], "edges": [[0, 1]]}
     with pytest.raises(InputError, match="inconsistent graph document: unhashable"):
         graph_from_json(doc)
@@ -1120,3 +1120,36 @@ def test_loader_names_the_checking_loaders_culprit():
         for form in (bad, file_form(bad)):
             refused += not assert_loads_as_checked(form)
     assert refused > 600
+
+
+def test_refused_documents_are_named_in_one_pass(monkeypatch):
+    # The pass of checks that refuses a document also names its culprit:
+    # `_fill` runs once, and the constructor is never called.
+    rng = rng_for(20261019, "refused in one pass")
+    docs = []
+    for doc in loader_documents(rng):
+        docs += [doc, corrupt(doc, rng), corrupt(corrupt(doc, rng), rng)]
+    refused = []
+    for doc in map(file_form, docs):
+        try:
+            checking_graph_loader(doc)
+        except DocumentError as exc:
+            refused.append((doc, str(exc)))
+
+    def refuse(self, *args):
+        raise AssertionError("the document was read twice")
+
+    fill, fills = LayeredGraph._fill, []
+
+    def counted(self, *args):
+        fills.append(args)
+        return fill(self, *args)
+
+    monkeypatch.setattr(LayeredGraph, "__init__", refuse)
+    monkeypatch.setattr(LayeredGraph, "_fill", counted)
+    for doc, message in refused:
+        fills.clear()
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            graph_from_json(doc)
+        assert len(fills) == 1
+    assert len(refused) > 900

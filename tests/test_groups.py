@@ -27,8 +27,6 @@ from sumsetlab import (
 from sumsetlab import groups
 from sumsetlab.bounds import (
     bound_report,
-    growth_general_bound,
-    linear_majorant,
     majorant_from_root,
     pseudo_cardinality,
     restricted_sumset_check,
@@ -682,9 +680,6 @@ TRUE_AS_INT = [
     ("pseudo_cardinality h", lambda: pseudo_cardinality(3, True)),
     ("bound_report h", lambda: bound_report(gs(0, 1), gs(0, 1), True)),
     ("majorant_from_root h", lambda: majorant_from_root(2, 3, True)),
-    ("linear_majorant h", lambda: linear_majorant(2, 3, True)),
-    ("growth_general_bound m", lambda: growth_general_bound(True, 2, 2)),
-    ("growth_general_bound h", lambda: growth_general_bound(2, 2, True)),
     (
         "restricted_sumset_check j",
         lambda: restricted_sumset_check(gs(0, 1), gs(0, 1), gs(), True, 2),
