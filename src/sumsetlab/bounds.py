@@ -44,7 +44,7 @@ from .graphs import (
     image_masks,
     subset_images,
 )
-from .groups import GSet, _is_int, cardinality_stream, fold_sumset, sumset
+from .groups import GSet, _is_int, _plain, cardinality_stream, fold_sumset, sumset
 from .magnification import Ratio, magnification_flow, tight_channel_power_check
 from .partition import PartitionResult, partition_graph
 
@@ -101,16 +101,20 @@ def _rising(p: int, q: int, h: int) -> int:
     return math.prod(range(p, p + h * q, q))
 
 
+def _integer_ratio(x, what: str) -> tuple[int, int]:
+    """x as (p, q) with q >= 1, for x an int, Fraction, float or Decimal
+    that is finite; any other x, a string among them, is refused."""
+    try:
+        return x.as_integer_ratio()
+    except (AttributeError, ValueError, OverflowError):
+        raise InputError(f"{what} must be a finite real number, got {x!r}") from None
+
+
 def rising_binomial(x: Fraction | int, h: int) -> Fraction:
     """Generalized binomial C(x+h-1, h) = prod_{i=0}^{h-1} (x+i) / h!."""
     if not _is_int(h) or h < 0:
         raise InputError(f"binomial order must be a non-negative integer, got {h!r}")
-    try:  # ints, Fractions, floats and Decimals, if finite
-        p, q = x.as_integer_ratio()
-    except (AttributeError, ValueError, OverflowError):
-        raise InputError(
-            f"binomial argument must be a finite real number, got {x!r}"
-        ) from None
+    p, q = _integer_ratio(x, "binomial argument")
     return Fraction(_rising(p, q, h), q**h * math.factorial(h))
 
 
@@ -533,7 +537,7 @@ def large_subset_search(
         raise GuardError(
             f"subset enumeration guard: |V_0| = {m} exceeds cap {SUBSET_GUARD}"
         )
-    t = Fraction(t)
+    t = Fraction(*_integer_ratio(t, "threshold t"))
     if not 0 <= t < m:
         raise InputError(f"threshold t = {t} outside [0, {m})")
     n = len(graph.layers[1])
@@ -683,37 +687,19 @@ def restricted_growth_check(
 # -- report serialization ------------------------------------------------------
 
 
-def _frac_json(x: Fraction) -> list[int]:
-    return [x.numerator, x.denominator]
-
-
 def bound_report_to_json(report: BoundReport) -> dict:
-    return {
-        "h": report.h,
-        "m": report.m,
-        "ab": report.ab,
-        "hb": report.hb,
-        "observed": report.observed,
-        "alpha": _frac_json(report.alpha),
-        "alpha_1": _frac_json(report.alpha_1),
-        "beta": report.beta.beta,
-        "beta_exact": report.beta.exact,
-        "s": report.s_value,
-        "t": report.t_value,
-        "ratios": [_frac_json(r) for r in report.ratios],
-        "block_sizes": list(report.block_sizes),
-        "bounds": [
-            {
-                "name": bv.name,
-                "value": bv.value,
-                "observed": bv.observed,
-                "ok": bv.ok,
-                "exact": bv.exact,
-                "note": bv.note,
-            }
-            for bv in report.bounds
-        ],
-    }
+    """The report's fields as `_plain` gives them, except that beta is its
+    float and `beta_exact`, and s and t drop their `_value` suffix."""
+    doc = _plain(report)
+    doc["beta"], doc["beta_exact"] = report.beta.beta, report.beta.exact
+    doc["s"], doc["t"] = doc.pop("s_value"), doc.pop("t_value")
+    return doc
+
+
+def _csv_line(cells: Iterable[object]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
 
 
 def csv_header() -> str:
@@ -721,9 +707,7 @@ def csv_header() -> str:
     for name in BOUND_NAMES:
         cols.append(name)
         cols.append(name + "_ok")
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(cols)
-    return buf.getvalue()
+    return _csv_line(cols)
 
 
 def csv_row(report: BoundReport) -> str:
@@ -747,6 +731,4 @@ def csv_row(report: BoundReport) -> str:
         else:
             cells.append(repr(bv.value))
             cells.append("" if bv.ok is None else str(bv.ok))
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(cells)
-    return buf.getvalue()
+    return _csv_line(cells)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
 from functools import cache
 
 from .bounds import (
@@ -37,6 +36,7 @@ from .groups import (
     gset_to_json,
     iterated_sumset,
     load_gset,
+    _plain,
     _write_json,
     _write_text,
 )
@@ -118,7 +118,7 @@ def _cmd_partition(args) -> int:
     checks = verify_partition(result)
     payload = partition_to_json(result)
     payload["degenerate"] = [b.index for b in result.blocks if b.degenerate]
-    payload["checks"] = asdict(checks)
+    payload["checks"] = _plain(checks)
     _report(payload, args.out)
     return 0 if checks.ok else 1
 

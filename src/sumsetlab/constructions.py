@@ -23,9 +23,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import InputError
-from .groups import GroupSpace, GSet, _is_int, cardinality_stream, fold_sumset
+from .groups import GroupSpace, GSet, _is_int, _plain, cardinality_stream, fold_sumset
 
 __all__ = [
     "ConstructionSpec",
@@ -49,25 +50,7 @@ class ConstructionSpec:
 
 
 def construction_spec_to_json(spec: ConstructionSpec) -> dict:
-    predicted = {}
-    for key, val in spec.predicted.items():
-        if isinstance(val, Fraction):
-            predicted[key] = [val.numerator, val.denominator]
-        else:
-            predicted[key] = val
-    return {
-        "which": spec.which,
-        "h": spec.h,
-        "a": spec.a,
-        "l": spec.l,
-        "alpha": None
-        if spec.alpha is None
-        else [spec.alpha.numerator, spec.alpha.denominator],
-        "b": spec.b,
-        "k": spec.k,
-        "moduli": list(spec.moduli),
-        "predicted": predicted,
-    }
+    return _plain(spec)
 
 
 def _measure(
@@ -84,6 +67,17 @@ def _measure(
         top_ok = sizes[-1] == pred["top_exact"]
     ok = sizes[0] == pred["m"] and sizes[1] <= pred["ab_cap"] and hb == pred["hb"]
     return sizes, hb, ok and top_ok
+
+
+def _grid_and_axes(
+    h: int, k: int, grid_steps: range, axis_steps: range
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The grid grid_steps^h and the union of the first h axis subgroups
+    {s e_i : s in axis_steps}, as points of rank k that are 0 past h."""
+    pad = (0,) * (k - h)
+    grid = [point + pad for point in product(grid_steps, repeat=h)]
+    axes = [(0,) * i + (s,) + (0,) * (k - 1 - i) for i in range(h) for s in axis_steps]
+    return grid, axes
 
 
 def _check_positive_int(name: str, value) -> int:
@@ -114,20 +108,12 @@ def example1(h: int, a: int, l: int) -> tuple[GSet, GSet, ConstructionSpec]:
     if k > sys.maxsize:
         raise InputError(f"h = {h} and a = {a} need more than {sys.maxsize} coordinates")
     space = GroupSpace((b,) * k)
-    grid: list[tuple[int, ...]] = [()]
-    for _ in range(h):
-        grid = [point + (l * step,) for point in grid for step in range(a)]
-    tail = (0,) * extra
-    a1 = [point + tail for point in grid]
+    a1, axes = _grid_and_axes(h, k, range(0, b, l), range(b))
     a2 = [
         tuple(1 if idx == h + j else 0 for idx in range(k)) for j in range(extra)
     ]
     a_set = GSet.from_coords(space, a1 + a2)
-    b_elems = {(0,) * k}
-    for i in range(h):
-        for step in range(b):
-            b_elems.add(tuple(step if idx == i else 0 for idx in range(k)))
-    b_set = GSet.from_coords(space, b_elems)
+    b_set = GSet.from_coords(space, axes)
     predicted = {
         "m": a**h + extra,
         "ab_cap": (h + 1) * l * a**h,
@@ -162,19 +148,10 @@ def example2(h: int, a: int, alpha) -> tuple[GSet, GSet, ConstructionSpec]:
     b = int(b_frac)
     k = h + 1
     space = GroupSpace((a,) * h + (b + 1,))
-    grid: list[tuple[int, ...]] = [()]
-    for _ in range(h):
-        grid = [point + (step,) for point in grid for step in range(a)]
-    a1 = [point + (0,) for point in grid]
+    a1, axes = _grid_and_axes(h, k, range(a), range(a))
     a2 = [(0,) * h + (j,) for j in range(1, b + 1)]
     a_set = GSet.from_coords(space, a1 + a2)
-    b_elems = {(0,) * k}
-    for i in range(h):
-        for step in range(a):
-            b_elems.add(
-                tuple(step if idx == i else 0 for idx in range(k))
-            )
-    b_set = GSet.from_coords(space, b_elems)
+    b_set = GSet.from_coords(space, axes)
     predicted = {
         "m": a**h + b,
         "ab_cap": alpha * a**h,

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from math import inf, prod
@@ -94,9 +95,6 @@ class GroupSpace:
 
     def zero_coords(self) -> Coords:
         return (0,) * self.rank
-
-    def is_finite(self) -> bool:
-        return all(m > 0 for m in self.moduli)
 
 
 @dataclass(frozen=True)
@@ -491,11 +489,13 @@ def cardinality_stream(
 #
 # {"moduli": [m_1, ..., m_k], "elements": [[c_1, ..., c_k], ...]}
 # Input need not be normalized; output always is (sorted, deduplicated).
-# Set and graph files and CLI reports are all read by `_read_json`; sets
-# and reports are written by `_write_json`, graphs by `graphs.dump_graph`,
-# which fills the same row templates (`_fill_rows`) from its edge keys and
-# label store.  Every writer hands `_write_text` a stream of pieces, none
-# longer than one chunk of `_CHUNK` rows, so no whole document is built.
+# Set and graph files are read by `_read_json`; no report is read back.
+# Sets and reports are written by `_write_json`, graphs by
+# `graphs.dump_graph`, which fills the same row templates (`_fill_rows`)
+# from its edge keys and label store.  Every writer hands `_write_text` a
+# stream of pieces, none longer than one chunk of `_CHUNK` rows, so no whole
+# document is built.  A report's records take their JSON form from
+# `_plain` alone: an exact ratio is the pair [numerator, denominator].
 
 _CHUNK = 4096
 
@@ -630,6 +630,21 @@ def _json_pieces(obj: object, pad: str) -> Iterator[str]:
         yield f"\n{pad}}}"
         return
     yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _plain(obj: object) -> object:
+    """obj in JSON's own types, part by part: a Fraction as [numerator,
+    denominator], a dataclass as the dict of its fields, a dict by its
+    values, a tuple or list as a list, and any other value as it is."""
+    if isinstance(obj, Fraction):
+        return [obj.numerator, obj.denominator]
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return list(map(_plain, obj))
+    return obj
 
 
 def _write_json(obj: object, path: str | None) -> None:

@@ -42,7 +42,7 @@ from typing import Sequence
 
 from .errors import GuardError, InputError
 from .graphs import SUBSET_GUARD, LayeredGraph, image_masks, subset_images
-from .groups import _is_int
+from .groups import _is_int, _plain
 from .maxflow import ratio_cut
 
 __all__ = [
@@ -72,7 +72,7 @@ class MagnificationResult:
 def magnification_to_json(result: MagnificationResult) -> dict:
     return {
         "level": result.level,
-        "ratio": [result.value.numerator, result.value.denominator],
+        "ratio": _plain(result.value),
         "tight_set": list(result.maximal_tight_set),
     }
 

@@ -26,7 +26,7 @@ from operator import or_
 
 from .errors import InputError
 from .graphs import LayeredGraph, _sweep, channel, image
-from .groups import _bit_positions
+from .groups import _bit_positions, _plain
 from .magnification import Ratio, _tight, magnification_flow
 
 __all__ = [
@@ -83,10 +83,9 @@ class PartitionResult:
 
 
 def partition_to_json(result: PartitionResult) -> dict:
-    blocks = result.blocks
     return {
-        "blocks": [list(block.vertices) for block in blocks],
-        "ratios": [[b.ratio.numerator, b.ratio.denominator] for b in blocks],
+        "blocks": [list(block.vertices) for block in result.blocks],
+        "ratios": _plain(result.ratios),
     }
 
 

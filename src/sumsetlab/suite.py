@@ -24,7 +24,7 @@ from .bounds import (
 from .constructions import _measure, example1, example2
 from .errors import InputError
 from .graphs import build_addition_graph, channel_of
-from .groups import GSet, _is_int, fold_sumset
+from .groups import GSet, _is_int, _plain, fold_sumset
 from .instances import random_gset, random_pair, random_triple, rng_for
 from .magnification import (
     magnification_bruteforce,
@@ -61,20 +61,10 @@ class SuiteResult:
         return all(r.ok for r in self.results)
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "criteria": [
-                {
-                    "id": r.cid,
-                    "name": r.name,
-                    "ok": r.ok,
-                    "cases": r.cases,
-                    "detail": r.detail,
-                }
-                for r in self.results
-            ],
-        }
+        criteria = _plain(self.results)
+        for doc in criteria:
+            doc["id"] = doc.pop("cid")
+        return {"seed": self.seed, "ok": self.ok, "criteria": criteria}
 
 
 def _addition_instance(rng, a_hi=8, b_hi=4, h_choices=(1, 2, 3)):

@@ -495,6 +495,20 @@ def test_large_subset_validation_and_guard():
         large_subset_search(wide, 0)
 
 
+@pytest.mark.parametrize(
+    "t", ["x", "1/2", float("nan"), float("inf"), -float("inf"), None], ids=repr
+)
+def test_large_subset_threshold_is_a_finite_real(t):
+    # The threshold follows rising_binomial's rule: a string is refused even
+    # when it spells a number, and NaN, an infinity or None by name.
+    g = build_addition_graph(gs(0, 1, 2), gs(0, 1), 1)
+    shown = re.escape(f"threshold t must be a finite real number, got {t!r}")
+    with pytest.raises(InputError, match=shown):
+        large_subset_search(g, t)
+    for ok in (1, Fraction(1, 2), 0.5, 2.25):
+        assert large_subset_search(g, ok).t == Fraction(ok)
+
+
 def test_large_subset_random_reverified():
     rng = rng_for(20260814, "subset")
     for _ in range(50):

@@ -432,7 +432,7 @@ def test_image_masks_and_subset_images_match_oracle_random():
     rng = rng_for(20261018, "masks")
     for n in range(1, 15):
         space = random_space(rng)
-        while space.is_finite() and space.moduli[0] ** 2 < n:
+        while all(space.moduli) and space.moduli[0] ** 2 < n:
             space = random_space(rng)
         a = random_gset(rng, space, n, n)
         b = random_gset(rng, space, 1, 4)
