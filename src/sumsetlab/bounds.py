@@ -31,18 +31,20 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import compress, count
+from operator import le
 from typing import Iterable, Sequence
-
-import mpmath
 
 from .errors import GuardError, InputError
 from .graphs import (
     SUBSET_GUARD,
     LayeredGraph,
+    _row_sizes,
     build_addition_graph,
     build_restricted_graph,
     image_masks,
-    subset_images,
+    subset_rows,
 )
 from .groups import GSet, _is_int, _plain, cardinality_stream, fold_sumset, sumset
 from .magnification import Ratio, magnification_flow, tight_channel_power_check
@@ -75,20 +77,28 @@ __all__ = [
     "bound_report_to_json",
 ]
 
-# Private interval context so the global mpmath state is never touched.
-_IV = type(mpmath.iv)()
-_IV.prec = 80
+@cache
+def _iv():
+    """The private interval context, so the global mpmath state is never
+    touched; mpmath is imported on the first call, not with the package."""
+    import mpmath
+
+    ctx = type(mpmath.iv)()
+    ctx.prec = 80
+    return ctx
 
 
 def _ival(x):
     """Exact interval enclosure of an int, Fraction, or float."""
     if isinstance(x, Fraction):
-        return _IV.mpf(x.numerator) / _IV.mpf(x.denominator)
-    return _IV.mpf(x)
+        return _iv().mpf(x.numerator) / _iv().mpf(x.denominator)
+    return _iv().mpf(x)
 
 
 def float_up(x) -> float:
     """Smallest binary-64 value >= the upper endpoint of interval x."""
+    import mpmath
+
     hi = x.b
     f = float(hi)
     while mpmath.mpf(f) < hi:
@@ -148,7 +158,7 @@ class PseudoCardinality:
         return rising_binomial(r, self.h) > self.n and r > 0
 
     def interval(self):
-        return _IV.mpf([_ival(self.lo).a, _ival(self.hi).b])
+        return _iv().mpf([_ival(self.lo).a, _ival(self.hi).b])
 
 
 def pseudo_cardinality(n: int, h: int) -> PseudoCardinality:
@@ -356,7 +366,7 @@ def bound_report(
 
     beta_iv = beta.interval()
     s_iv = _ival(hb) / beta_iv
-    e_iv = _IV.exp(_IV.mpf(1))
+    e_iv = _iv().exp(_iv().mpf(1))
     m_pow = _ival(m) ** _ival(Fraction(2 * h - 1, h))
     same_sets = a.elements == b.elements
 
@@ -381,7 +391,7 @@ def bound_report(
 
     if alpha <= 2:
         acc = _ival(alpha) * _ival(m)
-        tail = _IV.mpf(0)
+        tail = _iv().mpf(0)
         for j in range(2, h + 1):
             tail += (
                 _ival(Fraction(j + 1, j))
@@ -544,23 +554,35 @@ def large_subset_search(
     h = graph.height
     masks = image_masks(graph, h)
     a1 = magnification_flow(graph, 1).value if with_alpha_1 else 0  # 0: basic form
-    scale = ((n - a1 * t) / (m - t)) ** h
-    # One budget per |X|; an image size is an integer, so it is within a
+    # One budget per |X|, over one denominator: with a1 = u/v and t = p/q it
+    # is (u^h p D^h + (|X| q - p) N^h v^h) / (v^h q D^h), N = n v q - u p,
+    # D = v (m q - p).  An image size is an integer, so it is within a
     # budget exactly when it is within the budget's floor.
-    budgets = [a1**h * t + (size - t) * scale for size in range(m + 1)]
-    caps = list(map(math.floor, budgets))
+    (u, v), (p, q) = a1.as_integer_ratio(), t.as_integer_ratio()
+    scale_d = (v * (m * q - p)) ** h
+    scale_n = (n * v * q - u * p) ** h * v**h
+    den = v**h * q * scale_d
+    budgets = [u**h * p * scale_d + (size * q - p) * scale_n for size in range(m + 1)]
+    caps = [budget // den for budget in budgets]
     least = math.floor(t) + 1  # the least |X| above t
     checked = 0
-    for mask, im in subset_images(masks):
-        size = mask.bit_count()
-        if size < least:
+    for base, row in subset_rows(masks):
+        sizes, groups = _row_sizes(len(row))
+        # The caps by the bit count of a row index, -1 where |X| <= t.
+        need = max(least - base.bit_count(), 0)
+        row_caps = [-1] * need + caps[base.bit_count() + need :]
+        fits = map(le, map(int.bit_count, row), map(row_caps.__getitem__, sizes))
+        hit = next(compress(count(), fits), None)
+        if hit is None:
+            checked += sum(len(idx) for idx, _ in groups[need:])
             continue
-        checked += 1
-        if im.bit_count() <= caps[size]:
-            subset = tuple(bottom[k] for k in range(m) if mask >> k & 1)
-            return LargeSubsetResult(
-                True, subset, im.bit_count(), budgets[size], t, with_alpha_1, checked
-            )
+        checked += sum(map(need.__le__, sizes[: hit + 1]))
+        mask, size = base | hit, base.bit_count() + sizes[hit]
+        subset = tuple(bottom[k] for k in range(m) if mask >> k & 1)
+        return LargeSubsetResult(
+            True, subset, row[hit].bit_count(), Fraction(budgets[size], den), t,
+            with_alpha_1, checked,
+        )
     return LargeSubsetResult(False, None, None, None, t, with_alpha_1, checked)
 
 

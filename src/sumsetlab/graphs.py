@@ -65,9 +65,9 @@ neither, nor either view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain, count, islice, repeat
-from operator import add, floordiv, lt, mod, mul, or_, sub
+from operator import add, floordiv, itemgetter, lt, mod, mul, or_, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardError, InputError
@@ -96,7 +96,7 @@ __all__ = [
     "channel_of",
     "image",
     "image_masks",
-    "subset_images",
+    "subset_rows",
     "check_commutative",
     "graph_to_json",
     "graph_from_json",
@@ -415,30 +415,52 @@ def image_masks(graph: LayeredGraph, level: int) -> list[int]:
     return list(map(_sweep(graph, level).__getitem__, graph.layers[0]))
 
 
-def _or_table(masks: Sequence[int]) -> list[int]:
-    # table[s] is the OR of masks[k] over the bits k of s.
-    table = [0]
-    for mask in masks:
-        table += [acc | mask for acc in table]
-    return table
+# A row of `subset_rows` holds at most 2^_ROW_BITS images.
+_ROW_BITS = 12
 
 
-def subset_images(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Yield (subset, image) for every non-empty subset of range(len(masks)).
+def subset_rows(masks: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
+    """Yield (base, row) with row[i] the image of the subset base | i of
+    range(len(masks)): the OR of masks[k] over its bits k.
 
-    Subsets are bitmasks, yielded in ascending order; image is the OR of
-    masks[k] over the bits k of subset.  The images of the low and the high
-    half of the bits come from two precomputed OR tables, so each subset
-    costs one OR.
+    Subsets are bitmasks.  The rows cover every non-empty subset once, in
+    ascending order; a row's length is a power of two that divides its
+    base, so base's bit count plus i's is the subset's size (see
+    `_row_sizes`).  The first rows double one table of the first
+    `_ROW_BITS` masks' images, a mask at a time, so every subset of the
+    masks before k comes before mask k is read; each later row ORs one
+    image of the remaining masks into that whole table.  Each image costs
+    one OR.
     """
-    half = len(masks) // 2
-    low_table = _or_table(masks[:half])
-    start = 1  # skip the empty subset
-    for high, high_image in enumerate(_or_table(masks[half:])):
-        base = high << half
-        for low in range(start, len(low_table)):
-            yield base | low, high_image | low_table[low]
-        start = 0
+    width = min(len(masks), _ROW_BITS)
+    table = [0]
+    for k, mask in enumerate(masks[:width]):
+        row = [acc | mask for acc in table]
+        yield 1 << k, row
+        table += row
+    highs = [0]
+    for mask in masks[width:]:
+        highs += [acc | mask for acc in highs]
+    for high in range(1, len(highs)):
+        image = highs[high]
+        yield high << width, [acc | image for acc in table]
+
+
+@cache
+def _row_sizes(length: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """For the rows of `length` images, a power of two: each index's bit
+    count, and per bit count the ascending indices with it and a getter
+    that reads those entries of a row as one sequence."""
+    sizes = tuple(map(int.bit_count, range(length)))
+    groups: list[list[int]] = [[] for _ in range(length.bit_length())]
+    for i, size in enumerate(sizes):
+        groups[size].append(i)
+    # A lone index makes itemgetter return its entry, so it reads a slice.
+    getters = [
+        itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1))
+        for idx in groups
+    ]
+    return sizes, tuple(zip(map(tuple, groups), getters))
 
 
 # -- constructions -----------------------------------------------------------

@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import inf, prod
 from operator import add, floordiv, mod, mul
 from typing import Callable, Collection, Iterable, Iterator, Sequence
@@ -254,9 +254,9 @@ class _Box:
         # the base of its level, origin + level * drift.
         self.origin = -sum(map(mul, lows, strides))
         self.drift = -sum(map(mul, b_lows, strides))
-        self.shifts = self._positions(b_elems, self.drift)
+        self.shifts = [sum(map(mul, c, strides), self.drift) for c in b_elems]
         # (stride, modulus, width) of each cyclic coordinate.
-        self.cyclic = [(s, m, w) for s, m, w in zip(strides, space.moduli, widths) if m]
+        self.cyclic = list(compress(zip(strides, space.moduli, widths), space.moduli))
 
     def _positions(self, coords: Sequence[Coords], base: int) -> list[int]:
         strides = self.strides
@@ -358,11 +358,11 @@ def _lift_pays(
     space: GroupSpace,
     b_size: int,
     h: int,
-    starts: Sequence[tuple[int, int]],
+    starts: Sequence[tuple[Sequence[Coords], int]],
     bits: int,
     decoded: int,
 ) -> bool:
-    """Whether lifting the folds of `starts` ((|X|, level) pairs) to
+    """Whether lifting the folds of `starts` ((X, level) pairs) to
     `bits`-bit ints costs at most the least work the set container could do.
 
     The set container adds each element of B to each point of X+iB for
@@ -375,9 +375,10 @@ def _lift_pays(
     additions, so a lifted layer never holds more than `_PASS_BITS` bits per
     element of the larger of X and B.
     """
-    cyclic = sum(1 for m in space.moduli if m)
+    cyclic = len(space.moduli) - space.moduli.count(0)
     passes = pairs = 0
-    for size, level in starts:
+    for coords, level in starts:
+        size = len(coords)
         passes += 3
         steps = h - level
         if size and steps:
@@ -406,22 +407,20 @@ def _layout(
     widths, lows, b_lows = [], [], []
     for j, m in enumerate(space.moduli):
         if m:
-            widths.append(2 * m - 1)
-            lows.append(0)
-            b_lows.append(0)
-            continue
-        b_low = min(b_cols[j])
-        spread = max(b_cols[j]) - b_low
-        low = min([min(cols[j]) - level * b_low for cols, level in start_cols])
-        high = max(
-            [max(cols[j]) - level * b_low + (h - level) * spread
-             for cols, level in start_cols]
-        )
-        widths.append(high - low + 1)
+            width, low, b_low = 2 * m - 1, 0, 0
+        else:
+            b_low = min(b_cols[j])
+            spread = max(b_cols[j]) - b_low
+            low, high = inf, -inf
+            for cols, level in start_cols:
+                base = level * b_low
+                low = min(low, min(cols[j]) - base)
+                high = max(high, max(cols[j]) - base + (h - level) * spread)
+            width = high - low + 1
+        widths.append(width)
         lows.append(low)
         b_lows.append(b_low)
-    sizes = [(len(coords), level) for coords, level in starts]
-    lifts = _lift_pays(space, len(b_elems), h, sizes, prod(widths), decoded)
+    lifts = _lift_pays(space, len(b_elems), h, starts, prod(widths), decoded)
     return (_Lift if lifts else _Sparse)(space, b_elems, widths, lows, b_lows)
 
 

@@ -45,16 +45,17 @@ def random_gset(
     """Random non-empty subset with between lo and hi elements when the
     space is large enough; small finite spaces may saturate earlier."""
     target = rng.randint(lo, hi)
+    # Coordinate windows 0..m-1, or -spread..spread on a free coordinate, as
+    # randrange bounds: randint(a, b) is randrange(a, b + 1).
+    starts = [0 if m else -spread for m in space.moduli]
+    stops = [m or spread + 1 for m in space.moduli]
     elems: set[tuple[int, ...]] = set()
     for _ in range(20 * target):
-        coords = tuple(
-            rng.randint(0, m - 1) if m else rng.randint(-spread, spread)
-            for m in space.moduli
-        )
-        elems.add(coords)
+        elems.add(tuple(map(rng.randrange, starts, stops)))
         if len(elems) == target:
             break
-    return GSet.from_coords(space, elems)
+    # The draws are normalized coordinates already, and distinct.
+    return GSet._trusted(space, tuple(sorted(elems)))
 
 
 def random_pair(

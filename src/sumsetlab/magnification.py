@@ -8,7 +8,9 @@ an exact rational with denominator at most |V_0|.  Two computations are
 provided:
 
 * a brute-force subset enumeration (the oracle), guarded at |V_0| <= 22,
-  which keeps the union of the minimizing subsets as it goes;
+  which keeps the union of the minimizing subsets as it goes: in each row
+  of `graphs.subset_rows` it takes the least image of every subset size
+  and compares that one ratio with the best;
 * Dinkelbach iteration on a parametric min cut (the production path).  For
   a ratio p/q, min over Z of (q|image(Z)| - p|Z|) is read off a min cut in
   the network  source -(p)-> V_0 -(inf, i-step reachability)-> V_i -(q)->
@@ -37,11 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from operator import or_
 from typing import Sequence
 
 from .errors import GuardError, InputError
-from .graphs import SUBSET_GUARD, LayeredGraph, image_masks, subset_images
+from .graphs import SUBSET_GUARD, LayeredGraph, _row_sizes, image_masks, subset_rows
 from .groups import _is_int, _plain
 from .maxflow import ratio_cut
 
@@ -100,17 +103,24 @@ def magnification_bruteforce(graph: LayeredGraph, level: int) -> MagnificationRe
             f"bruteforce subset enumeration guard: |V_0| = {n} exceeds {SUBSET_GUARD}"
         )
     vertex_masks = image_masks(graph, level)
-    best_num = None  # |image(Z)| of the current best
-    best_den = 0  # |Z| of the current best
+    best_num, best_den = 1, 0  # the least |image(Z)| / |Z| so far; 1/0 at first
     union_mask = 0  # union of the minimizers so far
-    for mask, im in subset_images(vertex_masks):
-        num = im.bit_count()
-        den = mask.bit_count()
-        if best_num is None or num * best_den < best_num * den:
-            best_num, best_den = num, den
-            union_mask = mask
-        elif num * best_den == best_num * den:
-            union_mask |= mask
+    # In each row, the least image of each subset size decides whether that
+    # size ties or beats the best ratio; only then are its minimizers read,
+    # and on a tie only if the row holds a vertex outside the union.
+    for base, row in subset_rows(vertex_masks):
+        counts = list(map(int.bit_count, row))
+        every = base | (len(row) - 1)
+        for size, (idx, get) in enumerate(_row_sizes(len(row))[1], base.bit_count()):
+            image_sizes = get(counts)
+            least = min(image_sizes)
+            lhs, rhs = least * best_den, best_num * size
+            if lhs > rhs or (lhs == rhs and union_mask | every == union_mask):
+                continue
+            if lhs < rhs:
+                best_num, best_den, union_mask = least, size, 0
+            hits = compress(idx, map(least.__eq__, image_sizes))
+            union_mask |= reduce(or_, hits, base)
     value = Fraction(best_num, best_den)
     tight_idx = [k for k in range(n) if union_mask >> k & 1]
     tight = tuple(bottom[k] for k in tight_idx)

@@ -70,6 +70,27 @@ def naive_image(edges, zset, steps):
     return frozenset(cur)
 
 
+def random_layered(rng):
+    """(height, layers, edges) of a random layered graph: 1 to 3 levels of
+    1 to 9 vertices with ids drawn from 0..99, and each possible edge
+    between consecutive layers kept with one drawn probability."""
+    h = rng.randint(1, 3)
+    sizes = [rng.randint(1, 9) for _ in range(h + 1)]
+    ids = rng.sample(range(100), sum(sizes))
+    layers, at = [], 0
+    for size in sizes:
+        layers.append(tuple(ids[at:at + size]))
+        at += size
+    density = rng.random()
+    edges = tuple(
+        (u, v)
+        for lower, upper in zip(layers, layers[1:])
+        for u in lower
+        for v in upper
+        if rng.random() < density
+    )
+    return h, tuple(layers), edges
+
 def naive_magnification(edges, bottom, steps):
     """min |image(Z)| / |Z| over nonempty Z, by full subset enumeration.
 
@@ -577,3 +598,62 @@ def naive_large_subset(edges, bottom, n, h, t, alpha_1=None):
         if size <= budget:
             return True, tuple(bottom[k] for k in idx), size, budget, checked
     return False, None, None, None, checked
+
+
+def reference_layout(moduli, b_elems, h, starts, decoded):
+    """The box layout the sumset fold uses, rebuilt one coordinate and one
+    bit at a time: (container, widths, lows, b_lows, strides, shifts,
+    folds), container "lift" or "sparse" and folds None for "sparse".
+
+    Starts are (coords, level) pairs.  A free coordinate's box holds every
+    start from its level up to h; a cyclic one of modulus m has width
+    2m - 1.  The lift is chosen when its passes over the box's bits, 2^13
+    bits a pass and 2^5 passes a decoded layer, cost no more than the
+    set container's least point additions.  A fold is (mask, jump): the
+    bits whose cyclic digit is m or more, and m times the digit's stride.
+    """
+    widths, lows, b_lows = [], [], []
+    for j, m in enumerate(moduli):
+        if m:
+            widths.append(2 * m - 1)
+            lows.append(0)
+            b_lows.append(0)
+            continue
+        b_low = min((b[j] for b in b_elems), default=0)
+        spread = max((b[j] for b in b_elems), default=0) - b_low
+        points = [(x[j], level) for coords, level in starts for x in coords]
+        low = min(c - level * b_low for c, level in points)
+        high = max(c - level * b_low + (h - level) * spread for c, level in points)
+        widths.append(high - low + 1)
+        lows.append(low)
+        b_lows.append(b_low)
+    rank = len(moduli)
+    strides = [1] * rank
+    for j in range(rank):
+        for w in widths[j + 1 :]:
+            strides[j] *= w
+    bits = strides[0] * widths[0]
+    shifts = [
+        sum((b[j] - b_lows[j]) * strides[j] for j in range(rank)) for b in b_elems
+    ]
+    cyclic = sum(1 for m in moduli if m)
+    passes = pairs = 0
+    for coords, level in starts:
+        passes += 3
+        steps = h - level
+        if coords and steps:
+            passes += steps * (len(b_elems) + 2 * cyclic + 2)
+            pairs += len(b_elems) * (
+                len(coords) + (steps - 1) * max(len(coords), len(b_elems))
+            )
+    if bits * (passes + decoded * 2**5) > pairs * 2**13:
+        return "sparse", widths, lows, b_lows, strides, shifts, None
+    folds = []
+    for j, m in enumerate(moduli):
+        if m:
+            mask = 0
+            for p in range(bits):
+                if p // strides[j] % widths[j] >= m:
+                    mask |= 1 << p
+            folds.append((mask, m * strides[j]))
+    return "lift", widths, lows, b_lows, strides, shifts, folds

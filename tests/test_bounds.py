@@ -3,19 +3,25 @@ majorants, growth and set-addition statements."""
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import astuple
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
+import sumsetlab
 from sumsetlab import (
     GroupSpace,
     GSet,
     GuardError,
     InputError,
+    LayeredGraph,
     bound_report,
     bound_report_to_json,
     build_addition_graph,
@@ -34,7 +40,7 @@ from sumsetlab import (
     restricted_sumset_check,
     rising_binomial,
 )
-from sumsetlab import bounds
+from sumsetlab import bounds, graphs
 from sumsetlab.bounds import BOUND_NAMES, check_majorant_pointwise, majorant_from_root
 from sumsetlab.instances import random_gset, random_pair, random_triple, rng_for
 
@@ -45,6 +51,7 @@ from oracles import (
     naive_rising_binomial,
     naive_restricted_sumset,
     naive_sumset,
+    random_layered,
 )
 
 Z = GroupSpace((0,))
@@ -336,6 +343,26 @@ def test_bound_report_sweeps_its_graph_once_per_level(monkeypatch):
     assert sorted(misses) == [1, h]
 
 
+def test_mpmath_is_imported_on_first_use_and_left_as_it_was():
+    # Importing the CLI loads no mpmath; the interval context that a bound
+    # report makes on first use is private, so mpmath's global precision
+    # stays as it was.
+    src = str(Path(sumsetlab.__file__).parent.parent)
+    code = "import sys, sumsetlab.cli; print(sorted(m for m in sys.modules if m.startswith('mpmath')))"
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert child.stdout == "[]\n"
+    import mpmath
+
+    prec = mpmath.mp.prec
+    bounds._iv.cache_clear()
+    report = bound_report(gs(0, 1, 3, 7), gs(0, 2, 5), 3)
+    assert report.bounds and bounds._iv.cache_info().currsize == 1
+    assert mpmath.mp.prec == prec
+
+
 def test_bound_report_makes_no_channel(monkeypatch, tmp_path, capsys):
     # The report reads the peel's ratios and vertices, never a block's
     # subgraph, so the peel's blocks build no channel; nor does the
@@ -564,6 +591,33 @@ def test_large_subset_matches_per_subset_budgets():
                 assert res.t == t and res.with_alpha_1 == with_alpha_1
                 found += res.found
     assert found > 100
+
+
+@pytest.mark.parametrize("row_bits", [2, 3])
+def test_large_subset_matches_naive_on_narrow_rows(row_bits, monkeypatch):
+    # Rows 2 and 3 bits wide: the first fit and `checked` are read across
+    # many rows, on random layered graphs and on addition and restricted
+    # graphs, and the whole result matches the per-subset search.
+    monkeypatch.setattr(graphs, "_ROW_BITS", row_bits)
+    rng = rng_for(20261020, f"narrow subset rows {row_bits}")
+    pool = _subset_graphs(rng)
+    late = 0
+    for k in range(60):
+        g = LayeredGraph(*random_layered(rng)) if k % 2 else next(pool)
+        m, n, h = len(g.layers[0]), len(g.layers[1]), g.height
+        a1 = magnification_flow(g, 1).value
+        for t in {Fraction(0), Fraction(m, 4), Fraction(m, 2), Fraction(1, 3)}:
+            if t >= m:
+                continue
+            for with_alpha_1 in (False, True):
+                res = large_subset_search(g, t, with_alpha_1)
+                want = naive_large_subset(
+                    g.edges, g.layers[0], n, h, t, a1 if with_alpha_1 else None
+                )
+                assert (res.found, res.subset, res.image_size, res.bound, res.checked) == want
+                assert res.t == t and res.with_alpha_1 == with_alpha_1
+                late += res.checked >= 1 << row_bits
+    assert late > 40
 
 
 # -- set-addition statements ----------------------------------------------------

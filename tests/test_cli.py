@@ -254,6 +254,51 @@ def test_graph_file_roundtrips_through_mag(workdir, capsys):
     assert doc["tight_set"] == doc2["tight_set"]
 
 
+# `mag --oracle` on one seeded addition graph per bottom size, h = 2, level
+# 1 at odd sizes and 2 at even ones: (ratio, tight set), as recorded before
+# the enumeration moved to `subset_rows`.
+ORACLE_OUTPUTS = {
+    1: ((3, 1), [0]),
+    2: ((9, 2), [0, 1]),
+    3: ((5, 2), [1, 2]),
+    4: ((4, 1), [1, 2, 3]),
+    5: ((7, 3), [1, 2, 3]),
+    6: ((11, 4), [2, 3, 4, 5]),
+    7: ((9, 4), [3, 4, 5, 6]),
+    8: ((3, 1), [4, 5, 6, 7]),
+    9: ((7, 3), [2, 3, 4]),
+    10: ((16, 5), [0, 1, 2, 3, 4]),
+    11: ((9, 4), [7, 8, 9, 10]),
+    12: ((24, 7), [1, 2, 3, 4, 5, 6, 7]),
+    13: ((11, 5), [8, 9, 10, 11, 12]),
+    14: ((3, 1), [1, 2, 3, 4, 5, 6, 7, 8]),
+    15: ((2, 1), [0, 1, 2, 3, 4]),
+    16: ((31, 9), [0, 1, 2, 3, 4, 5, 6, 7, 8]),
+    17: ((2, 1), [0, 1, 2, 3, 11, 12, 13, 14, 15]),
+    18: ((5, 2), [12, 13, 14, 15, 16, 17]),
+    19: ((2, 1), [0, 1, 2, 3, 4, 5, 6, 7, 8]),
+    20: ((17, 7), [8, 9, 10, 11, 12, 13, 14]),
+    21: ((2, 1), [4, 5, 7, 10, 11, 12, 13, 14, 15, 16, 17]),
+    22: ((19, 6), [0, 1, 2, 3, 4, 5]),
+}
+
+
+def test_mag_oracle_output_is_unchanged_for_bottoms_up_to_22(tmp_path, capsys):
+    for n, (ratio, tight) in ORACLE_OUTPUTS.items():
+        rng = rng_for(20261020, f"oracle bottom {n}")
+        a = GSet.from_coords(Z, [(x,) for x in rng.sample(range(-2 * n, 2 * n + 1), n)])
+        b = GSet.from_coords(Z, [(0,), (1,), (rng.randint(2, 5),)])
+        path = tmp_path / f"g{n}.json"
+        dump_graph(build_addition_graph(a, b, 2), str(path))
+        code, out, _ = run(capsys, "mag", path, "--level", 2 - n % 2, "--oracle")
+        doc = {
+            "level": 2 - n % 2, "method": "bruteforce", "ratio": list(ratio),
+            "schema": 1, "tight_set": tight, "witness_check": True,
+        }
+        assert code == 0
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_mag_level_out_of_range_exits_2(workdir, capsys):
     gpath = workdir / "G.json"
     run(capsys, "graph", "build", workdir / "A.json", workdir / "B.json",

@@ -27,7 +27,7 @@ from sumsetlab import (
     load_graph,
 )
 from sumsetlab import cli, groups
-from sumsetlab.graphs import _first_unmatched, image_masks, subset_images
+from sumsetlab.graphs import _first_unmatched, image_masks, subset_rows
 from sumsetlab.partition import partition_graph
 from sumsetlab.instances import (
     random_gset,
@@ -426,9 +426,9 @@ def test_restricted_layers_match_definition_random():
             assert diff in b
 
 
-def test_image_masks_and_subset_images_match_oracle_random():
-    # Bottom sizes 1..14 cover odd sizes and size 1, where the low half of
-    # the split is empty.
+def test_image_masks_and_subset_rows_match_oracle_random():
+    # Bottom sizes 1..14 cover size 1, whose one row holds one image, and
+    # sizes past the 12 masks of the doubled table, whose rows are whole.
     rng = rng_for(20261018, "masks")
     for n in range(1, 15):
         space = random_space(rng)
@@ -448,7 +448,10 @@ def test_image_masks_and_subset_images_match_oracle_random():
                 for v, mask in zip(bottom, masks):
                     reached = {w for k, w in enumerate(top) if mask >> k & 1}
                     assert reached == naive_image(g.edges, {v}, level)
-                pairs = list(subset_images(masks))
+                pairs = []
+                for base, row in subset_rows(masks):
+                    assert base % len(row) == 0
+                    pairs += [(base | i, im) for i, im in enumerate(row)]
                 assert [z for z, _ in pairs] == list(range(1, 1 << n))
                 for z, im in pairs:
                     direct = 0

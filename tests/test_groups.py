@@ -49,7 +49,7 @@ from sumsetlab.magnification import (
     tight_channel_power_check,
 )
 
-from oracles import naive_iterated, naive_layer_edges, naive_sumset
+from oracles import naive_iterated, naive_layer_edges, naive_sumset, reference_layout
 
 Z = GroupSpace((0,))
 
@@ -512,6 +512,38 @@ def test_lift_cost_boundary(moduli, w, h, decoded, lifts):
     want = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
     assert iterated_sumset(a, b, h).elements == tuple(sorted(want[-1]))
     assert cardinality_stream(a, b, h) == [len(layer) for layer in want]
+
+
+def test_layout_matches_the_reference_layout():
+    # A seeded grid of spaces and sizes, with the single fold of `sumset`
+    # and `cardinality_stream` and the two folds of the graph builders:
+    # each layout keeps its container and every number of its box.
+    rng = rng_for(20261020, "layout pin")
+    spaces = [(0,), (0, 0), (3, 3), (7, 7), (12, 12), (0, 5), (4, 0)]
+    kinds = set()
+    for moduli in spaces:
+        space = GroupSpace(moduli)
+        for a_size, b_size, spread in ((1, 1, 3), (6, 3, 12), (12, 4, 40), (3, 2, 900)):
+            for h in (1, 2, 3):
+                a = random_gset(rng, space, 1, a_size, spread=spread)
+                b = random_gset(rng, space, 1, b_size, spread=spread)
+                c = random_gset(rng, space, 0, a_size, spread=spread)
+                for starts, decoded in (
+                    (((a.elements, 0),), 0),
+                    (((a.elements, 0),), 1),
+                    (((a.elements, 0), (c.elements, 1)), h + 1),
+                ):
+                    layout = _layout(space, b.elements, h, starts, decoded)
+                    kind, *box, folds = reference_layout(
+                        moduli, b.elements, h, starts, decoded
+                    )
+                    kinds.add(kind)
+                    assert isinstance(layout, _Lift if kind == "lift" else _Sparse)
+                    got = [layout.widths, layout.lows, layout.b_lows]
+                    assert got + [layout.strides, layout.shifts] == box
+                    if folds is not None:
+                        assert list(layout.folds) == folds
+    assert kinds == {"lift", "sparse"}
 
 
 def test_small_a_with_large_sparse_b_stays_on_tuples():

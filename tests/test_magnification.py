@@ -20,6 +20,7 @@ from sumsetlab import (
     plunnecke_chain,
     tight_channel_power_check,
 )
+from sumsetlab import graphs
 from sumsetlab.graphs import image_masks
 from sumsetlab.instances import random_pair, rng_for
 
@@ -27,6 +28,7 @@ from oracles import (
     FlowNetwork,
     naive_image,
     naive_magnification,
+    random_layered,
     smallest_feasible_fraction,
 )
 
@@ -166,23 +168,33 @@ def test_flow_agrees_with_independent_oracle_random():
         assert frozenset(r.maximal_tight_set) == union
 
 
+@pytest.mark.parametrize("row_bits", [2, 3])
+def test_bruteforce_matches_naive_on_narrow_rows(row_bits, monkeypatch):
+    # Rows 2 and 3 bits wide put most subsets of a bottom layer of up to 10
+    # vertices in the later rows, where a row ORs one image into the whole
+    # table; the value, the tight set and the witness match full
+    # enumeration on random layered graphs and on addition graphs.
+    monkeypatch.setattr(graphs, "_ROW_BITS", row_bits)
+    rng = rng_for(20261020, f"narrow rows {row_bits}")
+    cases = 0
+    for k in range(80):
+        if k % 2:
+            g = LayeredGraph(*random_layered(rng))
+        else:
+            a, b = random_pair(rng, a_hi=10, b_hi=4)
+            g = build_addition_graph(a, b, rng.randint(1, 3))
+        for level in range(1, g.height + 1):
+            r = magnification_bruteforce(g, level)
+            value, union = naive_magnification(g.edges, g.layers[0], level)
+            assert r.value == value
+            assert r.maximal_tight_set == tuple(v for v in g.layers[0] if v in union)
+            reached = naive_image(g.edges, union, level)
+            assert r.witness_check == (len(reached) * value.denominator == value.numerator * len(union))
+            cases += len(g.layers[0]) > row_bits
+    assert cases > 80
+
 def random_layered_graph(rng):
-    h = rng.randint(1, 3)
-    sizes = [rng.randint(1, 9) for _ in range(h + 1)]
-    ids = rng.sample(range(100), sum(sizes))
-    layers, at = [], 0
-    for size in sizes:
-        layers.append(tuple(ids[at:at + size]))
-        at += size
-    density = rng.random()
-    edges = tuple(
-        (u, v)
-        for lower, upper in zip(layers, layers[1:])
-        for u in lower
-        for v in upper
-        if rng.random() < density
-    )
-    return LayeredGraph(h, tuple(layers), edges)
+    return LayeredGraph(*random_layered(rng))
 
 
 def cut_minimizer(masks, top_count, p, q):
