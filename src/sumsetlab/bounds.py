@@ -46,7 +46,15 @@ from .graphs import (
     image_masks,
     subset_rows,
 )
-from .groups import GSet, _is_int, _plain, cardinality_stream, fold_sumset, sumset
+from .groups import (
+    GSet,
+    _is_int,
+    _plain,
+    _translate_sizes,
+    cardinality_stream,
+    fold_sumset,
+    sumset,
+)
 from .magnification import Ratio, magnification_flow, tight_channel_power_check
 from .partition import PartitionResult, partition_graph
 
@@ -601,6 +609,8 @@ class NapReport:
 
 
 def nap_check(a: GSet, b: GSet, s: GSet) -> NapReport:
+    """NAP for the level-1 maximal tight set X of G_+(A, B).  |S+X| and
+    |S+X+B| step the fold X, X+B by the shifts of S: S+X+B = (X+B)+S."""
     if a.space != b.space or a.space != s.space:
         raise InputError("A, B and S must share a space")
     if a.is_empty or b.is_empty or s.is_empty:
@@ -609,7 +619,7 @@ def nap_check(a: GSet, b: GSet, s: GSet) -> NapReport:
     tight = magnification_flow(graph, 1).maximal_tight_set
     x = GSet.from_coords(a.space, [graph.label_of(v) for v in tight])
     size, xb = cardinality_stream(x, b, 1)
-    sx, sxb = cardinality_stream(sumset(s, x), b, 1)
+    [[sx, sxb]] = _translate_sizes(a.space, b.elements, 1, [x.elements], [s.elements])[0]
     return NapReport(x, Fraction(xb, size), sxb, sx, sxb * size <= xb * sx)
 
 
@@ -648,6 +658,12 @@ def restricted_sumset_check(
         raise InputError(f"level j = {j!r} outside 1..{h}")
     if x.member_set() & j_set.member_set():
         raise InputError("X and J must be disjoint")
+    samples = tuple(reiher_samples)
+    for s in samples:
+        if s.space != x.space:
+            raise InputError("Reiher sample set must share the space")
+        if s.is_empty:
+            raise InputError("Reiher sample sets must be non-empty")
     # With C = J+B, level i of G_R(X, B, C) is (X+iB) \ (J+iB), and each x
     # reaches all of (x+iB) \ (J+iB): were the k-th vertex of a path from
     # x in J+kB, its end would be in J+kB+(i-k)B = J+iB.  So X is tight at
@@ -658,20 +674,14 @@ def restricted_sumset_check(
     check = tight_channel_power_check(build_restricted_graph(x, b, c_set, h), j)
     size, c, observed = check.sizes[0], check.sizes[j], check.sizes[-1]
     conclusion_ok = check.power_ok if check.hypothesis_ok else None
-    # (P u Q) + kB = (P + kB) u (Q + kB), so with P = X+S and Q = J+S,
-    # |(X+S+kB) \ (J+S+kB)| = |(X u J)+S+kB| - |J+S+kB| for every k: two
-    # cardinality streams give both counts, and an empty J subtracts nothing.
-    xj = GSet(x.space, x.elements + j_set.elements)
+    # (P u Q) + kB = (P + kB) u (Q + kB), so with P = X u J and Q = J,
+    # |(X+S+kB) \ (J+S+kB)| = |P+S+kB| - |Q+S+kB| for every k, and an empty
+    # J subtracts nothing.  P+S+kB = (P+kB)+S: P and Q are folded once, in
+    # one layout for every sample, and each sample steps their layers.
+    sets = [x.elements + j_set.elements, j_set.elements]
     reiher: list[bool] = []
-    for s in reiher_samples:
-        if s.space != x.space:
-            raise InputError("Reiher sample set must share the space")
-        if s.is_empty:
-            raise InputError("Reiher sample sets must be non-empty")
-        counts = cardinality_stream(sumset(xj, s), b, j)
-        if not j_set.is_empty:
-            counts = [p - q for p, q in zip(counts, cardinality_stream(sumset(j_set, s), b, j))]
-        lhs, rhs = counts[j], counts[j - 1]
+    for p, q in _translate_sizes(x.space, b.elements, j, sets, [s.elements for s in samples]):
+        lhs, rhs = p[j] - q[j], p[j - 1] - q[j - 1]
         # lhs <= (c/|X|)^(1/j) rhs  <=>  lhs^j |X| <= c rhs^j
         reiher.append(lhs**j * size <= c * rhs**j)
     return RestrictedSumsetReport(

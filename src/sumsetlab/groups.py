@@ -171,10 +171,10 @@ def _check_fold(a: GSet, b: GSet, h: int) -> None:
 # one position in the box layout of `_Box`; `_layout` picks from the input
 # sizes alone how a layer holds its positions: `_Lift` as the set bits of
 # one int, `_Sparse` as a set of ints.  Both answer the same calls: `encode`
-# a start set, `step` (add B), `size`, `minus` (set difference), `ascending`
-# (the positions in order), `columns` (their coordinates, one column per
-# coordinate), and, for the graph builders, `sums` (the folded positions of
-# x+b for each b).
+# a start set, `step` (add B's shifts, or a translate's), `size`, `minus` (set
+# difference), `ascending` (the positions in order), `columns` (their
+# coordinates, one column per coordinate), and, for the graph builders,
+# `sums` (the folded positions of x+b for each b).
 
 # What a lift costs, in point additions of the set container: a full-width
 # pass over a layer (a shift-or, a cyclic fold, a popcount) costs one per
@@ -311,9 +311,9 @@ class _Lift(_Box):
             bits[p >> 3] |= 1 << (p & 7)
         return int.from_bytes(bits, "little")
 
-    def step(self, cur: int, cap: float) -> int:
+    def step(self, cur: int, shifts: Sequence[int], cap: float) -> int:
         nxt = 0
-        for shift in self.shifts:
+        for shift in shifts:
             nxt |= cur << shift
         for high, jump in self.folds:
             top = nxt & high
@@ -337,14 +337,14 @@ class _Sparse(_Box):
     def encode(self, coords: Sequence[Coords], level: int) -> set[int]:
         return set(self._positions(coords, self.origin + level * self.drift))
 
-    def step(self, cur: set[int], cap: float) -> set[int]:
+    def step(self, cur: set[int], shifts: Sequence[int], cap: float) -> set[int]:
         # Checks the size after every row x+B, so a tiny cap trips before a
         # large allocation; every folded row is a subset of the layer.
         nxt: set[int] = set()
         grow = nxt.update
         fold = self.fold
         for x in cur:
-            grow(fold(map(x.__add__, self.shifts)))
+            grow(fold(map(x.__add__, shifts)))
             if len(nxt) > cap:
                 break
         return nxt
@@ -394,9 +394,11 @@ def _layout(
     h: int,
     starts: Sequence[tuple[Sequence[Coords], int]],
     decoded: int,
+    pad: Sequence[int] = (),
 ) -> _Box:
     """One layout for the folds X, ..., X+(h-level)B of every (X, level),
-    of which the caller decodes `decoded` layers.
+    of which the caller decodes `decoded` layers; free coordinate j of the
+    box is pad[j] cells wider (none without a pad) at its high end.
 
     A fold that starts at level 1 shares its layers' positions with the
     level-0 fold one layer up, so the two can be subtracted.  The lift is
@@ -416,7 +418,7 @@ def _layout(
                 base = level * b_low
                 low = min(low, min(cols[j]) - base)
                 high = max(high, max(cols[j]) - base + (h - level) * spread)
-            width = high - low + 1
+            width = high - low + 1 + (pad[j] if pad else 0)
         widths.append(width)
         lows.append(low)
         b_lows.append(b_low)
@@ -441,7 +443,7 @@ def _layers(
     cur = layout.encode(start, level)
     yield cur
     for _ in range(h):
-        cur = layout.step(cur, cap)
+        cur = layout.step(cur, layout.shifts, cap)
         if layout.size(cur) > cap:
             raise GuardError(
                 f"sumset cardinality guard: result exceeds cap {max_size}"
@@ -482,6 +484,32 @@ def cardinality_stream(
     _check_fold(a, b, h)
     layout = _layout(a.space, b.elements, h, ((a.elements, 0),), 0)
     return [layout.size(layer) for layer in _layers(layout, a.elements, 0, h, max_size)]
+
+
+def _translate_sizes(
+    space: GroupSpace,
+    b_elems: Sequence[Coords],
+    h: int,
+    sets: Sequence[Sequence[Coords]],
+    samples: Sequence[Sequence[Coords]],
+) -> list[list[list[int]]]:
+    """[[|X+S+kB| for k = 0..h] for X in sets] for each non-empty S in samples.
+
+    X+S+kB = (X+kB)+S: each X is folded once, in one layout padded by the
+    samples' spread, and a count steps a layer by the shifts of S, each
+    s - (the least sample coordinate) on a free coordinate, so none is < 0.
+    """
+    cols = list(zip(*chain.from_iterable(samples))) or [(0,)] * space.rank
+    lows = [0 if m else min(c) for m, c in zip(space.moduli, cols)]
+    pad = [0 if m else max(c) - low for m, c, low in zip(space.moduli, cols, lows)]
+    layout = _layout(space, b_elems, h, [(x, 0) for x in sets], 0, pad)
+    base = -sum(map(mul, lows, layout.strides))
+    folds = [list(_layers(layout, x, 0, h, None)) for x in sets]
+    step, size = layout.step, layout.size
+    return [
+        [[size(step(layer, shifts, inf)) for layer in fold] for fold in folds]
+        for shifts in (layout._positions(s, base) for s in samples)
+    ]
 
 
 # --- JSON interchange ------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple
 from decimal import Decimal
 from fractions import Fraction
@@ -40,12 +41,13 @@ from sumsetlab import (
     restricted_sumset_check,
     rising_binomial,
 )
-from sumsetlab import bounds, graphs
+from sumsetlab import bounds, graphs, groups
 from sumsetlab.bounds import BOUND_NAMES, check_majorant_pointwise, majorant_from_root
 from sumsetlab.instances import random_gset, random_pair, random_triple, rng_for
 
 from oracles import (
     naive_image,
+    naive_iterated,
     naive_large_subset,
     naive_pseudo_cardinality,
     naive_rising_binomial,
@@ -668,33 +670,119 @@ def test_nap_matches_naive_sumsets_random():
             assert rep.ok
 
 
-def test_set_addition_checks_count_from_streams(monkeypatch):
-    # Each Reiher sample costs one sumset for (X u J)+S and one for J+S;
-    # every other count is read from cardinality streams.
-    import sumsetlab.bounds as bounds_mod
-
-    calls = {"sumset": 0, "fold_sumset": 0}
-    for name in calls:
-
-        def counted(*args, _name=name, _real=getattr(bounds_mod, name)):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(bounds_mod, name, counted)
-
+def test_reiher_samples_share_one_layout(monkeypatch):
+    # X u J and J are folded once, in one layout for every Reiher sample, so
+    # a check makes as many layouts for 10 samples as for none; NAP adds S
+    # to the layers of X's fold and makes no sumset.
+    layouts, sums = [], []
+    real_layout, real_top = groups._layout, groups._top_layer
+    monkeypatch.setattr(groups, "_layout", lambda *a: layouts.append(a) or real_layout(*a))
+    monkeypatch.setattr(groups, "_top_layer", lambda *a: sums.append(a) or real_top(*a))
     x, b = gs(0, 1, 2, 3), gs(0, 1, 4)
-    for samples in [(), (gs(0),), (gs(0, 2), gs(1, 5), gs(-3, 0, 7))]:
+    samples = [gs(i, 3 * i - 7, i * i) for i in range(10)]
+    for j_set in (gs(10, 12), GSet.from_coords(Z, [])):
         for j, h in [(1, 1), (1, 3), (2, 3), (3, 3)]:
-            calls.update(sumset=0, fold_sumset=0)
-            restricted_sumset_check(x, b, gs(10, 12), j, h, samples)
-            assert calls == {"sumset": 1 + 2 * len(samples), "fold_sumset": 0}
-            calls.update(sumset=0)
-            rep = restricted_sumset_check(x, b, GSet.from_coords(Z, []), j, h, samples)
-            assert calls == {"sumset": len(samples), "fold_sumset": 0}
-            assert len(rep.reiher_ok) == len(samples)
-    calls.update(sumset=0)
+            made = []
+            for n in (0, 1, 10):
+                layouts.clear()
+                sums.clear()
+                rep = restricted_sumset_check(x, b, j_set, j, h, samples[:n])
+                assert len(rep.reiher_ok) == n
+                made.append((len(layouts), len(sums)))
+            assert made[0] == made[1] == made[2], (j_set, j, h, made)
+    sums.clear()
     nap_check(gs(0, 1, 2, 3, 100), gs(0, 1), gs(0, 7))
-    assert calls == {"sumset": 1, "fold_sumset": 0}
+    assert sums == []
+
+
+def test_reiher_samples_are_read_once():
+    x, b, j_set = gs(0, 1, 2, 3), gs(0, 1), gs(100)
+    samples = (gs(0), gs(0, 5), gs(-2, 1, 9))
+    want = restricted_sumset_check(x, b, j_set, 2, 3, samples)
+    assert len(want.reiher_ok) == 3
+    assert restricted_sumset_check(x, b, j_set, 2, 3, (s for s in samples)) == want
+
+
+def test_bad_reiher_sample_is_refused_before_the_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("restricted graph built before the samples were checked")
+
+    monkeypatch.setattr(bounds, "build_restricted_graph", refuse)
+    plane = GSet.from_coords(GroupSpace((0, 0)), [(0, 0)])
+    for bad, message in [
+        (plane, "Reiher sample set must share the space"),
+        (GSet.from_coords(Z, []), "Reiher sample sets must be non-empty"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            restricted_sumset_check(gs(0, 1), gs(0, 1), gs(5), 1, 2, (gs(0), bad))
+
+
+def test_far_apart_translates_stay_in_the_set_container():
+    # A lift of the box of {0, 10^9} would be a 125 MB int; the shared
+    # layout's cost rule keeps it in a set.  tracemalloc counts the ints.
+    tracemalloc.start()
+    try:
+        far = gs(0, 10**9)
+        rep = restricted_sumset_check(far, gs(0, 1), gs(5), 1, 2, [far, gs(3)])
+        nap = nap_check(gs(0, 1, 2), gs(0, 1), far)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.reiher_ok == (True, True) and (nap.sx, nap.lhs) == (6, 8)
+    assert peak < 10**7
+
+
+def test_translated_counts_match_naive_sums(monkeypatch):
+    # Every |P+S+kB| of the shared fold, and the Reiher and NAP reports read
+    # from it, against sums made point by point.  Free coordinates spread
+    # about 10^6 apart leave the shared layout too wide to lift.
+    kinds = set()
+    real_layout = groups._layout
+
+    def spy(*args):
+        layout = real_layout(*args)
+        if args[5:]:  # padded by the samples' spread: the shared layout
+            kinds.add(type(layout))
+        return layout
+
+    monkeypatch.setattr(groups, "_layout", spy)
+    rng = rng_for(20261020, "translate")
+    for moduli in [(0,), (0, 0), (5, 5), (0, 4), (6, 0)]:
+        space = GroupSpace(moduli)
+        for spread, n in product((3, 10**6), (0, 1, 10)):
+            x = random_gset(rng, space, 1, 5, spread=spread)
+            b = random_gset(rng, space, 1, 3, spread=2)
+            raw_j = random_gset(rng, space, 1, 3, spread=spread)
+            samples = [random_gset(rng, space, 1, 3, spread=spread) for _ in range(n)]
+            naive_samples = [s.elements for s in samples]
+            j_sets = [
+                GSet.from_coords(space, []),
+                GSet.from_coords(space, raw_j.member_set() - x.member_set()),
+            ]
+            for j_set, j in product(j_sets, (1, 2, 3)):
+                h = rng.randint(j, 3)
+                sets = [x.elements + j_set.elements, j_set.elements]
+                got = groups._translate_sizes(space, b.elements, h, sets, naive_samples)
+                want = [
+                    [
+                        [
+                            len(naive_iterated(naive_sumset(p, s, moduli), b.elements, k, moduli))
+                            for k in range(h + 1)
+                        ]
+                        for p in sets
+                    ]
+                    for s in naive_samples
+                ]
+                assert got == want, (moduli, x, b, j_set, h, samples)
+                rep = restricted_sumset_check(x, b, j_set, j, h, samples)
+                assert astuple(rep) == naive_restricted_sumset(
+                    x.elements, b.elements, j_set.elements, j, h, naive_samples, moduli
+                ), (moduli, x, b, j_set, j, h, samples)
+            for s in samples[:3]:
+                rep = nap_check(x, b, s)
+                sx = naive_sumset(s.elements, rep.x.elements, moduli)
+                assert (rep.lhs, rep.sx) == (len(naive_sumset(sx, b.elements, moduli)), len(sx))
+    assert kinds == {groups._Lift, groups._Sparse}
 
 
 def test_restricted_sumset_frozen():
