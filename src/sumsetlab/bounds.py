@@ -17,7 +17,8 @@ techniques are used:
 * outward rounding: genuinely irrational bounds (those mixing e and
   fractional powers) are evaluated in interval arithmetic and rounded up to
   the nearest binary-64 value before comparison, so a reported violation is
-  a real violation.
+  a real violation.  A bound that is one quotient by beta is instead
+  rounded up once from its exact value at beta's lower bracket end.
 
 Asymptotic statements carry main-term values only and are reported with a
 verdict of None, never asserted: at fixed m an o(1) term has no value.
@@ -31,7 +32,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import compress, count
 from operator import le
 from typing import Iterable, Sequence
@@ -112,6 +113,13 @@ def float_up(x) -> float:
     while mpmath.mpf(f) < hi:
         f = math.nextafter(f, math.inf)
     return f
+
+
+def _up(x: Fraction) -> float:
+    """Smallest binary-64 value >= the rational x: `float` rounds to
+    nearest, so one step up mends a float that fell below x."""
+    f = float(x)
+    return f if f >= x else math.nextafter(f, math.inf)
 
 
 def _rising(p: int, q: int, h: int) -> int:
@@ -268,15 +276,26 @@ class CertifiedMinSum:
     """Sum over partition blocks of min(alpha_i^h, s alpha_i) |Z_i|.
 
     The branch of each min and the final comparison are decided exactly
-    through the beta bracket; value is the rounded-up float of
-    slow_part + s * fast_weight.
+    through the beta bracket; the floats are made on first read, so a
+    caller that reads only ok pays for none.
     """
 
-    value: float
     ok: bool
     slow_part: Fraction
     fast_weight: Fraction
-    s_value: float
+    pseudo: PseudoCardinality
+
+    @cached_property
+    def s_value(self) -> float:
+        """s = n / beta rounded up, as `_top_bound` rounds."""
+        return _up(Fraction(self.pseudo.n) / self.pseudo.lo)
+
+    @cached_property
+    def value(self) -> float:
+        """slow_part + s * fast_weight rounded up.  The interval rounds
+        more than once, so one exact rounding would move some values."""
+        s_iv = _ival(self.pseudo.n) / self.pseudo.interval()
+        return float_up(_ival(self.slow_part) + s_iv * _ival(self.fast_weight))
 
 
 def certified_min_sum(
@@ -306,18 +325,23 @@ def certified_min_sum(
         ok = False
     else:
         ok = pseudo.leq(Fraction(n) * fast / (observed - slow))
-    s_iv = _ival(n) / pseudo.interval()
-    value = float_up(_ival(slow) + s_iv * _ival(fast))
-    return CertifiedMinSum(value, ok, slow, fast, float_up(s_iv))
+    return CertifiedMinSum(ok, slow, fast, pseudo)
 
 
 def _top_bound(
     n: int, v1: int, vh: int, beta: PseudoCardinality
 ) -> tuple[bool, float]:
     """|V_h| <= n |V_1| / beta, beta the pseudo-cardinality of n: the exact
-    verdict and the bound rounded up."""
+    verdict and the bound rounded up.
+
+    The bound is the float that the 80-bit interval v1 n / [lo, hi] gives:
+    for v1 n < 2^80 both inputs are exact at 80 bits, so that interval's
+    upper end is x = v1 n / lo rounded up once to 80 bits; every float is
+    an 80-bit number, so the least float >= x is the least float >= that
+    end.  One exact rounding of x gives it without intervals.
+    """
     ok = vh == 0 or beta.leq(Fraction(v1 * n, vh))
-    return ok, float_up(_ival(v1) * _ival(n) / beta.interval())
+    return ok, _up(Fraction(v1 * n) / beta.lo)
 
 
 def _per_vertex_binomial(graph: LayeredGraph) -> tuple[bool, int, int]:
@@ -448,7 +472,7 @@ def bound_report(
 
     bounds = tuple(BoundValue(*row) for row in rows)
     return BoundReport(
-        h, m, ab, hb, observed, alpha, alpha_1, beta, float_up(s_iv), t_value,
+        h, m, ab, hb, observed, alpha, alpha_1, beta, certified.s_value, t_value,
         ratios, block_sizes, bounds,
     )
 

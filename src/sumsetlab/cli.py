@@ -1,7 +1,8 @@
 """Command-line interface: every operation behind one deterministic binary.
 
 Exit codes: 0 when all requested checks pass, 1 when a verdict fails (the
-report names what failed), 2 on input, output, usage, or guard errors.
+report names what failed) or the reader of standard output goes away, 2 on
+input, output, usage, or guard errors.
 Reports are JSON with a "schema": 1 marker and sorted keys, so identical
 configuration (including the seed) produces byte-identical output.  Set
 data files use the plain GSet / graph schemas without the marker.
@@ -291,6 +292,13 @@ def main(argv=None) -> int:
         _check_floors(args)
         _check_outputs(args)
         return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout is gone.  What is still buffered goes to
+        # devnull, so the flush at exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (InputError, GuardError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,15 @@
 """Batch verification suite: eleven independent checks over seeded instances.
 
 Each criterion owns its default case count and an isolated stream of random
-instances, so results do not depend on execution order.  A criterion reports
-one CheckResult; the suite passes when every criterion does.
+instances, so results do not depend on execution order.  Criteria 4 and 5
+read one stream: inside `run_suite` they share each instance's build and
+peel, and alone each makes its own.  A criterion reports one CheckResult;
+the suite passes when every criterion does.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,14 +145,29 @@ def _partition_instance(seed: int, i: int):
     return a, b, h, build_addition_graph(a, b, h)
 
 
+# Within one `run_suite` call: criterion 5's violation count by (seed, cases),
+# left by criterion 4 from the partitions it made.  None outside a call.
+_certified_counts: ContextVar[dict | None] = ContextVar("_certified_counts", default=None)
+
+
+def _certified_fails(b, h, graph, result) -> bool:
+    pseudo = pseudo_cardinality(len(fold_sumset(b, h)), h)
+    return not certified_min_sum(result, pseudo, graph.layer_sizes()[-1]).ok
+
+
 def check_partition_validity(seed: int, cases: int | None = None) -> CheckResult:
     n = 100 if cases is None else cases
-    bad = 0
+    counts = _certified_counts.get()
+    bad = certified_bad = 0
     for i in range(n):
         a, b, h, graph = _partition_instance(seed, i)
         result = partition_graph(graph)
         if not verify_partition(result).ok:
             bad += 1
+        if counts is not None:
+            certified_bad += _certified_fails(b, h, graph, result)
+    if counts is not None:
+        counts[seed, n] = certified_bad
     return CheckResult(
         4,
         "partition invariants and top accounting",
@@ -161,15 +179,12 @@ def check_partition_validity(seed: int, cases: int | None = None) -> CheckResult
 
 def check_certified_chain(seed: int, cases: int | None = None) -> CheckResult:
     n = 100 if cases is None else cases
-    bad = 0
-    for i in range(n):
-        a, b, h, graph = _partition_instance(seed, i)
-        result = partition_graph(graph)
-        hb = len(fold_sumset(b, h))
-        pseudo = pseudo_cardinality(hb, h)
-        observed = graph.layer_sizes()[-1]
-        if not certified_min_sum(result, pseudo, observed).ok:
-            bad += 1
+    bad = (_certified_counts.get() or {}).pop((seed, n), None)
+    if bad is None:
+        bad = 0
+        for i in range(n):
+            a, b, h, graph = _partition_instance(seed, i)
+            bad += _certified_fails(b, h, graph, partition_graph(graph))
     return CheckResult(
         5,
         "certified min-sum upper bound",
@@ -340,4 +355,8 @@ def run_suite(seed: int, cases: int | None = None) -> SuiteResult:
     criterion's count.  Identical (seed, cases) give identical results."""
     if cases is not None and (not _is_int(cases) or cases < 1):
         raise InputError(f"case count must be an integer >= 1, got {cases!r}")
-    return SuiteResult(seed, tuple(fn(seed, cases) for fn in CRITERIA))
+    token = _certified_counts.set({})
+    try:
+        return SuiteResult(seed, tuple(fn(seed, cases) for fn in CRITERIA))
+    finally:
+        _certified_counts.reset(token)

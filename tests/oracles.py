@@ -8,7 +8,7 @@ package cannot hide inside its own oracle.
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, inf, nextafter
 
 
 def naive_normalize(coords, moduli):
@@ -571,6 +571,30 @@ def naive_pseudo_cardinality(n, h):
         else:
             lo = mid
     return n, h, float((lo + hi) / 2), lo, hi, False
+
+
+def interval_quotient_up(factors, lo, hi):
+    """The least float >= the upper end of the 80-bit interval product of
+    the int factors divided by the bracket [lo, hi] of Fractions: the
+    interval expression that gave the top bounds and s before they were
+    rounded once exactly."""
+    import mpmath
+
+    iv = type(mpmath.iv)()
+    iv.prec = 80
+
+    def ival(x):
+        x = Fraction(x)
+        return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+
+    num = iv.mpf(1)
+    for f in factors:
+        num *= ival(f)
+    end = (num / iv.mpf([ival(lo).a, ival(hi).b])).b
+    up = float(end)
+    while mpmath.mpf(up) < end:
+        up = nextafter(up, inf)
+    return up
 
 
 def naive_large_subset(edges, bottom, n, h, t, alpha_1=None):

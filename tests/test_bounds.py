@@ -18,6 +18,7 @@ import pytest
 
 import sumsetlab
 from sumsetlab import (
+    CertifiedMinSum,
     GroupSpace,
     GSet,
     GuardError,
@@ -30,6 +31,7 @@ from sumsetlab import (
     certified_min_sum,
     csv_header,
     csv_row,
+    fold_sumset,
     growth_commutative_bound,
     gset_to_json,
     large_subset_search,
@@ -46,6 +48,7 @@ from sumsetlab.bounds import BOUND_NAMES, check_majorant_pointwise, majorant_fro
 from sumsetlab.instances import random_gset, random_pair, random_triple, rng_for
 
 from oracles import (
+    interval_quotient_up,
     naive_image,
     naive_iterated,
     naive_large_subset,
@@ -346,11 +349,17 @@ def test_bound_report_sweeps_its_graph_once_per_level(monkeypatch):
 
 
 def test_mpmath_is_imported_on_first_use_and_left_as_it_was():
-    # Importing the CLI loads no mpmath; the interval context that a bound
-    # report makes on first use is private, so mpmath's global precision
-    # stays as it was.
+    # Importing the CLI loads no module outside the standard library and the
+    # package, mpmath among them; the interval context that a bound report
+    # makes on first use is private, so mpmath's global precision stays as
+    # it was.  The module sets are compared within one child, since the
+    # interpreter may load site packages before the import.
     src = str(Path(sumsetlab.__file__).parent.parent)
-    code = "import sys, sumsetlab.cli; print(sorted(m for m in sys.modules if m.startswith('mpmath')))"
+    code = (
+        "import sys; before = set(sys.modules); import sumsetlab.cli; "
+        "roots = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(roots - set(sys.stdlib_module_names) - {'sumsetlab'}))"
+    )
     child = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
@@ -387,6 +396,63 @@ def test_bound_report_makes_no_channel(monkeypatch, tmp_path, capsys):
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["alpha_1"] == [5, 4]
     assert check_certified_chain(1).ok
+
+
+def test_top_bounds_and_s_round_once_to_the_interval_float():
+    # One exact rounding of v1 n / lo, and of n / lo, gives the float that
+    # the 80-bit interval chain gave, for beta exact (n a rising binomial
+    # value) and inexact alike.
+    rng = rng_for(20261020, "top bound")
+    for k in range(400):
+        h = rng.randint(1, 5)
+        n = int(rising_binomial(rng.randint(1, 60), h)) if k % 2 else rng.randint(1, 10**7)
+        v1, vh = rng.randint(1, 10**7), rng.randint(0, 10**9)
+        beta = pseudo_cardinality(n, h)
+        want = interval_quotient_up([v1, n], beta.lo, beta.hi)
+        assert bounds._top_bound(n, v1, vh, beta)[1] == want, (n, h, v1)
+        cert = CertifiedMinSum(True, Fraction(0), Fraction(0), beta)
+        assert cert.s_value == interval_quotient_up([n], beta.lo, beta.hi), (n, h)
+    for _ in range(60):
+        a, b, c = random_triple(rng, a_hi=8, b_hi=3, c_hi=6)
+        rep = restricted_growth_check(a, b, c, rng.randint(1, 3))
+        assert rep.value == interval_quotient_up([rep.v1, rep.hb], rep.beta.lo, rep.beta.hi)
+        a, b = random_pair(rng, a_hi=8, b_hi=4)
+        g = build_addition_graph(a, b, rng.randint(1, 3))
+        gb = growth_commutative_bound(g)
+        want = interval_quotient_up([len(g.layers[1]), gb.max_image], gb.beta.lo, gb.beta.hi)
+        assert gb.value == want
+
+
+def test_verdicts_and_top_bounds_make_no_interval(monkeypatch):
+    # Criterion 5 reads only a certified sum's verdict, and the top bounds
+    # round exactly, so none of them makes an interval; a report's
+    # certified row reads the value, which is the interval float as before.
+    from sumsetlab.suite import check_certified_chain
+
+    a, b = gs(8, 11, 19, 22, 23, 25), gs(0, 3, 6)
+    part = partition_graph(build_addition_graph(a, b, 2))
+
+    def refuse():
+        raise AssertionError("an interval was made")
+
+    monkeypatch.setattr(bounds, "_iv", refuse)
+    assert check_certified_chain(1, 20).ok
+    rng = rng_for(20261020, "no interval")
+    for _ in range(10):
+        x, y, z = random_triple(rng, a_hi=8, b_hi=3, c_hi=6)
+        restricted_growth_check(x, y, z, 2)
+        growth_commutative_bound(build_addition_graph(x, y, 3))
+    cert = certified_min_sum(part, pseudo_cardinality(len(fold_sumset(b, 2)), 2), 17)
+    assert cert.ok and cert.s_value == 1.8507810593593805
+    monkeypatch.undo()
+    assert cert.value == 21.288800748849
+    report = bound_report(a, b, 2)
+    assert astuple(report.bound("certified_min_sum")) == (
+        "certified_min_sum", 21.288800748849, 17, True, True, ""
+    )
+    assert report.bound("prop_restricted_first").value == 22.209372712312568
+    assert report.bound("growth_commutative").value == 22.209372712312568
+    assert report.s_value == 1.8507810593593805
 
 
 def test_report_rows_complete_and_deterministic(grid_report):

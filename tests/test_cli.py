@@ -2,10 +2,14 @@
 
 import argparse
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sumsetlab
 from sumsetlab import (
     GroupSpace,
     GSet,
@@ -930,3 +934,21 @@ def test_unknown_command_is_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # The reader takes one byte of a sumset over 64 KB, more than a pipe
+    # holds, and closes the pipe: the next write finds no reader.
+    dump_gset(GSet.from_coords(Z, [(i,) for i in range(0, 60000, 3)]), str(tmp_path / "A.json"))
+    dump_gset(GSet.from_coords(Z, [(0,), (1,)]), str(tmp_path / "B.json"))
+    src = str(Path(sumsetlab.__file__).parent.parent)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "sumsetlab", "sumset", "A.json", "B.json", "--h", "2"],
+        cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert child.stdout.read(1) == b"{"
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -1,11 +1,12 @@
 """The self-verification suite runner: determinism, line format."""
 
 import re
+from collections import Counter
 
 import pytest
 
-from sumsetlab import InputError, run_suite
-from sumsetlab import suite
+from sumsetlab import InputError, build_addition_graph, partition_graph, run_suite
+from sumsetlab import instances, suite
 from sumsetlab.suite import CRITERIA
 
 
@@ -59,3 +60,67 @@ def test_set_addition_lines_are_pinned():
     ]
     for seed, tail in enumerate(want):
         assert suite.check_set_addition(seed).line == head + tail
+
+
+def test_criteria_4_and_5_build_each_instance_once(monkeypatch):
+    # Inside one run, criterion 4 leaves criterion 5 its count, so each
+    # instance of their shared stream is built once, not once per criterion.
+    stream = [None]
+    builds = Counter()
+
+    def rng_for(seed, label):
+        stream[0] = label.partition("/")[0]
+        return instances.rng_for(seed, label)
+
+    def counted_build(*args):
+        builds[stream[0]] += 1
+        return build_addition_graph(*args)
+
+    monkeypatch.setattr(suite, "rng_for", rng_for)
+    monkeypatch.setattr(suite, "build_addition_graph", counted_build)
+    run_suite(0, cases=3)
+    assert builds["c45"] == 3
+    assert builds["c1"] == builds["c3"] == 3
+
+
+def test_no_shared_state_outlives_a_run(monkeypatch):
+    run_suite(0, cases=2)
+    peeled = []
+
+    def counted_peel(graph):
+        peeled.append(graph)
+        return partition_graph(graph)
+
+    monkeypatch.setattr(suite, "partition_graph", counted_peel)
+    run_suite(0, cases=2)
+    assert len(peeled) == 2  # one peel per instance, seen by both criteria
+    suite.check_certified_chain(0, 2)
+    assert len(peeled) == 4  # alone, criterion 5 peels its own
+    assert suite._certified_counts.get() is None
+
+
+_C4 = "criterion 4: {} [partition invariants and top accounting] 100 partitions re-verified, {} failures"
+_SHARED_LINES = (
+    "criterion 5: PASS [certified min-sum upper bound] 100 instances (same stream as criterion 4), 0 violations",
+    "criterion 6: PASS [restricted growth and per-vertex binomial] 100 (A,B,C) triples, 0 violations",
+    "criterion 9: PASS [commutative growth and large-subset existence] 100 growth bounds + 50 subset searches, 0 failures",
+)
+
+
+@pytest.mark.parametrize(
+    "seed, status, failures", [(0, "PASS", 0), (1, "FAIL", 1), (2, "PASS", 0), (3, "FAIL", 1)]
+)
+def test_shared_and_rounded_criteria_lines_are_pinned(seed, status, failures, monkeypatch):
+    # Criteria 4 and 5 give the same line alone as inside a run, where they
+    # share their instances.  The criterion 4 FAIL at seeds 1 and 3 is the
+    # known partition defect.
+    fns = (
+        suite.check_partition_validity,
+        suite.check_certified_chain,
+        suite.check_restricted_growth,
+        suite.check_growth_statements,
+    )
+    want = [_C4.format(status, failures), *_SHARED_LINES]
+    assert [fn(seed).line for fn in fns] == want
+    monkeypatch.setattr(suite, "CRITERIA", fns)
+    assert [r.line for r in run_suite(seed).results] == want
