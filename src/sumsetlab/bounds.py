@@ -397,7 +397,6 @@ def bound_report(
     certified = certified_min_sum(part, beta, observed)
 
     beta_iv = beta.interval()
-    s_iv = _ival(hb) / beta_iv
     e_iv = _iv().exp(_iv().mpf(1))
     m_pow = _ival(m) ** _ival(Fraction(2 * h - 1, h))
     same_sets = a.elements == b.elements
@@ -468,7 +467,7 @@ def bound_report(
     t_value: float | None = None
     if h >= 2 and beta.lt(Fraction(hb) / alpha_1 ** (h - 1)):
         # alpha_1 < s^(1/(h-1)) guaranteed; intervals cannot hit the pole.
-        t_value = float_up(_slope(s_iv, alpha_1, h))
+        t_value = float_up(_slope(_ival(hb) / beta_iv, alpha_1, h))
 
     bounds = tuple(BoundValue(*row) for row in rows)
     return BoundReport(
