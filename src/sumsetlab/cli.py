@@ -34,7 +34,6 @@ from .graphs import (
 from .groups import (
     cardinality_stream,
     dump_gset,
-    gset_to_json,
     iterated_sumset,
     load_gset,
     _plain,
@@ -67,7 +66,7 @@ def _cmd_sumset(args) -> int:
         _report({"h": args.h, "cardinalities": list(stream)}, args.out)
         return 0
     total = iterated_sumset(a, b, args.h, args.max_size)
-    _write_json(gset_to_json(total), args.out)
+    dump_gset(total, args.out)
     return 0
 
 

@@ -79,7 +79,6 @@ from .groups import (
     _fill_rows,
     _int_rows,
     _is_int,
-    _json_pieces,
     _layers,
     _layout,
     _read_json,
@@ -475,19 +474,21 @@ def _sum_graph(
     # sorted label order inside a layer, as the layout yields each layer.
     # Sums come folded, onto the positions the next layer's ids are keyed by.
     # Edge keys come in one run per element of B; one sort merges the runs.
-    layout = _layout(
-        a.space, b.elements, h, ((a.elements, 0), (forbidden, 1)), h + 1
-    )
+    # As A+(i+1)B = (A+iB)+B, with C empty every sum is a vertex one layer
+    # up, so C is folded only when it is non-empty.
+    starts = ((a.elements, 0), (forbidden, 1)) if forbidden else ((a.elements, 0),)
+    layout = _layout(a.space, b.elements, h, starts, h + 1)
     grown = _layers(layout, a.elements, 0, h, max_size)
-    cuts = _layers(layout, forbidden, 1, h - 1, max_size)
-    removed = chain([layout.encode((), 0)], cuts)
+    if forbidden:
+        cuts = _layers(layout, forbidden, 1, h - 1, max_size)
+        grown = map(layout.minus, grown, chain([layout.encode((), 0)], cuts))
     rank = a.space.rank
     layers: list[tuple[int, ...]] = []
     flat: list[int] = []
     lookups = []
     span = 0  # the ids given so far
-    for level, (layer, cut) in enumerate(zip(grown, removed)):
-        positions = layout.ascending(layout.minus(layer, cut))
+    for level, layer in enumerate(grown):
+        positions = layout.ascending(layer)
         ids = range(span, span + len(positions))
         span = ids.stop
         rows = [0] * (len(positions) * rank)
@@ -497,15 +498,19 @@ def _sum_graph(
         layers.append(tuple(ids))
         lookups.append((positions, ids, dict(zip(positions, ids))))
     # With span = |V|, the edges x -> x+b out of the layer at ids s..t-1
-    # have keys u * span + v for u = s..t-1, one run per b.  A sum that
-    # left the next layer gets the id -span * span, so its key is negative.
+    # have keys u * span + v for u = s..t-1, one run per b.  Only a
+    # non-empty C removes sums from the next layer; such a sum gets the id
+    # -span * span, so its key is negative.
     miss = -span * span
     keys: list[int] = []
     for (positions, ids, _), (_, _, found) in zip(lookups, lookups[1:]):
         bases = range(ids.start * span, ids.stop * span, span)
         for targets in layout.sums(positions):
-            run = map(add, bases, map(found.get, targets, repeat(miss)))
-            keys.extend(filter((0).__le__, run))
+            if forbidden:
+                run = map(add, bases, map(found.get, targets, repeat(miss)))
+                keys.extend(filter((0).__le__, run))
+            else:
+                keys.extend(map(add, bases, map(found.__getitem__, targets)))
     keys.sort()
     return LayeredGraph._trusted(h, tuple(layers), tuple(keys), tuple(flat))
 
@@ -738,9 +743,9 @@ def graph_to_json(graph: LayeredGraph) -> dict:
 def _graph_pieces(graph: LayeredGraph) -> Iterator[str]:
     # `graph_to_json(graph)` as `_write_json` writes it, keys sorted, in
     # pieces of at most one chunk of rows: the edge rows filled from the
-    # ends of a slice of the keys, and the "labels" object, one
-    # `"%d": [...]` row per vertex in `sort_keys` order of the decimal keys,
-    # from the label store.
+    # ends of a slice of the keys, the "labels" object, one `"%d": [...]`
+    # row per vertex in `sort_keys` order of the decimal keys, from the
+    # label store, and one row per layer ("[]" if empty) from its ids.
     def edge_ends(start: int, stop: int) -> list[int]:
         tails, heads = graph._ends(start, stop)
         ends = tails * 2
@@ -761,7 +766,13 @@ def _graph_pieces(graph: LayeredGraph) -> Iterator[str]:
     row = '"%d": ' + (_row_template(rank, "    ") if rank else "[]")
     yield from _fill_rows(row, len(ids), label_rows, "  ", "{}")
     yield ',\n  "layers": '
-    yield from _json_pieces(list(map(list, graph.layers)), "  ")
+    layers = graph.layers
+    yield from _fill_rows(
+        [_row_template(len(layer), "    ") if layer else "[]" for layer in layers],
+        len(layers),
+        lambda start, stop: tuple(chain.from_iterable(layers[start:stop])),
+        "  ",
+    )
     yield "\n}\n"
 
 

@@ -517,12 +517,14 @@ def _translate_sizes(
 # {"moduli": [m_1, ..., m_k], "elements": [[c_1, ..., c_k], ...]}
 # Input need not be normalized; output always is (sorted, deduplicated).
 # Set and graph files are read by `_read_json`; no report is read back.
-# Sets and reports are written by `_write_json`, graphs by
-# `graphs.dump_graph`, which fills the same row templates (`_fill_rows`)
-# from its edge keys and label store.  Every writer hands `_write_text` a
-# stream of pieces, none longer than one chunk of `_CHUNK` rows, so no whole
-# document is built.  A report's records take their JSON form from
-# `_plain` alone: an exact ratio is the pair [numerator, denominator].
+# Reports are written by `_write_json`.  Sets and graphs fill row templates
+# (`_fill_rows`) straight from what the package holds: `dump_gset` from a
+# set's element tuples, `graphs.dump_graph` from its edge keys, label store
+# and layer tuples, so neither copies nor re-checks them.  Every writer
+# hands `_write_text` a stream of pieces, none longer than one chunk of
+# `_CHUNK` rows, so no whole document is built.  A report's records take
+# their JSON form from `_plain` alone: an exact ratio is the pair
+# [numerator, denominator].
 
 _CHUNK = 4096
 
@@ -628,7 +630,7 @@ def _json_pieces(obj: object, pad: str) -> Iterator[str]:
 
     With an indent, `json` runs its pure-Python encoder, several times
     slower than the compact C one.  Int lists and lists of int rows, the
-    bulk of every set document, therefore fill %-templates, one per row
+    bulk of the larger reports, therefore fill %-templates, one per row
     width, as `%d` prints an int as `json` does.  Objects with string keys
     recurse key by key, and every other value goes to `json.dumps` as it is.
     """
@@ -700,8 +702,17 @@ def gset_from_json(obj: object) -> GSet:
     return GSet.from_coords(space, coords)
 
 
-def dump_gset(a: GSet, path: str) -> None:
-    _write_json(gset_to_json(a), path)
+def dump_gset(a: GSet, path: str | None) -> None:
+    """Write gset_to_json(a) to path, or to stdout if path is None."""
+    elements, rank = a.elements, a.space.rank
+    rows = _fill_rows(
+        _row_template(rank, "    "),
+        len(elements),
+        lambda start, stop: tuple(chain.from_iterable(elements[start:stop])),
+        "  ",
+    )
+    moduli = _row_template(rank, "  ") % a.space.moduli
+    _write_text(chain(['{\n  "elements": '], rows, [f',\n  "moduli": {moduli}\n}}\n']), path)
 
 
 def load_gset(path: str) -> GSet:

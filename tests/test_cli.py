@@ -20,6 +20,7 @@ from sumsetlab import (
     dump_graph,
     graph_to_json,
     gset_to_json,
+    iterated_sumset,
 )
 from sumsetlab.cli import main
 from sumsetlab.instances import random_gset, random_space, rng_for
@@ -59,6 +60,25 @@ def test_sumset_elements_payload(workdir, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["elements"] == [[0], [1], [2], [3], [5]]
+
+
+@pytest.mark.parametrize("moduli", [(0,), (0, 0), (9, 9), (0, 7), (0, 5, 0)], ids=str)
+def test_sumset_output_is_json_dumps_of_the_sumset(tmp_path, capsys, moduli):
+    # To stdout and to --out, the document `json.dumps` makes of the set.
+    rng = rng_for(20261020, f"sumset output {moduli}")
+    space = GroupSpace(moduli)
+    for _ in range(3):
+        a = random_gset(rng, space, 1, 40, spread=30)
+        b = random_gset(rng, space, 1, 5, spread=4)
+        dump_gset(a, str(tmp_path / "A.json"))
+        dump_gset(b, str(tmp_path / "B.json"))
+        want = json.dumps(
+            gset_to_json(iterated_sumset(a, b, 2)), indent=2, sort_keys=True
+        ) + "\n"
+        argv = ["sumset", tmp_path / "A.json", tmp_path / "B.json", "--h", "2"]
+        assert run(capsys, *argv) == (0, want, "")
+        assert run(capsys, *argv, "--out", tmp_path / "S.json") == (0, "", "")
+        assert (tmp_path / "S.json").read_text() == want
 
 
 def test_sumset_guard_exits_2(workdir, capsys):

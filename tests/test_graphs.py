@@ -23,6 +23,7 @@ from sumsetlab import (
     dump_gset,
     graph_from_json,
     graph_to_json,
+    gset_to_json,
     image,
     load_graph,
 )
@@ -466,8 +467,9 @@ def test_image_masks_and_subset_rows_match_oracle_random():
 
 
 def test_sum_graph_edges_complete_random():
-    # Both builders against the naive rule {(x, x+b) : both ends kept}, in
-    # the drawn spaces and in free and mixed two-coordinate ones.
+    # Both builders, the restricted one with C drawn and with C empty,
+    # against the naive rule {(x, x+b) : both ends kept}, in the drawn
+    # spaces and in free and mixed two-coordinate ones.
     rng = rng_for(20261018, "edges")
     for k in range(120):
         shape = rng.choice([(0, 0), (0, rng.randint(2, 9))])
@@ -485,6 +487,7 @@ def test_sum_graph_edges_complete_random():
         for g, layers in (
             (build_addition_graph(a, b, h), grown),
             (build_restricted_graph(a, b, c, h), kept),
+            (build_restricted_graph(a, b, GSet(space, ()), h), grown),
         ):
             got = {(g.layer_of(u), g.label_of(u), g.label_of(v)) for u, v in g.edges}
             assert got == naive_layer_edges(layers, b.elements, moduli)
@@ -496,7 +499,9 @@ def test_sum_graph_edges_complete_random():
 )
 def test_sum_graphs_match_oracle_on_every_space(moduli, lift, monkeypatch):
     # Cyclic coordinates make sums wrap, which the layout folds back onto
-    # the vertex's own position.  Both layouts run every case.
+    # the vertex's own position.  Both layouts run every case, and an empty
+    # C, which takes the builder's path without misses, gives the addition
+    # graph.
     # (The id "tuples" names the set container, the fallback, which once
     # held coordinate tuples.)
     monkeypatch.setattr(groups, "_lift_pays", lambda *args: lift)
@@ -515,6 +520,7 @@ def test_sum_graphs_match_oracle_on_every_space(moduli, lift, monkeypatch):
         for g, want in (
             (build_addition_graph(a, b, h), grown),
             (build_restricted_graph(a, b, c, h), kept),
+            (build_restricted_graph(a, b, GSet(space, ()), h), grown),
         ):
             labels = [[g.label_of(v) for v in layer] for layer in g.layers]
             assert labels == [sorted(layer) for layer in want]
@@ -902,6 +908,53 @@ def test_writer_holds_less_than_the_document(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size
+
+
+def test_writers_never_reach_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
+    # Empty layers and set documents fill row templates, as full layers and
+    # edge rows do; none of them goes to `json.dumps`.
+    a = GSet.from_coords(GroupSpace((0, 7)), [(-3, 1), (0, 6), (12, 0)])
+    restricted = build_restricted_graph(gs(0, 1, 5), gs(0, 2), gs(*range(-2, 12)), 2)
+    assert restricted.layer_sizes() == (3, 0, 0)
+    graphs = [LayeredGraph(2, [[0], [], []], []), restricted]
+    want = [json.dumps(graph_to_json(g), indent=2, sort_keys=True) + "\n" for g in graphs]
+    want_set = json.dumps(gset_to_json(a), indent=2, sort_keys=True) + "\n"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    path = tmp_path / "doc.json"
+    for g, text in zip(graphs, want):
+        dump_graph(g, str(path))
+        assert path.read_text() == text
+        dump_graph(g, None)
+        assert capsys.readouterr().out == text
+    dump_gset(a, str(path))
+    assert path.read_text() == want_set
+    dump_gset(a, None)
+    assert capsys.readouterr().out == want_set
+
+
+def test_builders_fold_c_only_when_c_is_non_empty(monkeypatch):
+    # An empty C removes nothing, so the builder folds A alone.
+    calls = []
+    real = groups._layers
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr("sumsetlab.graphs._layers", counted)
+    a, b = gs(0, 2, 7), gs(0, 1, 3)
+    for build, folds in (
+        (lambda: build_addition_graph(a, b, 2), [0]),
+        (lambda: build_restricted_graph(a, b, gs(), 2), [0]),
+        (lambda: build_restricted_graph(a, b, gs(4), 2), [0, 1]),
+    ):
+        calls.clear()
+        build()
+        assert calls == folds
 
 
 @pytest.mark.parametrize("command", ["build", "restrict"])

@@ -3,6 +3,7 @@
 import json
 import pickle
 import re
+import tracemalloc
 from operator import add
 
 import pytest
@@ -690,6 +691,44 @@ def test_writer_fills_documents_across_chunk_boundaries(tmp_path, capsys, extra)
         assert capsys.readouterr().out == want
     dump_gset(a, str(path))
     assert load_gset(str(path)) == a
+
+
+SET_WRITER_SPACES = [(0,), (0, 0), (65, 65), (0, 7), (0, 5, 0)]
+SET_WRITER_SIZES = [0, 1, 9, groups._CHUNK - 1, groups._CHUNK, groups._CHUNK + 1]
+
+
+@pytest.mark.parametrize("moduli", SET_WRITER_SPACES, ids=str)
+def test_set_writer_matches_json_dumps_of_gset_to_json(tmp_path, capsys, moduli):
+    # `dump_gset` fills its rows from the element tuples; the document is
+    # the one `json.dumps` makes of `gset_to_json`, on every space kind, with
+    # negative free coordinates, and across the chunk boundaries.
+    rng = rng_for(20261020, f"set writer {moduli}")
+    space = GroupSpace(moduli)
+    path = tmp_path / "a.json"
+    for n in SET_WRITER_SIZES:
+        a = random_gset(rng, space, n, n, spread=3 * n) if n else GSet(space, ())
+        assert len(a) == n
+        want = json.dumps(gset_to_json(a), indent=2, sort_keys=True) + "\n"
+        dump_gset(a, str(path))
+        assert path.read_text() == want
+        dump_gset(a, None)
+        assert capsys.readouterr().out == want
+        assert load_gset(str(path)) == a
+
+
+def test_set_writer_holds_less_than_the_document(tmp_path):
+    # As the graph writer: one chunk of rows at a time, no list per element.
+    rng = rng_for(20261020, "set writer memory")
+    a = random_gset(rng, GroupSpace((0, 0)), 20_000, 20_000, spread=10**6)
+    assert len(a) == 20_000
+    path = tmp_path / "a.json"
+    tracemalloc.start()
+    try:
+        dump_gset(a, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
 
 
 def _graph():
