@@ -4,156 +4,28 @@ Finite sets in commutative coordinate groups, their iterated sumsets A+hB,
 the layered graphs those sumsets span, exact magnification ratios and
 tight-set partitions, and certified evaluation of the classical and refined
 growth bounds.
+
+The package exports every name in its library modules' own ``__all__``; the
+command line (``sumsetlab.cli``) stays out, so importing the package loads
+neither it nor ``argparse``.
 """
 
-from .bounds import (
-    BoundReport,
-    BoundValue,
-    CertifiedMinSum,
-    GrowthBound,
-    LargeSubsetResult,
-    NapReport,
-    PseudoCardinality,
-    RestrictedGrowthReport,
-    RestrictedSumsetReport,
-    bound_report,
-    bound_report_to_json,
-    certified_min_sum,
-    csv_header,
-    csv_row,
-    growth_commutative_bound,
-    large_subset_search,
-    nap_check,
-    pseudo_cardinality,
-    restricted_growth_check,
-    restricted_sumset_check,
-    rising_binomial,
+from . import (
+    bounds,
+    constructions,
+    errors,
+    graphs,
+    groups,
+    instances,
+    magnification,
+    maxflow,
+    partition,
+    suite,
 )
-from .constructions import (
-    ConstructionSpec,
-    construction_spec_to_json,
-    example1,
-    example2,
-)
-from .errors import GuardError, InputError, SumsetLabError
-from .graphs import (
-    CommutativityReport,
-    LayeredGraph,
-    build_addition_graph,
-    build_restricted_graph,
-    channel,
-    channel_of,
-    check_commutative,
-    dump_graph,
-    graph_from_json,
-    graph_to_json,
-    image,
-    load_graph,
-)
-from .groups import (
-    GroupSpace,
-    GSet,
-    cardinality_stream,
-    dump_gset,
-    fold_sumset,
-    gset_from_json,
-    gset_to_json,
-    iterated_sumset,
-    load_gset,
-    sumset,
-    zero_set,
-)
-from .magnification import (
-    ChainResult,
-    MagnificationResult,
-    PowerCheck,
-    Ratio,
-    magnification_bruteforce,
-    magnification_flow,
-    magnification_to_json,
-    plunnecke_chain,
-    tight_channel_power_check,
-)
-from .partition import (
-    PartitionBlock,
-    PartitionCheck,
-    PartitionResult,
-    partition_graph,
-    partition_to_json,
-    verify_partition,
-)
-from .suite import CheckResult, SuiteResult, run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "BoundValue",
-    "CertifiedMinSum",
-    "ChainResult",
-    "CheckResult",
-    "CommutativityReport",
-    "ConstructionSpec",
-    "GroupSpace",
-    "GrowthBound",
-    "GSet",
-    "GuardError",
-    "InputError",
-    "LargeSubsetResult",
-    "LayeredGraph",
-    "MagnificationResult",
-    "NapReport",
-    "PartitionBlock",
-    "PartitionCheck",
-    "PartitionResult",
-    "PowerCheck",
-    "PseudoCardinality",
-    "Ratio",
-    "RestrictedGrowthReport",
-    "RestrictedSumsetReport",
-    "SuiteResult",
-    "SumsetLabError",
-    "bound_report",
-    "bound_report_to_json",
-    "build_addition_graph",
-    "build_restricted_graph",
-    "cardinality_stream",
-    "certified_min_sum",
-    "channel",
-    "channel_of",
-    "check_commutative",
-    "construction_spec_to_json",
-    "csv_header",
-    "csv_row",
-    "dump_graph",
-    "dump_gset",
-    "example1",
-    "example2",
-    "fold_sumset",
-    "graph_from_json",
-    "graph_to_json",
-    "growth_commutative_bound",
-    "gset_from_json",
-    "gset_to_json",
-    "image",
-    "iterated_sumset",
-    "large_subset_search",
-    "load_graph",
-    "load_gset",
-    "magnification_bruteforce",
-    "magnification_flow",
-    "magnification_to_json",
-    "nap_check",
-    "partition_graph",
-    "partition_to_json",
-    "plunnecke_chain",
-    "pseudo_cardinality",
-    "restricted_growth_check",
-    "restricted_sumset_check",
-    "rising_binomial",
-    "run_suite",
-    "sumset",
-    "tight_channel_power_check",
-    "verify_partition",
-    "zero_set",
-]
+_MODULES = (bounds, constructions, errors, graphs, groups, instances,
+            magnification, maxflow, partition, suite)
+globals().update((name, getattr(m, name)) for m in _MODULES for name in m.__all__)
+__all__ = sorted(name for m in _MODULES for name in m.__all__)

@@ -80,7 +80,6 @@ __all__ = [
     "nap_check",
     "restricted_sumset_check",
     "restricted_growth_check",
-    "float_up",
     "csv_header",
     "csv_row",
     "bound_report_to_json",

@@ -1,12 +1,16 @@
-"""Every name a module exports resolves, every name it imports is used,
-every private definition is referenced and every module README's table
-names exists, so a deletion leaves no stale export, import, helper or
-README row behind."""
+"""The package exports exactly its library modules' own `__all__`, every
+name a module exports resolves, every name it imports is used, every
+private definition is referenced and the README's table has one row per
+module, so a deletion leaves no stale export, import, helper or README row
+behind, and an addition needs no second declaration."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -18,6 +22,53 @@ SUBMODULES = sorted(
     info.name for info in pkgutil.iter_modules(sumsetlab.__path__)
     if info.name != "__main__"
 )
+
+
+# The command line and `__main__` stay out of the package namespace.
+LIBRARY = [name for name in SUBMODULES if name != "cli"]
+
+
+def test_package_exports_every_library_name_once():
+    modules = [importlib.import_module(f"sumsetlab.{name}") for name in LIBRARY]
+    owners = Counter(name for module in modules for name in module.__all__)
+    assert sumsetlab.__all__ == sorted(owners)
+    assert [
+        (module.__name__, name)
+        for module in modules
+        for name in module.__all__
+        if getattr(sumsetlab, name) is not getattr(module, name)
+    ] == []
+    assert [name for name, count in owners.items() if count > 1] == []
+
+
+INIT = Path(sumsetlab.__file__)
+
+
+def test_a_name_added_to_a_module_is_exported_with_no_other_edit(monkeypatch):
+    # Run the package's own source again, in a fresh namespace, over a
+    # module whose `__all__` has gained a name.
+    marker = object()
+    monkeypatch.setattr(sumsetlab.groups, "added_name", marker, raising=False)
+    monkeypatch.setattr(sumsetlab.groups, "__all__", [*sumsetlab.groups.__all__, "added_name"])
+    namespace = {"__name__": "sumsetlab", "__package__": "sumsetlab"}
+    exec(compile(INIT.read_text(encoding="utf-8"), str(INIT), "exec"), namespace)
+    assert namespace["added_name"] is marker
+    assert "added_name" in namespace["__all__"]
+
+
+def test_package_import_loads_neither_cli_nor_argparse_nor_mpmath():
+    # The module sets are compared within one child, since the interpreter
+    # may load site packages before the import.
+    src = str(INIT.parent.parent)
+    code = (
+        "import sys; before = set(sys.modules); import sumsetlab; "
+        "print(sorted({'sumsetlab.cli', 'argparse', 'mpmath'} & (set(sys.modules) - before)))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert child.stdout == "[]\n"
 
 
 def test_package_exports_resolve():
@@ -53,7 +104,10 @@ def _used(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Assign):
-            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            # A computed `__all__` is code, whose names the walk reads.
+            if isinstance(node.value, (ast.List, ast.Tuple)) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
                 used.update(ast.literal_eval(node.value))
         elif isinstance(node, (ast.arg, ast.AnnAssign)):
             notes = [node.annotation]
@@ -119,13 +173,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_readme_module_table_names_modules():
+    # One row for each module but `__main__`, and none for a module that
+    # does not exist.
     text = README.read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(sumsetlab\.\w+)` \|", text, re.M)
-    assert rows
-    missing = []
-    for name in rows:
-        try:
-            importlib.import_module(name)
-        except ModuleNotFoundError:
-            missing.append(name)
-    assert missing == []
+    assert sorted(rows) == [f"sumsetlab.{name}" for name in SUBMODULES]
