@@ -2,7 +2,7 @@
 
 Exit codes: 0 when all requested checks pass, 1 when a verdict fails (the
 report names what failed) or the reader of standard output goes away, 2 on
-input, output, usage, or guard errors.
+input, output (two output flags naming one file), usage, or guard errors.
 Reports are JSON with a "schema": 1 marker and sorted keys, so identical
 configuration (including the seed) produces byte-identical output.  Set
 data files use the plain GSet / graph schemas without the marker.
@@ -37,6 +37,7 @@ from .groups import (
     iterated_sumset,
     load_gset,
     _plain,
+    _shown,
     _write_json,
     _write_text,
 )
@@ -269,14 +270,21 @@ def _check_floors(args) -> None:
 
 
 def _check_outputs(args) -> None:
-    # Fail on an unwritable output path before any work or output: append
-    # nothing to each path, and remove the files that this created.
-    for path in map(vars(args).get, ("out_a", "out_b", "csv", "out")):
-        if path is not None:
-            existed = os.path.lexists(path)
-            _write_text((), path, "a")
-            if not existed:
-                os.remove(path)
+    # Up front, refuse an unwritable path or two flags naming one regular file.
+    named, created = {}, []
+    try:
+        for flag in ("--out", "--out-a", "--out-b", "--csv"):
+            path = vars(args).get(flag[2:].replace("-", "_"))
+            if path is not None:
+                created += [] if os.path.lexists(path) else [path]
+                _write_text((), path, "a")
+                st = os.stat(path)
+                first, shown = named.setdefault((st.st_dev, st.st_ino), (flag, path))
+                if first != flag and os.path.isfile(path):
+                    raise InputError(f"{first} and {flag} name the same file {_shown(shown)}")
+    finally:
+        for path in filter(os.path.lexists, created):
+            os.remove(path)
 
 
 def _command_name(args) -> str:

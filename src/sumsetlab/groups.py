@@ -8,10 +8,11 @@ normalized coordinate tuples, so equality and hashing are structural.
 The sumset A+B is {a+b : a in A, b in B}; iterated sumsets A+hB fold B in one
 layer at a time, which also yields hB itself via A = {0}.  One private fold
 walks the layers A, A+B, ..., A+hB for every entry point (sumset, iterated
-sumset, hB, cardinality stream, and the graph layers in `graphs`), with an
-optional cardinality guard (`max_size`, off by default).  The fold keeps
-only the current layer alive, so |A+iB| profiles of deep iterates do not
-store every intermediate set.
+sumset, hB, cardinality stream, the graph layers in `graphs`, and the
+|X+S+kB| translate counts of the Reiher and NAP checks, `_translate_sizes`),
+with an optional cardinality guard (`max_size`, off by default).  The fold
+keeps only the current layer alive, so |A+iB| profiles of deep iterates do
+not store every intermediate set.
 
 The fold adds integer positions, one per point, in a Kronecker layout of
 the bounding box of every layer: a free coordinate gets the width of the box
@@ -517,14 +518,14 @@ def _translate_sizes(
 # {"moduli": [m_1, ..., m_k], "elements": [[c_1, ..., c_k], ...]}
 # Input need not be normalized; output always is (sorted, deduplicated).
 # Set and graph files are read by `_read_json`; no report is read back.
-# Reports are written by `_write_json`.  Sets and graphs fill row templates
-# (`_fill_rows`) straight from what the package holds: `dump_gset` from a
-# set's element tuples, `graphs.dump_graph` from its edge keys, label store
-# and layer tuples, so neither copies nor re-checks them.  Every writer
-# hands `_write_text` a stream of pieces, none longer than one chunk of
-# `_CHUNK` rows, so no whole document is built.  A report's records take
-# their JSON form from `_plain` alone: an exact ratio is the pair
-# [numerator, denominator].
+# Reports are small, and `_write_json` writes them with `json.dumps(indent=2,
+# sort_keys=True)`; a report's records take their JSON form from `_plain`
+# alone (an exact ratio is [numerator, denominator]).  Sets and graphs fill
+# row templates (`_fill_rows`) straight from what the package holds:
+# `dump_gset` from a set's element tuples, `graphs.dump_graph` from its edge
+# keys, label store and layer tuples, so neither copies nor re-checks them,
+# and hand `_write_text` a stream of pieces, none longer than one chunk of
+# `_CHUNK` rows, so no whole set or graph document is built.
 
 _CHUNK = 4096
 
@@ -624,43 +625,6 @@ def _fill_rows(
     yield "\n" + pad + ends[1]
 
 
-def _json_pieces(obj: object, pad: str) -> Iterator[str]:
-    """The pieces of `json.dumps(obj, indent=2, sort_keys=True)`, each line
-    after the first indented by `pad` more.
-
-    With an indent, `json` runs its pure-Python encoder, several times
-    slower than the compact C one.  Int lists and lists of int rows, the
-    bulk of the larger reports, therefore fill %-templates, one per row
-    width, as `%d` prints an int as `json` does.  Objects with string keys
-    recurse key by key, and every other value goes to `json.dumps` as it is.
-    """
-    inner = pad + "  "
-    if type(obj) is list and obj:
-        if set(map(type, obj)) == {int}:
-            yield _row_template(len(obj), pad) % tuple(obj)
-            return
-        if _int_rows(obj) is not None:
-            widths = list(map(len, obj))
-            row = {width: _row_template(width, inner) for width in set(widths)}
-            rows = list(map(row.__getitem__, widths)) if len(row) > 1 else row[widths[0]]
-            yield from _fill_rows(
-                rows,
-                len(obj),
-                lambda start, stop: tuple(chain.from_iterable(obj[start:stop])),
-                pad,
-            )
-            return
-    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
-        sep = "{\n"
-        for key in sorted(obj):
-            yield f"{sep}{inner}{json.dumps(key)}: "
-            yield from _json_pieces(obj[key], inner)
-            sep = ",\n"
-        yield f"\n{pad}}}"
-        return
-    yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-
-
 def _plain(obj: object) -> object:
     """obj in JSON's own types, part by part: a Fraction as [numerator,
     denominator], a dataclass as the dict of its fields, a dict by its
@@ -677,7 +641,7 @@ def _plain(obj: object) -> object:
 
 
 def _write_json(obj: object, path: str | None) -> None:
-    _write_text(chain(_json_pieces(obj, ""), ["\n"]), path)
+    _write_text([json.dumps(obj, indent=2, sort_keys=True), "\n"], path)
 
 
 def gset_to_json(a: GSet) -> dict:

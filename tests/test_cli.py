@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON payloads, reproducibility."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -865,6 +866,134 @@ def test_output_check_leaves_files_alone(workdir, capsys):
         assert "cannot read set file" in err
     assert kept.read_text() == "old\n"
     assert not (workdir / "new.json").exists()
+
+
+# Two output flags of one command that name one regular file, however
+# spelled: one output would overwrite the other.
+SHARED_OUTPUTS = {
+    "bounds --out --csv": (
+        ["bounds", "A.json", "B.json", "--h", "2", "--out", "R.json", "--csv", "R.json"],
+        "--out and --csv name the same file R.json"),
+    "construct --out-a --out-b": (
+        ["construct", "example1", "--h", "2", "--a", "4", "--out-a", "X.json",
+         "--out-b", "X.json"],
+        "--out-a and --out-b name the same file X.json"),
+    "construct ./ spelling": (
+        ["construct", "example1", "--h", "2", "--a", "4", "--out-a", "CA.json",
+         "--out-b", "CB.json", "--out", "./CB.json"],
+        "--out and --out-b name the same file ./CB.json"),
+    "bounds symlink": (
+        ["bounds", "A.json", "B.json", "--h", "2", "--out", "link.json", "--csv", "B.json"],
+        "--out and --csv name the same file link.json"),
+}
+
+
+@pytest.mark.parametrize("argv, message", SHARED_OUTPUTS.values(), ids=SHARED_OUTPUTS.keys())
+def test_two_outputs_naming_one_file_exit_2(workdir, capsys, monkeypatch, argv, message):
+    # Refused before any work or output, leaving no file the check made and
+    # every existing file as it was.
+    monkeypatch.chdir(workdir)
+    os.symlink("B.json", "link.json")
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+
+def test_devices_may_take_two_outputs(workdir, capsys, monkeypatch):
+    monkeypatch.chdir(workdir)
+    before = sorted(workdir.iterdir())
+    argv = ["bounds", "A.json", "B.json", "--h", "2", "--out", os.devnull, "--csv", os.devnull]
+    assert run(capsys, *argv) == (0, "", "")
+    argv = ["construct", "example1", "--h", "2", "--a", "4", "--out-a", os.devnull,
+            "--out-b", os.devnull, "--out", os.devnull]
+    assert run(capsys, *argv) == (0, "", "")
+    assert sorted(workdir.iterdir()) == before
+
+
+# The bytes of every report kind, as the sha256 digest of the text recorded
+# while `_write_json` still filled its own int-row templates: stdout, or
+# the file R.txt where the command writes its report there.  A = {0, 2, 5,
+# 11} and B = {0, 1, 3} in Z (alpha = 10/4 > 2); E = {0, ..., 4} (alpha =
+# 9/5 <= 2); G is the addition graph of A and B at h = 2; NC is the graph of
+# `test_graph_check_reports_violations_in_order`; in DG, vertices 2 and 3
+# reach no top and make degenerate blocks.
+REPORTS = {
+    "sumset --cardinality-only": (
+        ["sumset", "A.json", "B.json", "--h", "3", "--cardinality-only"], 0,
+        "556f6cdaa8141144be53e68eaafa9108087e9693cbe03d8bcd15c5b4dd94df95",
+    ),
+    "graph check": (
+        ["graph", "check", "NC.json"], 1,
+        "19367003ab752d1d1d8a8e48e5a63c1dffdc5b194e5f6c6c0915a2556a78852d",
+    ),
+    "mag": (
+        ["mag", "G.json", "--level", "1"], 0,
+        "ed0056f8176ff6a92b5ad9494852ea79681b1b733761d1566cf95186446597ad",
+    ),
+    "mag --oracle": (
+        ["mag", "G.json", "--level", "2", "--oracle"], 0,
+        "f8ff3f4998764109c2a58fab083d1792a12d2b03e73882751c8736dd45881304",
+    ),
+    "partition": (
+        ["partition", "DG.json"], 0,
+        "a71bd554169dced0165e5c43004c50237575042d1fb3a9e3b235dbe806d8f227",
+    ),
+    "bounds A = B": (
+        ["bounds", "E.json", "E.json", "--h", "2"], 0,
+        "ec7261807a7d328fe4182f3070af6d8d2065146befe04de8a31091456aad8bb7",
+    ),
+    "bounds A = B --csv": (
+        ["bounds", "E.json", "E.json", "--h", "2", "--csv", "R.txt"], 0,
+        "252e7e35f3c74f440bc07cd860559b297eac695f6fcb303de10c09def38013f6",
+    ),
+    "bounds A != B": (
+        ["bounds", "A.json", "B.json", "--h", "3"], 0,
+        "9437cf8f8c03862e9d5e013fb2009c0c3145f4275bc69c68b39db6ee67c61dc5",
+    ),
+    "bounds A != B --csv": (
+        ["bounds", "A.json", "B.json", "--h", "3", "--csv", "R.txt"], 0,
+        "c854b44a5c689c98a49b6950225008010f658f7e2005b6e76d5e646d895c5510",
+    ),
+    "construct example1 --check": (
+        ["construct", "example1", "--h", "2", "--a", "4", "--check"], 0,
+        "f5e56a6202219ffa015b3715f0fa22f76e5cc4b21240fd78720a915f3239690d",
+    ),
+    "construct example2 --check": (
+        ["construct", "example2", "--h", "2", "--a", "8", "--alpha", "3/2", "--check"], 0,
+        "184adf5830ada0f08279ca80555dc6753460c26bd1aed50e844bcedc95060bbe",
+    ),
+    "verify suite --out": (
+        ["verify", "suite", "--cases", "2", "--out", "R.txt"], 0,
+        "f369ff0ee3edf1de479149a471c0c516fd643fc3a94672184d0661062ef922d0",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, digest", REPORTS.values(), ids=REPORTS.keys())
+def test_report_bytes_are_unchanged(tmp_path, capsys, monkeypatch, argv, code, digest):
+    monkeypatch.chdir(tmp_path)
+    sets = {"A": [0, 2, 5, 11], "B": [0, 1, 3], "E": [0, 1, 2, 3, 4]}
+    for name, xs in sets.items():
+        sets[name] = GSet.from_coords(Z, [(x,) for x in xs])
+        dump_gset(sets[name], f"{name}.json")
+    dump_graph(build_addition_graph(sets["A"], sets["B"], 2), "G.json")
+    Path("NC.json").write_text(json.dumps({
+        "height": 2,
+        "layers": [[0, 4, 5, 8], [1, 6, 9], [2, 3, 7, 10, 11]],
+        "edges": [[0, 1], [1, 2], [1, 3], [4, 6], [5, 6], [6, 7], [8, 9],
+                  [5, 9], [9, 10], [9, 11], [6, 11]],
+    }))
+    Path("DG.json").write_text(json.dumps({
+        "height": 2,
+        "layers": [[0, 1, 2, 3], [4, 5, 6], [7, 8]],
+        "edges": [[0, 4], [1, 4], [1, 5], [4, 7], [5, 7], [5, 8]],
+    }))
+    got, out, err = run(capsys, *argv)
+    text = Path(argv[-1]).read_text() if argv[-1] == "R.txt" else out
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    if "--csv" not in argv:
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_suite_exit_and_lines(workdir, capsys):
