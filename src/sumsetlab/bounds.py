@@ -42,6 +42,7 @@ from .graphs import (
     SUBSET_GUARD,
     LayeredGraph,
     _row_sizes,
+    _sweep,
     build_addition_graph,
     build_restricted_graph,
     image_masks,
@@ -352,8 +353,11 @@ def _per_vertex_binomial(graph: LayeredGraph) -> tuple[bool, int, int]:
     h = graph.height
     ok = True
     worst: tuple[int, int] | None = None
+    # A vertex's out-degree is the size of its level-1 image: edges join
+    # consecutive layers, and repeated edges are merged.
+    near = _sweep(graph, 1)
     for a, mask in zip(graph.layers[0], image_masks(graph, h)):
-        deg = len(graph.out_neighbors(a))
+        deg = near[a].bit_count()
         im_h = mask.bit_count()
         cap = math.comb(deg + h - 1, h)
         if im_h > cap:

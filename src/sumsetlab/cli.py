@@ -276,8 +276,10 @@ def _check_outputs(args) -> None:
         for flag in ("--out", "--out-a", "--out-b", "--csv"):
             path = vars(args).get(flag[2:].replace("-", "_"))
             if path is not None:
-                created += [] if os.path.lexists(path) else [path]
+                # A dangling link is kept: the file made is its target.
+                made = not os.path.exists(path)
                 _write_text((), path, "a")
+                created += [os.path.realpath(path)] if made else []
                 st = os.stat(path)
                 first, shown = named.setdefault((st.st_dev, st.st_ino), (flag, path))
                 if first != flag and os.path.isfile(path):

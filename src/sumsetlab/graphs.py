@@ -26,10 +26,15 @@ exactly when the prefix up to it can be matched.  The single-layer fan
 u -> v -> {w1, w2} is therefore an upward violation: both targets compete
 for the only middle vertex.
 
-Reachability has one mechanism, the sweep: for a level j, one top-down
-pass gives every vertex of layers 0..j its image in layer j as a bitmask.
-Images im_i(Z) are ORs of these masks, and the ratios, the peel and the
-bounds read the same masks.  A channel between U in layer i and W in
+Reachability has one form, the sweep (`_sweep`): for a level j, every
+vertex of layers 0..j has its image in layer j as a bitmask, made once per
+graph and level.  Images im_i(Z) are ORs of these masks, and the ratios,
+the peel and the bounds read the same masks.  In a sum graph built on the
+lift, a vertex x of layer i reaches the translate x + (j-i)B, cut to layer
+j, so its mask is one shift and one fold of (j-i)B, and its bits are box
+positions; in any other graph one top-down pass along the edges makes the
+masks, and a bit is a vertex's rank in its layer.  `LayeredGraph._decode`
+reads the vertices of a mask back.  A channel between U in layer i and W in
 layer j (i < j) is the subgraph of all vertices and edges lying on some
 U-to-W path: the vertices reached forward from U whose level-j mask meets
 W's bits.  Channels of commutative graphs stay commutative, and they
@@ -43,11 +48,14 @@ channels and the checking constructor emit keys; the adjacency, the
 commutativity masks and the graph writer read them.  Labels are stored once
 too, as flat ints in vertex order, which the builders fill from the sumset
 layout's coordinate columns and channels and the writer gather rows from.
-The pairs (`LayeredGraph.edges`) and the id-to-label dict
-(`LayeredGraph.labels`) are views made only when asked for.  The writer
-streams a document in chunks of rows: each chunk of edge rows comes from one
-slice of the keys, and each chunk of label rows from one slice of the
-vertices in decimal key order, so no whole document is ever held.
+A sum graph built on the lift makes both stores only when one is first
+read, from its layer ints, so a graph that only its masks are asked of
+makes no edge; a channel of it makes its own stores from the positions of
+the vertices it keeps.  The pairs (`LayeredGraph.edges`) and the id-to-label
+dict (`LayeredGraph.labels`) are views made only when asked for.  The
+writer streams a document in chunks of rows: each chunk of edge rows comes
+from one slice of the keys, and each chunk of label rows from one slice of
+the vertices in decimal key order, so no whole document is ever held.
 
 A graph is validated once.  The `LayeredGraph` constructor, and so every
 graph document, checks and normalizes its input.  A document loads in one
@@ -56,24 +64,28 @@ under its decimal id, and a count shows that every key names a vertex.
 A document that fails a check is named by that same pass, label keys
 first.  Graphs the package builds itself (addition and restricted graphs,
 channels, the peel's singleton blocks) come out already normalized, so the
-private `LayeredGraph._trusted` takes them as they are.  Either kind
-builds its adjacency (the layer of each vertex, its out-neighbours) on first
-use and keeps each level's sweep once made, so writing a graph out builds
-neither, nor either view.
+private `LayeredGraph._trusted` takes them as they are.  Every graph
+builds its adjacency (the layer of each vertex, its out-neighbours) and
+its masks on first use, so writing a graph out builds neither, nor either
+view.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import chain, count, islice, repeat
-from operator import add, floordiv, itemgetter, lt, mod, mul, or_, sub
+from itertools import accumulate, chain, count, islice, pairwise, repeat
+from math import inf
+from operator import add, eq, floordiv, itemgetter, lt, mod, mul, or_, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuardError, InputError
 from .groups import (
     Coords,
     GSet,
+    _Box,
+    _Lift,
     _bit_positions,
     _document,
     _fill_rows,
@@ -124,7 +136,9 @@ class LayeredGraph:
     The constructor checks and normalizes its input, and `_fill` runs its
     checks on a document's fields too; `_trusted` takes a graph the package
     built itself as it is.  Either way the adjacency (`_layer_of`, `_out`)
-    and the sweeps (`_sweeps`) are built on first use.
+    and the sweeps (`_sweeps`) are built on first use.  A sum graph built
+    on the lift keeps its layer ints (`_lift`, a `_Lifted`) instead of its
+    stores, and `__getattr__` makes each store on its first read.
     Asking for a vertex the graph lacks raises `InputError`.
     """
 
@@ -221,6 +235,23 @@ class LayeredGraph:
         graph.__dict__.update(height=height, layers=layers, _keys=keys, _flat=flat)
         return graph
 
+    def __getattr__(self, name: str) -> tuple[int, ...]:
+        # Only a lifted sum graph lacks a store; it makes it on first read.
+        lift = self.__dict__.get("_lift")
+        if lift is None or name not in ("_keys", "_flat"):
+            raise AttributeError(name)
+        positions = list(map(lift.positions, range(len(self.layers))))
+        if name == "_keys":
+            value = _sum_keys(lift.layout, positions, self.layers, lift.cut)
+        else:
+            value = _sum_labels(lift.layout, positions, 0)
+        self.__dict__[name] = value
+        return value
+
+    def __reduce__(self) -> tuple:
+        # A copy holds the stores alone, as a graph loaded from them would.
+        return LayeredGraph._trusted, (self.height, self.layers, self._keys, self._flat)
+
     def _ends(self, start: int = 0, stop: int | None = None) -> tuple[list[int], list[int]]:
         # The tails and the heads of the edges start..stop-1, in key order.
         lo, span = _frame(self.layers)
@@ -268,6 +299,18 @@ class LayeredGraph:
     def _sweeps(self) -> dict[int, dict[int, int]]:
         # level -> the `_sweep` masks of that level, each made on first use
         return {}
+
+    def _decode(self, level: int, mask: int) -> tuple[int, ...]:
+        """The vertices of layer `level` at the set bits of `mask`, a mask of
+        that level (see `_sweep`), ascending: a bit is a box position less
+        the layer's least in a lifted sum graph, else a rank."""
+        bits = _bit_positions(mask)
+        lift = self.__dict__.get("_lift")
+        if lift is not None:
+            lo = lift.lows[level]
+            spots = map(add, bits, repeat(lo)) if lo else bits
+            bits = map(bisect_left, repeat(lift.positions(level)), spots)
+        return tuple(map(self.layers[level].__getitem__, bits))
 
     # -- structure queries --------------------------------------------------
 
@@ -377,12 +420,23 @@ def _frame(layers: Sequence[Sequence[int]]) -> tuple[int, int]:
 
 def _sweep(graph: LayeredGraph, level: int) -> dict[int, int]:
     """Each vertex of layers 0..level to its image in the level layer as a
-    bitmask (bit k: that layer's k-th vertex), from one top-down sweep that
-    the graph keeps, so each level is swept once per graph."""
+    bitmask, made once per graph and level and kept.
+
+    The bits are the graph's own.  In a sum graph built on the lift a
+    vertex's bit is its box position less the least position of the level
+    layer, and a layer's masks come from translates (`_Lifted.masks`) when
+    one of its vertices is first read.  In any other graph bit k is the
+    layer's k-th vertex, and one top-down sweep along the edges makes every
+    mask.  Either way ascending bits are ascending ids, and
+    `LayeredGraph._decode` reads a mask's vertices back."""
     if not _is_int(level) or not 0 <= level <= graph.height:
         raise InputError(f"step count {level!r} outside 0..{graph.height}")
     sweeps = graph._sweeps
     if level not in sweeps:
+        lift = graph.__dict__.get("_lift")
+        if lift is not None:
+            sweeps[level] = _LevelMasks(lift, level)
+            return sweeps[level]
         out = graph._out
         masks = {v: 1 << k for k, v in enumerate(graph.layers[level])}
         for lvl in range(level - 1, -1, -1):
@@ -405,13 +459,18 @@ def image(graph: LayeredGraph, zset: Iterable[int], steps: int) -> frozenset:
     if not z <= bottom:
         raise InputError("image source must be a subset of the bottom layer")
     reached = reduce(or_, map(_sweep(graph, steps).__getitem__, z), 0)
-    return frozenset(map(graph.layers[steps].__getitem__, _bit_positions(reached)))
+    return frozenset(graph._decode(steps, reached))
 
 
 def image_masks(graph: LayeredGraph, level: int) -> list[int]:
     """The `_sweep` masks of the bottom layer, in layer order; level ranges
-    over 0..height."""
-    return list(map(_sweep(graph, level).__getitem__, graph.layers[0]))
+    over 0..height.  A mask's bits are the graph's own (see `_sweep`), so
+    equal graphs may use different bits; `graph._decode(level, mask)`
+    gives a mask's vertices."""
+    masks = _sweep(graph, level)
+    if isinstance(masks, _LevelMasks):
+        return list(masks.row(0))
+    return list(map(masks.__getitem__, graph.layers[0]))
 
 
 # A row of `subset_rows` holds at most 2^_ROW_BITS images.
@@ -465,6 +524,74 @@ def _row_sizes(length: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
 # -- constructions -----------------------------------------------------------
 
 
+class _Lifted:
+    """A sum graph's layers on the lift: layer i is the layout's int
+    grown[i], and its vertices take the ids starts[i]..starts[i+1]-1 in
+    ascending position order.  Masks, edge keys and labels are made from
+    these ints when first asked for.
+
+    In the masks of level k, a vertex's bit is its position less lows[k],
+    the least position of layer k, so masks are no wider than the layer's
+    span.  A vertex x of layer i reaches the translate x + (k-i)B, cut to
+    layer k (with C non-empty, a path through a removed vertex ends in a
+    removed vertex, so no other vertex of the translate is lost): its mask
+    is (k-i)B, folded once from bit 0, shifted to x's position and folded,
+    one `translates` row per layer.
+    """
+
+    def __init__(self, layout: _Lift, grown: list[int], starts: list[int], cut: bool) -> None:
+        self.layout, self.grown, self.starts, self.cut = layout, grown, starts, cut
+        self.lows = [(x & -x).bit_length() - 1 if x else 0 for x in grown]
+        self.spots: dict[int, list[int]] = {}  # level -> its positions, ascending
+        self.reaches = [1]  # jB folded from bit 0, j = 0, 1, ...
+
+    def positions(self, level: int, ids: Sequence[int] | None = None) -> list[int]:
+        # The positions of the vertices `ids` (all by default) of a layer.
+        if level not in self.spots:
+            self.spots[level] = _bit_positions(self.grown[level])
+        spots = self.spots[level]
+        if ids is None or len(ids) == len(spots):
+            return spots
+        return list(map(spots.__getitem__, map(sub, ids, repeat(self.starts[level]))))
+
+    def masks(self, level: int, lvl: int) -> list[int]:
+        # The level masks of the vertices of layer lvl <= level, in order.
+        spots, lo = self.positions(lvl), self.lows[level]
+        if lvl == level:
+            return [1 << p - lo for p in spots]
+        layout, reaches = self.layout, self.reaches
+        while len(reaches) <= level - lvl:
+            reaches.append(layout.step(reaches[-1], layout.shifts, inf))
+        row = layout.translates(reaches[level - lvl], spots)
+        if self.cut:
+            keep = self.grown[level] >> lo
+            return [x >> lo & keep for x in row]
+        return [x >> lo for x in row] if lo else row
+
+
+class _LevelMasks(dict):
+    """The `_sweep` of one level of a lifted sum graph.  `row` makes the
+    masks of one layer's vertices, in layer order, once; reading a vertex
+    that is not in yet puts in its whole layer's row."""
+
+    def __init__(self, lift: _Lifted, level: int) -> None:
+        self.lift, self.level = lift, level
+        self.rows: dict[int, list[int]] = {}
+
+    def row(self, lvl: int) -> list[int]:
+        if lvl not in self.rows:
+            self.rows[lvl] = self.lift.masks(self.level, lvl)
+        return self.rows[lvl]
+
+    def __missing__(self, v: int) -> int:
+        starts = self.lift.starts
+        lvl = bisect_right(starts, v) - 1
+        if not 0 <= lvl <= self.level or v not in range(starts[lvl], starts[lvl + 1]):
+            raise KeyError(v)
+        self.update(zip(range(starts[lvl], starts[lvl + 1]), self.row(lvl)))
+        return self[v]
+
+
 def _sum_graph(
     a: GSet, b: GSet, forbidden: Sequence[Coords], h: int, max_size: int | None
 ) -> LayeredGraph:
@@ -472,47 +599,70 @@ def _sum_graph(
     # edge x -> x+b wherever both ends are kept.  C's fold starts one level
     # up, so C+(i-1)B shares the layout of A+iB.  Ids run layer by layer, in
     # sorted label order inside a layer, as the layout yields each layer.
-    # Sums come folded, onto the positions the next layer's ids are keyed by.
-    # Edge keys come in one run per element of B; one sort merges the runs.
     # As A+(i+1)B = (A+iB)+B, with C empty every sum is a vertex one layer
-    # up, so C is folded only when it is non-empty.
+    # up, so C is folded only when it is non-empty.  On the lift the graph
+    # keeps its layer ints, and its stores wait for their first read; the
+    # set container's layers go at once, into the stores.
     starts = ((a.elements, 0), (forbidden, 1)) if forbidden else ((a.elements, 0),)
     layout = _layout(a.space, b.elements, h, starts, h + 1)
     grown = _layers(layout, a.elements, 0, h, max_size)
     if forbidden:
         cuts = _layers(layout, forbidden, 1, h - 1, max_size)
         grown = map(layout.minus, grown, chain([layout.encode((), 0)], cuts))
-    rank = a.space.rank
-    layers: list[tuple[int, ...]] = []
-    flat: list[int] = []
-    lookups = []
-    span = 0  # the ids given so far
-    for level, layer in enumerate(grown):
-        positions = layout.ascending(layer)
-        ids = range(span, span + len(positions))
-        span = ids.stop
-        rows = [0] * (len(positions) * rank)
-        for j, column in enumerate(layout.columns(positions, level)):
-            rows[j::rank] = column
-        flat += rows
-        layers.append(tuple(ids))
-        lookups.append((positions, ids, dict(zip(positions, ids))))
-    # With span = |V|, the edges x -> x+b out of the layer at ids s..t-1
-    # have keys u * span + v for u = s..t-1, one run per b.  Only a
-    # non-empty C removes sums from the next layer; such a sum gets the id
-    # -span * span, so its key is negative.
+    if isinstance(layout, _Lift):
+        grown = list(grown)
+        sizes = list(map(int.bit_count, grown))
+    else:
+        positions = list(map(layout.ascending, grown))
+        sizes = list(map(len, positions))
+    starts = list(accumulate(sizes, initial=0))
+    layers = tuple(map(tuple, map(range, starts, starts[1:])))
+    if isinstance(layout, _Lift):
+        graph = object.__new__(LayeredGraph)
+        lift = _Lifted(layout, grown, starts, bool(forbidden))
+        graph.__dict__.update(height=h, layers=layers, _lift=lift)
+        return graph
+    keys = _sum_keys(layout, positions, layers, bool(forbidden))
+    return LayeredGraph._trusted(h, layers, keys, _sum_labels(layout, positions, 0))
+
+
+def _sum_keys(
+    layout: _Box, positions: Sequence[list[int]], layers: Sequence[Sequence[int]], cut: bool
+) -> tuple[int, ...]:
+    # The edge keys of the sum graph whose layer i holds the points at
+    # positions[i], with the ids layers[i] in the same order.  Sums come
+    # folded, onto the positions the next layer's ids are keyed by.  The
+    # edges x -> x+b out of a layer have keys (u - lo) * span + v - lo for
+    # its ids u, one run per b; one sort merges the runs.  Only a cut (a
+    # subset of the sums) drops sums from the next layer; such a sum's
+    # v - lo is -span * span, so its key is negative.
+    lo, span = _frame(layers)
     miss = -span * span
     keys: list[int] = []
-    for (positions, ids, _), (_, _, found) in zip(lookups, lookups[1:]):
-        bases = range(ids.start * span, ids.stop * span, span)
-        for targets in layout.sums(positions):
-            if forbidden:
+    for (here, above), (ids, up) in zip(pairwise(positions), pairwise(layers)):
+        found = dict(zip(above, map(sub, up, repeat(lo)) if lo else up))
+        bases = list(map(mul, map(sub, ids, repeat(lo)) if lo else ids, repeat(span)))
+        for targets in layout.sums(here):
+            if cut:
                 run = map(add, bases, map(found.get, targets, repeat(miss)))
                 keys.extend(filter((0).__le__, run))
             else:
                 keys.extend(map(add, bases, map(found.__getitem__, targets)))
     keys.sort()
-    return LayeredGraph._trusted(h, tuple(layers), tuple(keys), tuple(flat))
+    return tuple(keys)
+
+
+def _sum_labels(layout: _Box, positions: Iterable[list[int]], first: int) -> tuple[int, ...]:
+    # The label store of the points at positions[i] of level first + i,
+    # from the layout's coordinate columns.
+    rank = len(layout.widths)
+    flat: list[int] = []
+    for level, here in enumerate(positions, first):
+        rows = [0] * (len(here) * rank)
+        for j, column in enumerate(layout.columns(here, level)):
+            rows[j::rank] = column
+        flat += rows
+    return tuple(flat)
 
 
 def build_addition_graph(
@@ -553,9 +703,11 @@ def channel(graph: LayeredGraph, u_set: Iterable[int], w_set: Iterable[int]) -> 
 
     With W in layer j, one forward walk from U keeps each vertex whose
     level-j sweep mask meets W's bits, so it reads the graph's kept sweep
-    and needs no backward walk.  The result re-roots layers to 0..j-i,
-    keeps original vertex ids and labels, and is flagged empty (no vertices
-    at all) when no path exists.
+    and needs no backward walk.  On a sum graph built on the lift the walk
+    steps by the masks one level up, and the edges and labels come from the
+    kept vertices' positions, so the graph makes neither store.  The result
+    re-roots layers to 0..j-i, keeps original vertex ids and labels, and is
+    flagged empty (no vertices at all) when no path exists.
     """
     u = sorted(set(u_set))
     w = sorted(set(w_set))
@@ -568,9 +720,22 @@ def channel(graph: LayeredGraph, u_set: Iterable[int], w_set: Iterable[int]) -> 
         raise InputError("channel target vertices must share one layer")
     if not i < j:
         raise InputError(f"channel needs source layer below target layer ({i} >= {j})")
-    masks, out = _sweep(graph, j), graph._out
+    masks = _sweep(graph, j)
     target = reduce(or_, map(masks.__getitem__, w))
     layers = [tuple(v for v in u if masks[v] & target)]
+    lift = graph.__dict__.get("_lift")
+    if lift is not None:
+        # A layer is the image of the one below, where it meets W's masks;
+        # the edges and labels come from the kept vertices' positions.
+        for level in range(i + 1, j + 1):
+            near = _sweep(graph, level)
+            reach = reduce(or_, map(near.__getitem__, layers[-1]), 0)
+            layers.append(tuple(t for t in graph._decode(level, reach) if masks[t] & target))
+        positions = list(map(lift.positions, count(i), layers))
+        keys = _sum_keys(lift.layout, positions, layers, True)
+        flat = _sum_labels(lift.layout, positions, i) if layers[0] else None
+        return LayeredGraph._trusted(j - i, tuple(layers), keys, flat)
+    out = graph._out
     for _ in range(j - i):
         step = {t for v in layers[-1] for t in out[v] if masks[t] & target}
         layers.append(tuple(sorted(step)))
@@ -761,7 +926,11 @@ def _graph_pieces(graph: LayeredGraph) -> Iterator[str]:
     yield from _fill_rows(_row_template(2, "    "), graph.edge_count, edge_ends, "  ")
     yield f',\n  "height": {graph.height},\n  "labels": '
     ids = list(chain.from_iterable(graph.layers)) if graph._flat is not None else []
-    order = sorted(range(len(ids)), key=list(map(str, ids)).__getitem__)
+    # The vertices' rows in the label store, in decimal key order.  Where
+    # the ids are the rows, as the package's own graphs number them, the
+    # order holds the ids themselves, so it makes no int of its own.
+    rows = ids if all(map(eq, ids, count())) else range(len(ids))
+    order = sorted(rows, key=list(map(str, ids)).__getitem__)
     rank = graph._rank
     row = '"%d": ' + (_row_template(rank, "    ") if rank else "[]")
     yield from _fill_rows(row, len(ids), label_rows, "  ", "{}")

@@ -175,7 +175,9 @@ def _check_fold(a: GSet, b: GSet, h: int) -> None:
 # a start set, `step` (add B's shifts, or a translate's), `size`, `minus` (set
 # difference), `ascending` (the positions in order), `columns` (their
 # coordinates, one column per coordinate), and, for the graph builders,
-# `sums` (the folded positions of x+b for each b).
+# `sums` (the folded positions of x+b for each b).  The lift also answers
+# `translates` (the folded shifts of one layer int), from which a sum
+# graph's reachability masks are made.
 
 # What a lift costs, in point additions of the set container: a full-width
 # pass over a layer (a shift-or, a cyclic fold, a popcount) costs one per
@@ -321,6 +323,19 @@ class _Lift(_Box):
             nxt ^= top
             nxt |= top >> jump
         return nxt
+
+    def translates(self, mask: int, shifts: Iterable[int]) -> list[int]:
+        """The translates of the points of mask by each shift, folded as
+        `step` folds a layer: one shift and one fold per translate."""
+        row = []
+        for shift in shifts:
+            nxt = mask << shift
+            for high, jump in self.folds:
+                top = nxt & high
+                nxt ^= top
+                nxt |= top >> jump
+            row.append(nxt)
+        return row
 
     @staticmethod
     def minus(layer: int, cut: int) -> int:

@@ -1,6 +1,7 @@
 """Peeling a layered graph into channels by level-1 magnification.
 
-The peel runs on top-down bitmask sweeps.  With U the top vertices no block
+The peel runs on the graph's reachability masks (`graphs._sweep`), whose
+bits it decodes only for a block's claim.  With U the top vertices no block
 has claimed yet, a round keeps the level-1 vertices whose top image meets U
 (alive); remaining bottom vertices with no level-1 neighbour in alive become
 degenerate singleton blocks of ratio 0, in sorted order, so the bottom layer
@@ -26,7 +27,7 @@ from operator import or_
 
 from .errors import InputError
 from .graphs import LayeredGraph, _sweep, channel, image
-from .groups import _bit_positions, _plain
+from .groups import _plain
 from .magnification import Ratio, _tight, magnification_flow
 
 __all__ = [
@@ -98,11 +99,12 @@ def partition_graph(graph: LayeredGraph) -> PartitionResult:
     middle = graph.layers[1]
     blocks: list[PartitionBlock] = []
     remaining = list(graph.layers[0])
-    unclaimed = (1 << len(top)) - 1
+    # A vertex's own mask at its level is its bit in that level's masks.
+    unclaimed = sum(map(far.__getitem__, top))
     while remaining:
         # The level-1 vertices a block may still use: those that reach an
         # unclaimed top vertex (ROADMAP item 1 asks for a stricter rule).
-        alive = sum(1 << k for k, w in enumerate(middle) if far[w] & unclaimed)
+        alive = sum(near[w] for w in middle if far[w] & unclaimed)
         live = []
         for x in remaining:
             if near[x] & alive:
@@ -114,7 +116,7 @@ def partition_graph(graph: LayeredGraph) -> PartitionResult:
         ratio, idx, _ = _tight([near[x] & alive for x in live])
         tight = tuple(live[k] for k in idx)
         claimed = reduce(or_, (far[x] for x in tight)) & unclaimed
-        claim = tuple(map(top.__getitem__, _bit_positions(claimed)))
+        claim = tuple(graph._decode(graph.height, claimed))
         blocks.append(PartitionBlock(len(blocks), tight, ratio, graph, claim, False))
         unclaimed ^= claimed
         taken = set(tight)

@@ -868,6 +868,21 @@ def test_output_check_leaves_files_alone(workdir, capsys):
     assert not (workdir / "new.json").exists()
 
 
+def test_failed_command_leaves_no_file_behind_a_dangling_link(workdir, capsys, monkeypatch):
+    # The output check appends to link.json, which makes its target T.json;
+    # a command that then fails removes T.json and keeps the link.
+    monkeypatch.chdir(workdir)
+    os.symlink("T.json", "link.json")
+    argv = ["bounds", "missing.json", "B.json", "--h", "1", "--out", "link.json"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "cannot read set file" in err
+    assert os.readlink("link.json") == "T.json"
+    assert not os.path.lexists("T.json")
+    assert run(capsys, "bounds", "A.json", "B.json", "--h", "1", "--out", "link.json")[0] == 0
+    assert json.loads(Path("T.json").read_text())["h"] == 1
+
+
 # Two output flags of one command that name one regular file, however
 # spelled: one output would overwrite the other.
 SHARED_OUTPUTS = {
@@ -1101,3 +1116,31 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
     err = child.stderr.read().decode()
     assert child.wait() == 1
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+# The sha256 of `verify suite` stdout and of its --out report at the three
+# seeds the suite benchmark draws, with default case counts, recorded while
+# every sum graph was built edge by edge.
+SUITE_DIGESTS = {
+    592029208: (
+        "1b1121a77fdb71465f650e9c021c0c0fb80feea86d50ebe4433eaac152550bc1",
+        "60c677f31df641684fa0d606cff884df6291d7ebd2441e4d16e64b6f90152465",
+    ),
+    434365627: (
+        "97e64460b529631a784e3e6c62edc90b9325056d92674d658b04816f5d9dce4d",
+        "1e26c00807e35d675d3d35fb01b4df77edd252a10934d0e0e8ab98e3b076243c",
+    ),
+    1600674596: (
+        "4a09b3caaabd89e6ba9a1dba68028f0032ec10b9fed4e9cdcb14c31d4face059",
+        "34ac0fcdf05086dbf71662d1c54984b55d9656883fef641c572f949e3244c859",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", SUITE_DIGESTS)
+def test_suite_bytes_are_unchanged(tmp_path, capsys, seed):
+    report = tmp_path / "R.json"
+    code, out, err = run(capsys, "verify", "suite", "--seed", seed, "--out", report)
+    assert (code, err) == (0, "")
+    got = (out.encode(), report.read_bytes())
+    assert tuple(hashlib.sha256(x).hexdigest() for x in got) == SUITE_DIGESTS[seed]

@@ -1,5 +1,6 @@
 """Addition graphs, restricted graphs, channels, commutativity."""
 
+import hashlib
 import json
 import pickle
 import re
@@ -28,7 +29,7 @@ from sumsetlab import (
     load_graph,
 )
 from sumsetlab import cli, groups
-from sumsetlab.graphs import _first_unmatched, image_masks, subset_rows
+from sumsetlab.graphs import _first_unmatched, _sweep, image_masks, subset_rows
 from sumsetlab.partition import partition_graph
 from sumsetlab.instances import (
     random_gset,
@@ -444,10 +445,9 @@ def test_image_masks_and_subset_rows_match_oracle_random():
             assert len(bottom) == n
             for level in range(1, h + 1):
                 masks = image_masks(g, level)
-                top = g.layers[level]
                 assert len(masks) == n
                 for v, mask in zip(bottom, masks):
-                    reached = {w for k, w in enumerate(top) if mask >> k & 1}
+                    reached = set(g._decode(level, mask))
                     assert reached == naive_image(g.edges, {v}, level)
                 pairs = []
                 for base, row in subset_rows(masks):
@@ -462,7 +462,7 @@ def test_image_masks_and_subset_rows_match_oracle_random():
                     assert im == direct
                 for z, im in rng.sample(pairs, min(5, len(pairs))):
                     members = {v for k, v in enumerate(bottom) if z >> k & 1}
-                    reached = {w for k, w in enumerate(top) if im >> k & 1}
+                    reached = set(g._decode(level, im))
                     assert reached == naive_image(g.edges, members, level)
 
 
@@ -644,6 +644,118 @@ def test_trusted_sum_graphs_match_validated(moduli, lift, monkeypatch):
             assert not ADJACENCY & vars(g).keys()
             assert_trusted_is_validated(g)
             assert_derived_graphs_are_validated(g, rng)
+
+
+# Spaces of the translate tests: Z, Z^2, Z_m^2, Z x Z_m and Z x Z_m x Z.
+TRANSLATE_SPACES = [(0,), (0, 0), (5, 5), (0, 4), (0, 4, 0)]
+# The sha256 of the `graph build`, `graph restrict` (C drawn) and `graph
+# restrict` (C empty) documents of `translate_cases`, in that order, per
+# space, recorded while every sum graph was built edge by edge; both
+# containers wrote these same bytes.
+TRANSLATE_DOCS = {
+    (0,): "46f574c0d2abbe12ab860e71b975979c2229821649d15108c69a74e17e368bef",
+    (0, 0): "3cbc54aed9d4ae59516227d508ca46d5d11b1d94a38b7ce8aa51ea742073a09e",
+    (5, 5): "56c31c9aa01e95050633e2ce3e8604bb41497236a27cefefbd8cee44c04ac7e1",
+    (0, 4): "5b3cf2583e8c2d46d250e454f6a7025ce5ae7a5dc49fd86a9f41f0c3b974174d",
+    (0, 4, 0): "62bab7434deca8771ea557a384a3bd6f6852355b3930e00089bf6426149767d9",
+}
+
+
+def translate_cases(moduli):
+    """(A, B, C, h) with C non-empty, four for each h = 1..4."""
+    rng = rng_for(20261021, f"translates {moduli}")
+    space = GroupSpace(moduli)
+    for h in range(1, 5):
+        for _ in range(4):
+            a = random_gset(rng, space, 1, 5, spread=rng.choice([3, 9]))
+            b = random_gset(rng, space, 1, 3, spread=3)
+            c = random_gset(rng, space, 1, 4, spread=6)
+            yield a, b, c, h
+
+
+def translate_documents(moduli, workdir):
+    # The graph documents of `translate_cases`, as `graph build` and
+    # `graph restrict` write them.
+    digest = hashlib.sha256()
+    for k, (a, b, c, h) in enumerate(translate_cases(moduli)):
+        for name, x in (("A", a), ("B", b), ("C", c), ("E", GSet(a.space, ()))):
+            dump_gset(x, str(workdir / f"{name}{k}.json"))
+        for args in (
+            ("build", "A", "B"), ("restrict", "A", "B", "C"), ("restrict", "A", "B", "E"),
+        ):
+            out = workdir / "G.json"
+            files = [str(workdir / f"{name}{k}.json") for name in args[1:]]
+            assert cli.main(["graph", args[0], *files, "--h", str(h), "--out", str(out)]) == 0
+            digest.update(out.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("lift", [True, False], ids=["lift", "tuples"])
+@pytest.mark.parametrize("moduli", TRANSLATE_SPACES, ids=str)
+def test_masks_from_translates_match_oracles(moduli, lift, monkeypatch, tmp_path):
+    # Each level's masks are read first, on a graph with no store made yet;
+    # the stores then made on first read must equal the naive edges and a
+    # build on the set container, which makes them at once.
+    monkeypatch.setattr(groups, "_lift_pays", lambda *args: lift)
+    space = GroupSpace(moduli)
+    lifted = 0
+    for a, b, c, h in translate_cases(moduli):
+        grown = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
+        shadow = [frozenset()] + [
+            naive_iterated(c.elements, b.elements, i, moduli) for i in range(h)
+        ]
+        kept = [x - y for x, y in zip(grown, shadow)]
+        for make, want in (
+            (lambda: build_addition_graph(a, b, h), grown),
+            (lambda: build_restricted_graph(a, b, c, h), kept),
+            (lambda: build_restricted_graph(a, b, GSet(space, ()), h), grown),
+        ):
+            g = make()
+            lifted += "_lift" in vars(g)
+            images = {
+                (level, v): g._decode(level, _sweep(g, level)[v])
+                for level in range(h + 1)
+                for v in chain.from_iterable(g.layers[: level + 1])
+            }
+            # The set container makes both stores at once, the lift neither.
+            made = {"_keys", "_flat"} & vars(g).keys()
+            assert made == (set() if lift else {"_keys", "_flat"})
+            with monkeypatch.context() as m:
+                m.setattr(groups, "_lift_pays", lambda *args: False)
+                eager = make()
+            ids = [{g.label_of(v): v for v in layer} for layer in g.layers]
+            edges = {
+                (ids[i][x], ids[i + 1][y])
+                for i, x, y in naive_layer_edges(want, b.elements, moduli)
+            }
+            for (level, v), reached in images.items():
+                steps = level - g.layer_of(v)
+                assert reached == tuple(sorted(naive_image(edges, {v}, steps)))
+            assert set(g.edges) == edges
+            assert (g.layers, g._keys, g._flat) == (eager.layers, eager._keys, eager._flat)
+            for v in chain.from_iterable(g.layers):
+                assert g.out_neighbors(v) == eager.out_neighbors(v)
+            # Equality, hashing, pickling and the JSON round trip of graphs
+            # whose stores are not made yet.
+            assert make() == eager
+            assert hash(make()) == hash(eager)
+            assert pickle.loads(pickle.dumps(make())) == eager
+            assert graph_from_json(graph_to_json(make())) == eager
+            # Channels and the peel read the masks alike.
+            assert [
+                (block.vertices, block.ratio, block.top, block.subgraph)
+                for block in partition_graph(make()).blocks
+            ] == [
+                (block.vertices, block.ratio, block.top, block.subgraph)
+                for block in partition_graph(eager).blocks
+            ]
+            for i in range(h):
+                for j in range(i + 1, h + 1):
+                    if g.layers[i] and g.layers[j]:
+                        u, w = g.layers[i][::2], g.layers[j][1::2] or g.layers[j]
+                        assert channel(make(), u, w) == channel(eager, u, w)
+    assert lifted == (48 if lift else 0)
+    assert translate_documents(moduli, tmp_path) == TRANSLATE_DOCS[moduli]
 
 
 def random_scrambled_graph(rng):

@@ -5,8 +5,16 @@ from collections import Counter
 
 import pytest
 
-from sumsetlab import InputError, build_addition_graph, partition_graph, run_suite
-from sumsetlab import instances, suite
+from sumsetlab import (
+    GroupSpace,
+    GSet,
+    InputError,
+    build_addition_graph,
+    partition_graph,
+    run_suite,
+)
+from sumsetlab import graphs, instances, suite
+from sumsetlab.bounds import bound_report
 from sumsetlab.suite import CRITERIA
 
 
@@ -124,3 +132,33 @@ def test_shared_and_rounded_criteria_lines_are_pinned(seed, status, failures, mo
     assert [fn(seed).line for fn in fns] == want
     monkeypatch.setattr(suite, "CRITERIA", fns)
     assert [r.line for r in run_suite(seed).results] == want
+
+
+def test_mask_readers_make_no_edges(monkeypatch):
+    # Criteria 1, 2 and 9 and the bound report read their graphs' masks
+    # alone: a graph built on the lift makes no edge keys, no labels and no
+    # adjacency for them, and a graph on the set container no adjacency.
+    built = []
+    build = graphs._sum_graph
+
+    def kept_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(graphs, "_sum_graph", kept_build)
+    for check in (
+        suite.check_magnification_oracle,
+        suite.check_plunnecke_chain,
+        suite.check_growth_statements,
+    ):
+        assert check(0, 20).ok
+    z = GroupSpace((0,))
+    a = GSet.from_coords(z, [(x,) for x in (0, 3, 4, 9, 17, 20)])
+    b = GSet.from_coords(z, [(x,) for x in (0, 1, 5)])
+    bound_report(a, b, 3)
+    lifted = [g for g in built if "_lift" in vars(g)]
+    assert (len(built), len(lifted)) == (81, 81)
+    for g in built:
+        assert not {"_layer_of", "_out"} & vars(g).keys()
+    for g in lifted:
+        assert not {"_keys", "_flat"} & vars(g).keys()
