@@ -36,10 +36,12 @@ positions; in any other graph one top-down pass along the edges makes the
 masks, and a bit is a vertex's rank in its layer.  `LayeredGraph._decode`
 reads the vertices of a mask back.  A channel between U in layer i and W in
 layer j (i < j) is the subgraph of all vertices and edges lying on some
-U-to-W path: the vertices reached forward from U whose level-j mask meets
-W's bits.  Channels of commutative graphs stay commutative, and they
-re-root their layers to 0..j-i while keeping original vertex ids and
-labels.
+U-to-W path: one forward walk on the masks keeps the vertices reached from
+U whose level-j mask meets W's bits.  Channels of commutative graphs stay
+commutative, and they re-root their layers to 0..j-i while keeping
+original vertex ids and labels.  Channels and the peel's singleton blocks
+are restrictions (`_restrict`) to path-closed vertex sets, and a derived
+graph keeps its parent's form.
 
 A graph stores its edges once, as a sorted tuple of int keys, one per
 edge: (u - lo) * span + (v - lo), with lo the least vertex id and span the
@@ -47,15 +49,15 @@ id range, so ascending keys are ascending (u, v) pairs.  The builders,
 channels and the checking constructor emit keys; the adjacency, the
 commutativity masks and the graph writer read them.  Labels are stored once
 too, as flat ints in vertex order, which the builders fill from the sumset
-layout's coordinate columns and channels and the writer gather rows from.
-A sum graph built on the lift makes both stores only when one is first
-read, from its layer ints, so a graph that only its masks are asked of
-makes no edge; a channel of it makes its own stores from the positions of
-the vertices it keeps.  The pairs (`LayeredGraph.edges`) and the id-to-label
-dict (`LayeredGraph.labels`) are views made only when asked for.  The
-writer streams a document in chunks of rows: each chunk of edge rows comes
-from one slice of the keys, and each chunk of label rows from one slice of
-the vertices in decimal key order, so no whole document is ever held.
+layout's coordinate columns and the writer gathers rows from.  A sum graph
+built on the lift, and every graph derived from it, makes both stores only
+when one is first read, from its layer ints, so a graph that only its
+masks are asked of makes no edge.  The pairs (`LayeredGraph.edges`) and
+the id-to-label dict (`LayeredGraph.labels`) are views made only when
+asked for.  The writer streams a document in chunks of rows: each chunk of
+edge rows comes from one slice of the keys, and each chunk of label rows
+from one slice of the vertices in decimal key order, so no whole document
+is ever held.
 
 A graph is validated once.  The `LayeredGraph` constructor, and so every
 graph document, checks and normalizes its input.  A document loads in one
@@ -72,7 +74,7 @@ view.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import accumulate, chain, count, islice, pairwise, repeat
@@ -137,8 +139,9 @@ class LayeredGraph:
     checks on a document's fields too; `_trusted` takes a graph the package
     built itself as it is.  Either way the adjacency (`_layer_of`, `_out`)
     and the sweeps (`_sweeps`) are built on first use.  A sum graph built
-    on the lift keeps its layer ints (`_lift`, a `_Lifted`) instead of its
-    stores, and `__getattr__` makes each store on its first read.
+    on the lift, and a graph derived from it, keeps its layer ints
+    (`_lift`, a `_Lifted`) instead of its stores, and `__getattr__` makes
+    each store on its first read.
     Asking for a vertex the graph lacks raises `InputError`.
     """
 
@@ -236,7 +239,7 @@ class LayeredGraph:
         return graph
 
     def __getattr__(self, name: str) -> tuple[int, ...]:
-        # Only a lifted sum graph lacks a store; it makes it on first read.
+        # Only a lifted graph lacks a store; it makes it on first read.
         lift = self.__dict__.get("_lift")
         if lift is None or name not in ("_keys", "_flat"):
             raise AttributeError(name)
@@ -244,7 +247,7 @@ class LayeredGraph:
         if name == "_keys":
             value = _sum_keys(lift.layout, positions, self.layers, lift.cut)
         else:
-            value = _sum_labels(lift.layout, positions, 0)
+            value = _sum_labels(lift.layout, positions, lift.first) if any(positions) else None
         self.__dict__[name] = value
         return value
 
@@ -467,10 +470,7 @@ def image_masks(graph: LayeredGraph, level: int) -> list[int]:
     over 0..height.  A mask's bits are the graph's own (see `_sweep`), so
     equal graphs may use different bits; `graph._decode(level, mask)`
     gives a mask's vertices."""
-    masks = _sweep(graph, level)
-    if isinstance(masks, _LevelMasks):
-        return list(masks.row(0))
-    return list(map(masks.__getitem__, graph.layers[0]))
+    return list(map(_sweep(graph, level).__getitem__, graph.layers[0]))
 
 
 # A row of `subset_rows` holds at most 2^_ROW_BITS images.
@@ -525,34 +525,36 @@ def _row_sizes(length: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
 
 
 class _Lifted:
-    """A sum graph's layers on the lift: layer i is the layout's int
-    grown[i], and its vertices take the ids starts[i]..starts[i+1]-1 in
-    ascending position order.  Masks, edge keys and labels are made from
-    these ints when first asked for.
+    """A lifted graph's layers: layer i is the layout's int grown[i] at
+    level first + i, and its vertices are layers[i], ascending with their
+    positions.  Masks, edge keys and labels are made from these ints when
+    first asked for.
 
     In the masks of level k, a vertex's bit is its position less lows[k],
     the least position of layer k, so masks are no wider than the layer's
     span.  A vertex x of layer i reaches the translate x + (k-i)B, cut to
-    layer k (with C non-empty, a path through a removed vertex ends in a
-    removed vertex, so no other vertex of the translate is lost): its mask
-    is (k-i)B, folded once from bit 0, shifted to x's position and folded,
-    one `translates` row per layer.
+    layer k (with C non-empty, or in a path-closed subgraph, a path through
+    a dropped vertex ends in a dropped vertex, so no other vertex of the
+    translate is lost): its mask is (k-i)B, folded once from bit 0, shifted
+    to x's position and folded, one `translates` row per layer.
     """
 
-    def __init__(self, layout: _Lift, grown: list[int], starts: list[int], cut: bool) -> None:
-        self.layout, self.grown, self.starts, self.cut = layout, grown, starts, cut
+    def __init__(
+        self, layout: _Lift, grown: list[int], layers: tuple, first: int, cut: bool
+    ) -> None:
+        self.layout, self.grown, self.layers, self.first = layout, grown, layers, first
+        self.cut = cut
         self.lows = [(x & -x).bit_length() - 1 if x else 0 for x in grown]
+        # Ids ascend from layer to layer, so bisecting lasts[k], the greatest
+        # id of layers 0..k, finds a vertex's layer.
+        self.lasts = list(accumulate((layer[-1] if layer else -inf for layer in layers), max))
         self.spots: dict[int, list[int]] = {}  # level -> its positions, ascending
         self.reaches = [1]  # jB folded from bit 0, j = 0, 1, ...
 
-    def positions(self, level: int, ids: Sequence[int] | None = None) -> list[int]:
-        # The positions of the vertices `ids` (all by default) of a layer.
+    def positions(self, level: int) -> list[int]:
         if level not in self.spots:
             self.spots[level] = _bit_positions(self.grown[level])
-        spots = self.spots[level]
-        if ids is None or len(ids) == len(spots):
-            return spots
-        return list(map(spots.__getitem__, map(sub, ids, repeat(self.starts[level]))))
+        return self.spots[level]
 
     def masks(self, level: int, lvl: int) -> list[int]:
         # The level masks of the vertices of layer lvl <= level, in order.
@@ -570,25 +572,19 @@ class _Lifted:
 
 
 class _LevelMasks(dict):
-    """The `_sweep` of one level of a lifted sum graph.  `row` makes the
-    masks of one layer's vertices, in layer order, once; reading a vertex
-    that is not in yet puts in its whole layer's row."""
+    """The `_sweep` of one level of a lifted graph: reading a vertex that is
+    not in yet puts in the masks of its whole layer."""
 
     def __init__(self, lift: _Lifted, level: int) -> None:
         self.lift, self.level = lift, level
-        self.rows: dict[int, list[int]] = {}
-
-    def row(self, lvl: int) -> list[int]:
-        if lvl not in self.rows:
-            self.rows[lvl] = self.lift.masks(self.level, lvl)
-        return self.rows[lvl]
 
     def __missing__(self, v: int) -> int:
-        starts = self.lift.starts
-        lvl = bisect_right(starts, v) - 1
-        if not 0 <= lvl <= self.level or v not in range(starts[lvl], starts[lvl + 1]):
+        lift = self.lift
+        lvl = bisect_left(lift.lasts, v)
+        if lvl <= self.level:
+            self.update(zip(lift.layers[lvl], lift.masks(self.level, lvl)))
+        if v not in self:
             raise KeyError(v)
-        self.update(zip(range(starts[lvl], starts[lvl + 1]), self.row(lvl)))
         return self[v]
 
 
@@ -618,12 +614,16 @@ def _sum_graph(
     starts = list(accumulate(sizes, initial=0))
     layers = tuple(map(tuple, map(range, starts, starts[1:])))
     if isinstance(layout, _Lift):
-        graph = object.__new__(LayeredGraph)
-        lift = _Lifted(layout, grown, starts, bool(forbidden))
-        graph.__dict__.update(height=h, layers=layers, _lift=lift)
-        return graph
+        return _lifted(_Lifted(layout, grown, layers, 0, bool(forbidden)))
     keys = _sum_keys(layout, positions, layers, bool(forbidden))
     return LayeredGraph._trusted(h, layers, keys, _sum_labels(layout, positions, 0))
+
+
+def _lifted(lift: _Lifted) -> LayeredGraph:
+    # The graph of lift's layers; its stores wait for their first read.
+    graph = object.__new__(LayeredGraph)
+    graph.__dict__.update(height=len(lift.layers) - 1, layers=lift.layers, _lift=lift)
+    return graph
 
 
 def _sum_keys(
@@ -698,15 +698,46 @@ def build_restricted_graph(
     return _sum_graph(a, b, c.elements, h, max_size)
 
 
+def _restrict(graph: LayeredGraph, first: int, layers: tuple) -> LayeredGraph:
+    """The subgraph whose layer k holds the vertices layers[k], a sorted
+    tuple, of the graph's layer first + k, with every edge of the graph
+    between them.
+
+    The vertices must be path-closed: every path of the graph between two
+    of them runs through kept vertices alone, as a channel's do and a lone
+    vertex's trivially do.  Then a kept vertex reaches, in the subgraph,
+    exactly the kept part of what it reaches in the graph.  A derived graph
+    keeps its parent's form: on a lifted graph the layer ints are the kept
+    vertices' own sweep bits, and masks, keys and labels wait for their
+    first read; on any other graph the stores are made at once.
+    """
+    lift = graph.__dict__.get("_lift")
+    if lift is not None:
+        grown = [
+            reduce(or_, map(_sweep(graph, level).__getitem__, layer), 0) << lift.lows[level]
+            for level, layer in enumerate(layers, first)
+        ]
+        return _lifted(_Lifted(lift.layout, grown, layers, lift.first + first, True))
+    kept = set(chain.from_iterable(layers))
+    out = graph._out
+    lo, span = _frame(layers)
+    keys = sorted(
+        (v - lo) * span + t - lo
+        for layer in layers[:-1] for v in layer for t in out[v] if t in kept
+    )
+    picks = list(map(graph._index.__getitem__, chain(*layers)))
+    flat = tuple(_label_rows(graph, picks)) if picks and graph._flat is not None else None
+    return LayeredGraph._trusted(len(layers) - 1, layers, tuple(keys), flat)
+
+
 def channel(graph: LayeredGraph, u_set: Iterable[int], w_set: Iterable[int]) -> LayeredGraph:
     """Subgraph of all paths from U (one layer) to W (a strictly higher layer).
 
     With W in layer j, one forward walk from U keeps each vertex whose
-    level-j sweep mask meets W's bits, so it reads the graph's kept sweep
-    and needs no backward walk.  On a sum graph built on the lift the walk
-    steps by the masks one level up, and the edges and labels come from the
-    kept vertices' positions, so the graph makes neither store.  The result
-    re-roots layers to 0..j-i, keeps original vertex ids and labels, and is
+    level-j sweep mask meets W's bits: each layer is the image of the one
+    below, read from the masks one level up, so the walk needs no edge and
+    no backward pass.  The result (`_restrict`) re-roots layers to 0..j-i,
+    keeps original vertex ids and labels and its parent's form, and is
     flagged empty (no vertices at all) when no path exists.
     """
     u = sorted(set(u_set))
@@ -723,32 +754,10 @@ def channel(graph: LayeredGraph, u_set: Iterable[int], w_set: Iterable[int]) -> 
     masks = _sweep(graph, j)
     target = reduce(or_, map(masks.__getitem__, w))
     layers = [tuple(v for v in u if masks[v] & target)]
-    lift = graph.__dict__.get("_lift")
-    if lift is not None:
-        # A layer is the image of the one below, where it meets W's masks;
-        # the edges and labels come from the kept vertices' positions.
-        for level in range(i + 1, j + 1):
-            near = _sweep(graph, level)
-            reach = reduce(or_, map(near.__getitem__, layers[-1]), 0)
-            layers.append(tuple(t for t in graph._decode(level, reach) if masks[t] & target))
-        positions = list(map(lift.positions, count(i), layers))
-        keys = _sum_keys(lift.layout, positions, layers, True)
-        flat = _sum_labels(lift.layout, positions, i) if layers[0] else None
-        return LayeredGraph._trusted(j - i, tuple(layers), keys, flat)
-    out = graph._out
-    for _ in range(j - i):
-        step = {t for v in layers[-1] for t in out[v] if masks[t] & target}
-        layers.append(tuple(sorted(step)))
-    lo, span = _frame(layers)
-    keys = sorted(
-        (v - lo) * span + t - lo
-        for layer in layers[:-1] for v in layer for t in out[v] if masks[t] & target
-    )
-    flat = None
-    if graph._flat is not None and layers[0]:
-        picks = list(map(graph._index.__getitem__, chain.from_iterable(layers)))
-        flat = tuple(_label_rows(graph, picks))
-    return LayeredGraph._trusted(j - i, tuple(layers), tuple(keys), flat)
+    for level in range(i + 1, j + 1):
+        reach = reduce(or_, map(_sweep(graph, level).__getitem__, layers[-1]), 0)
+        layers.append(tuple(t for t in graph._decode(level, reach) if masks[t] & target))
+    return _restrict(graph, i, tuple(layers))
 
 
 def channel_of(graph: LayeredGraph, zset: Iterable[int]) -> LayeredGraph:
@@ -847,13 +856,6 @@ def _exchange_failures(
             yield x, y, j
 
 
-def _nth_bit_vertex(layer: Sequence[int], mask: int, n: int) -> int:
-    # The vertex of layer at the n-th set bit of mask, counting from 0.
-    for _ in range(n):
-        mask &= mask - 1
-    return layer[(mask & -mask).bit_length() - 1]
-
-
 def check_commutative(
     graph: LayeredGraph, max_edges: int = DEFAULT_EDGE_GUARD
 ) -> CommutativityReport:
@@ -878,11 +880,11 @@ def check_commutative(
         out_mask[u] |= bit[v]
         in_mask[v] |= bit[u]
     upward = [
-        ((u, v, _nth_bit_vertex(layers[layer_of(v) + 1], out_mask[v], j)), "upward")
+        ((u, v, layers[layer_of(v) + 1][_bit_positions(out_mask[v])[j]]), "upward")
         for u, v, j in _exchange_failures(tails, heads, out_mask, in_mask)
     ]
     downward = [
-        ((_nth_bit_vertex(layers[layer_of(v) - 1], in_mask[v], j), v, w), "downward")
+        ((layers[layer_of(v) - 1][_bit_positions(in_mask[v])[j]], v, w), "downward")
         for w, v, j in _exchange_failures(heads, tails, in_mask, out_mask)
     ]
     return CommutativityReport(not upward, not downward, tuple(upward + downward))

@@ -8,13 +8,14 @@ degenerate singleton blocks of ratio 0, in sorted order, so the bottom layer
 stays exactly covered.  The block is the maximal tight set Z of the others
 under level-1 images cut down to alive, from the Dinkelbach loop of
 `magnification`, and it claims the part of U that Z reaches.  Its subgraph,
-the channel from Z to that part (a degenerate block's lone vertex), is made
-the first time it is read and then kept: `verify_partition` reads every
-one, while the bound report reads none.  Blocks share no vertex at any
-level, so top-layer images add up block by block.  The alive rule is too
-loose: a later ratio can fall below an earlier one, even with a degenerate
-block in a sumset graph (suite seed 1, instance 80); `verify_partition`
-reports it, and ROADMAP item 1 plans the fix.
+the channel from Z to that part (a degenerate block's lone vertex), keeps
+the graph's form (`graphs._restrict`); it is made the first time it is read
+and then kept: `verify_partition` reads every one, while the bound report
+reads none.  Blocks share no vertex at any level, so top-layer images add
+up block by block.  The alive rule is too loose: a later ratio can fall
+below an earlier one, even with a degenerate block in a sumset graph
+(suite seed 1, instance 80); `verify_partition` reports it, and ROADMAP
+item 1 plans the fix.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain
 from operator import or_
 
 from .errors import InputError
-from .graphs import LayeredGraph, _sweep, channel, image
+from .graphs import LayeredGraph, _restrict, _sweep, channel, image
 from .groups import _plain
 from .magnification import Ratio, _tight, magnification_flow
 
@@ -59,14 +59,9 @@ class PartitionBlock:
 
     @cached_property
     def subgraph(self) -> LayeredGraph:
-        graph = self.graph
-        if not self.degenerate:
-            return channel(graph, self.vertices, self.top)
-        lone = tuple(sorted(set(self.vertices)))
-        flat = None
-        if graph._flat is not None and lone:
-            flat = tuple(chain.from_iterable(map(graph.label_of, lone)))
-        return LayeredGraph._trusted(graph.height, (lone,) + ((),) * graph.height, (), flat)
+        if self.degenerate:
+            return _restrict(self.graph, 0, (self.vertices,) + ((),) * self.graph.height)
+        return channel(self.graph, self.vertices, self.top)
 
 
 @dataclass(frozen=True)

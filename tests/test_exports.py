@@ -178,3 +178,29 @@ def test_readme_module_table_names_modules():
     text = README.read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(sumsetlab\.\w+)` \|", text, re.M)
     assert sorted(rows) == [f"sumsetlab.{name}" for name in SUBMODULES]
+
+
+# A `LayeredGraph`'s stores, which only `graphs.py` reads or makes.
+GRAPH_STORES = {"_keys", "_flat", "_lift", "_out", "_index"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "graphs.py"], ids=lambda path: path.name
+)
+def test_only_graphs_reads_graph_stores(path):
+    # Other modules read a graph through its methods, `_sweep` and
+    # `_decode`, and derive graphs through `graphs`; `GSet._trusted` is
+    # another class's constructor and stays open.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [
+        (node.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (
+            node.attr in GRAPH_STORES
+            or node.attr == "_trusted"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "LayeredGraph"
+        )
+    ]
+    assert reads == []

@@ -5,6 +5,7 @@ import json
 import pickle
 import re
 import tracemalloc
+from collections import Counter
 from itertools import chain
 
 import pytest
@@ -659,6 +660,16 @@ TRANSLATE_DOCS = {
     (0, 4): "5b3cf2583e8c2d46d250e454f6a7025ce5ae7a5dc49fd86a9f41f0c3b974174d",
     (0, 4, 0): "62bab7434deca8771ea557a384a3bd6f6852355b3930e00089bf6426149767d9",
 }
+# How many graphs of each kind `restrictions` derives from the graphs of
+# `translate_cases`, per space; every degenerate block is one of a
+# restricted graph with C drawn.
+RESTRICTION_KINDS = {
+    (0,): dict(channel_between=240, pathless=218, channel_of_channel=12, degenerate_block=4),
+    (0, 0): dict(channel_between=240, pathless=180, channel_of_channel=21),
+    (5, 5): dict(channel_between=240, pathless=152, channel_of_channel=21, degenerate_block=6),
+    (0, 4): dict(channel_between=240, pathless=231, channel_of_channel=15, degenerate_block=3),
+    (0, 4, 0): dict(channel_between=240, pathless=192, channel_of_channel=21),
+}
 
 
 def translate_cases(moduli):
@@ -690,6 +701,85 @@ def translate_documents(moduli, workdir):
     return digest.hexdigest()
 
 
+def restrictions(g, edges):
+    """(derive, layers, edges) for each graph derived from one built like g,
+    whose edges are `edges`: a channel between every two non-empty layers,
+    a channel of the first channel of an inner layer, a pathless channel,
+    and each degenerate block's subgraph, with the layers and edges that
+    the oracles give it."""
+
+    def kept(layers, edges):
+        ids = set(chain(*layers))
+        return tuple(map(tuple, map(sorted, layers))), {e for e in edges if ids >= set(e)}
+
+    h, inner = g.height, None
+    for i in range(h):
+        for j in range(i + 1, h + 1):
+            if g.layers[i] and g.layers[j]:
+                u, w = g.layers[i][::2], g.layers[j][1::2] or g.layers[j]
+
+                def channel_between(x, u=u, w=w):
+                    return channel(x, u, w)
+
+                layers, sub_edges = kept(naive_channel(edges, u, w, j - i), edges)
+                yield channel_between, layers, sub_edges
+                if inner is None and 0 < i and layers[0] and len(layers) > 2:
+                    inner = channel_between, layers, sub_edges
+                for v in g.layers[i]:
+                    missed = set(g.layers[j]) - naive_image(edges, {v}, j - i)
+                    if missed:
+
+                        def pathless(x, v=v, t=min(missed)):
+                            return channel(x, [v], [t])
+
+                        yield pathless, ((),) * (j - i + 1), set()
+                        break
+    if inner is not None:
+        outer, layers, sub_edges = inner
+        u, w = layers[1][1:] or layers[1], layers[-1][::2]
+
+        def channel_of_channel(x):
+            return channel(outer(x), u, w)
+
+        yield channel_of_channel, *kept(naive_channel(sub_edges, u, w, len(layers) - 2), edges)
+    for k, block in enumerate(partition_graph(g).blocks):
+        if block.degenerate:
+
+            def degenerate_block(x, k=k):
+                return partition_graph(x).blocks[k].subgraph
+
+            yield degenerate_block, (block.vertices,) + ((),) * h, set()
+
+
+def assert_restriction(derive, make, eager, layers, edges):
+    # A graph derived from a fresh build: its masks first, against the
+    # oracles, then its stores and their readers against the same graph
+    # derived from the set container's build.
+    parent = make()
+    sub = derive(parent)
+    lifted = "_lift" in vars(parent)
+    assert ("_lift" in vars(sub)) == lifted
+    assert sub.layers == layers
+    for level in range(sub.height + 1):
+        masks = _sweep(sub, level)
+        for lvl, layer in enumerate(sub.layers[: level + 1]):
+            for v in layer:
+                want = tuple(sorted(naive_image(edges, {v}, level - lvl)))
+                assert sub._decode(level, masks[v]) == want
+    made = {"_keys", "_flat"} & vars(sub).keys()
+    assert made == (set() if lifted else {"_keys", "_flat"})
+    want = derive(eager)
+    assert set(sub.edges) == edges
+    assert (sub.height, sub.layers, sub._keys, sub._flat) == (
+        want.height, want.layers, want._keys, want._flat
+    )
+    assert (sub._flat is None) == (not any(layers))
+    assert derive(parent) == want
+    assert hash(derive(parent)) == hash(want)
+    assert pickle.loads(pickle.dumps(derive(parent))) == want
+    assert graph_from_json(graph_to_json(derive(parent))) == want
+
+
 @pytest.mark.parametrize("lift", [True, False], ids=["lift", "tuples"])
 @pytest.mark.parametrize("moduli", TRANSLATE_SPACES, ids=str)
 def test_masks_from_translates_match_oracles(moduli, lift, monkeypatch, tmp_path):
@@ -699,6 +789,7 @@ def test_masks_from_translates_match_oracles(moduli, lift, monkeypatch, tmp_path
     monkeypatch.setattr(groups, "_lift_pays", lambda *args: lift)
     space = GroupSpace(moduli)
     lifted = 0
+    kinds = Counter()
     for a, b, c, h in translate_cases(moduli):
         grown = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
         shadow = [frozenset()] + [
@@ -749,12 +840,11 @@ def test_masks_from_translates_match_oracles(moduli, lift, monkeypatch, tmp_path
                 (block.vertices, block.ratio, block.top, block.subgraph)
                 for block in partition_graph(eager).blocks
             ]
-            for i in range(h):
-                for j in range(i + 1, h + 1):
-                    if g.layers[i] and g.layers[j]:
-                        u, w = g.layers[i][::2], g.layers[j][1::2] or g.layers[j]
-                        assert channel(make(), u, w) == channel(eager, u, w)
+            for derive, layers, sub_edges in restrictions(g, edges):
+                assert_restriction(derive, make, eager, layers, sub_edges)
+                kinds[derive.__name__] += 1
     assert lifted == (48 if lift else 0)
+    assert kinds == RESTRICTION_KINDS[moduli]
     assert translate_documents(moduli, tmp_path) == TRANSLATE_DOCS[moduli]
 
 

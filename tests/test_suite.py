@@ -162,3 +162,30 @@ def test_mask_readers_make_no_edges(monkeypatch):
         assert not {"_layer_of", "_out"} & vars(g).keys()
     for g in lifted:
         assert not {"_keys", "_flat"} & vars(g).keys()
+    # Criteria 3 and 4 read channels and blocks, which keep their parent's
+    # form: each one of a lifted graph is lifted and makes no store either.
+    del built[:]
+    channels, parts = [], []
+
+    def kept_channel(*args):
+        channels.append(graphs.channel_of(*args))
+        return channels[-1]
+
+    def kept_partition(graph):
+        parts.append(partition_graph(graph))
+        return parts[-1]
+
+    monkeypatch.setattr(suite, "channel_of", kept_channel)
+    monkeypatch.setattr(suite, "partition_graph", kept_partition)
+    assert suite.check_tight_channel_power(0, 20).ok
+    assert suite.check_partition_validity(0, 20).ok
+    blocks = [block for part in parts for block in part.blocks]
+    derived = channels + [block.subgraph for block in blocks]
+    assert all("_lift" in vars(g) for g in built)
+    assert (len(built), len(channels), len(blocks)) == (40, 20, 26)
+    assert sum(block.degenerate for block in blocks) == 1
+    for g in built:
+        assert not {"_keys", "_flat", "_out"} & vars(g).keys()
+    for g in derived:
+        assert "_lift" in vars(g)
+        assert not {"_keys", "_flat", "_layer_of", "_out"} & vars(g).keys()
