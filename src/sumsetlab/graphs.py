@@ -32,44 +32,46 @@ graph and level.  Images im_i(Z) are ORs of these masks, and the ratios,
 the peel and the bounds read the same masks.  In a sum graph built on the
 lift, a vertex x of layer i reaches the translate x + (j-i)B, cut to layer
 j, so its mask is one shift and one fold of (j-i)B, and its bits are box
-positions; in any other graph one top-down pass along the edges makes the
-masks, and a bit is a vertex's rank in its layer.  `LayeredGraph._decode`
-reads the vertices of a mask back.  A channel between U in layer i and W in
-layer j (i < j) is the subgraph of all vertices and edges lying on some
-U-to-W path: one forward walk on the masks keeps the vertices reached from
-U whose level-j mask meets W's bits.  Channels of commutative graphs stay
-commutative, and they re-root their layers to 0..j-i while keeping
-original vertex ids and labels.  Channels and the peel's singleton blocks
-are restrictions (`_restrict`) to path-closed vertex sets, and a derived
-graph keeps its parent's form.
+positions; in any other built or loaded graph one top-down pass along the
+edges makes the masks, and a bit is a vertex's rank in its layer.
+`LayeredGraph._decode` reads the vertices of a mask back.  A channel
+between U in layer i and W in layer j (i < j) is the subgraph of all
+vertices and edges lying on some U-to-W path: one forward walk on the masks
+keeps the vertices reached from U whose level-j mask meets W's bits.
+Channels of commutative graphs stay commutative, and they re-root their
+layers to 0..j-i while keeping original vertex ids and labels.  Channels
+and the peel's singleton blocks are restrictions (`_restrict`) to
+path-closed vertex sets.  Such a derived graph, of any graph, keeps its
+parent's bits: its masks are its parent's cut to its own vertices' bits,
+and a mask decodes through the parent.
 
-A graph stores its edges once, as a sorted tuple of int keys, one per
-edge: (u - lo) * span + (v - lo), with lo the least vertex id and span the
-id range, so ascending keys are ascending (u, v) pairs.  The builders,
-channels and the checking constructor emit keys; the adjacency, the
+A graph stores its edges once, as a sorted tuple of int keys, one per edge:
+(u - lo) * span + (v - lo), with lo the least vertex id and span the id
+range, so ascending keys are ascending (u, v) pairs.  The builders, derived
+graphs and the checking constructor emit keys; the adjacency, the
 commutativity masks and the graph writer read them.  Labels are stored once
 too, as flat ints in vertex order, which the builders fill from the sumset
 layout's coordinate columns and the writer gathers rows from.  A sum graph
-built on the lift, and every graph derived from it, makes both stores only
-when one is first read, from its layer ints, so a graph that only its
-masks are asked of makes no edge.  The pairs (`LayeredGraph.edges`) and
-the id-to-label dict (`LayeredGraph.labels`) are views made only when
-asked for.  The writer streams a document in chunks of rows: each chunk of
-edge rows comes from one slice of the keys, and each chunk of label rows
-from one slice of the vertices in decimal key order, so no whole document
-is ever held.
+built on the lift makes both stores only when one is first read, from its
+layer ints, and a derived graph makes them on first read from its parent's
+adjacency and label store, so a graph that only its masks are asked of
+makes no edge.  The pairs (`LayeredGraph.edges`) and the id-to-label dict
+(`LayeredGraph.labels`) are views made only when asked for.  The writer
+streams a document in chunks of rows: each chunk of edge rows comes from
+one slice of the keys, and each chunk of label rows from one slice of the
+vertices in decimal key order, so no whole document is ever held.
 
 A graph is validated once.  The `LayeredGraph` constructor, and so every
 graph document, checks and normalizes its input.  A document loads in one
 pass of those checks over its own fields: each vertex finds its label row
-under its decimal id, and a count shows that every key names a vertex.
-A document that fails a check is named by that same pass, label keys
-first.  Graphs the package builds itself (addition and restricted graphs,
-channels, the peel's singleton blocks) come out already normalized, so the
-private `LayeredGraph._trusted` takes them as they are.  Every graph
-builds its adjacency (the layer of each vertex, its out-neighbours) and
-its masks on first use, so writing a graph out builds neither, nor either
-view.
+under its decimal id, and a count shows that every key names a vertex.  A
+document that fails a check is named by that same pass, label keys first.
+Graphs the package builds itself (addition and restricted graphs) come out
+already normalized, so the private `LayeredGraph._trusted` takes them as
+they are, and derived graphs hold the kept vertices of a checked parent.
+Every graph builds its adjacency (the layer of each vertex, its
+out-neighbours) and its masks on first use, so writing a graph out builds
+neither, nor either view.
 """
 
 from __future__ import annotations
@@ -139,9 +141,9 @@ class LayeredGraph:
     checks on a document's fields too; `_trusted` takes a graph the package
     built itself as it is.  Either way the adjacency (`_layer_of`, `_out`)
     and the sweeps (`_sweeps`) are built on first use.  A sum graph built
-    on the lift, and a graph derived from it, keeps its layer ints
-    (`_lift`, a `_Lifted`) instead of its stores, and `__getattr__` makes
-    each store on its first read.
+    on the lift keeps its layer ints (`_lift`, a `_Lifted`) instead of its
+    stores, a derived graph (`_restrict`) its parent and its kept bits
+    (`_derived`), and `__getattr__` makes each store on its first read.
     Asking for a vertex the graph lacks raises `InputError`.
     """
 
@@ -238,16 +240,20 @@ class LayeredGraph:
         graph.__dict__.update(height=height, layers=layers, _keys=keys, _flat=flat)
         return graph
 
-    def __getattr__(self, name: str) -> tuple[int, ...]:
-        # Only a lifted graph lacks a store; it makes it on first read.
+    def __getattr__(self, name: str) -> tuple[int, ...] | None:
+        # Only a lifted or a derived graph lacks a store; it makes each on
+        # its first read.
         lift = self.__dict__.get("_lift")
-        if lift is None or name not in ("_keys", "_flat"):
+        if name not in ("_keys", "_flat") or lift is None and "_derived" not in self.__dict__:
             raise AttributeError(name)
-        positions = list(map(lift.positions, range(len(self.layers))))
-        if name == "_keys":
-            value = _sum_keys(lift.layout, positions, self.layers, lift.cut)
+        if lift is None:
+            value = _derived_store(self, name)
         else:
-            value = _sum_labels(lift.layout, positions, lift.first) if any(positions) else None
+            positions = list(map(lift.positions, range(len(self.layers))))
+            if name == "_keys":
+                value = _sum_keys(lift.layout, positions, self.layers, lift.cut)
+            else:
+                value = _sum_labels(lift.layout, positions) if any(positions) else None
         self.__dict__[name] = value
         return value
 
@@ -306,7 +312,11 @@ class LayeredGraph:
     def _decode(self, level: int, mask: int) -> tuple[int, ...]:
         """The vertices of layer `level` at the set bits of `mask`, a mask of
         that level (see `_sweep`), ascending: a bit is a box position less
-        the layer's least in a lifted sum graph, else a rank."""
+        the layer's least in a lifted sum graph, else a rank; a derived
+        graph's mask decodes in its parent."""
+        derived = self.__dict__.get("_derived")
+        if derived is not None:
+            return derived[0]._decode(derived[1] + level, mask)
         bits = _bit_positions(mask)
         lift = self.__dict__.get("_lift")
         if lift is not None:
@@ -425,30 +435,35 @@ def _sweep(graph: LayeredGraph, level: int) -> dict[int, int]:
     """Each vertex of layers 0..level to its image in the level layer as a
     bitmask, made once per graph and level and kept.
 
-    The bits are the graph's own.  In a sum graph built on the lift a
-    vertex's bit is its box position less the least position of the level
-    layer, and a layer's masks come from translates (`_Lifted.masks`) when
-    one of its vertices is first read.  In any other graph bit k is the
-    layer's k-th vertex, and one top-down sweep along the edges makes every
-    mask.  Either way ascending bits are ascending ids, and
+    In a sum graph built on the lift a vertex's bit is its box position
+    less the least position of the level layer, and a layer's masks come
+    from translates (`_Lifted.masks`) when one of its vertices is first
+    read.  A derived graph (`_restrict`) uses its parent's bits: a mask is
+    the parent's, cut to the kept vertices' bits.  In any other graph bit k
+    is the layer's k-th vertex, and one top-down sweep along the edges makes
+    every mask.  Either way ascending bits are ascending ids, and
     `LayeredGraph._decode` reads a mask's vertices back."""
     if not _is_int(level) or not 0 <= level <= graph.height:
         raise InputError(f"step count {level!r} outside 0..{graph.height}")
     sweeps = graph._sweeps
     if level not in sweeps:
-        lift = graph.__dict__.get("_lift")
+        lift, derived = graph.__dict__.get("_lift"), graph.__dict__.get("_derived")
         if lift is not None:
             sweeps[level] = _LevelMasks(lift, level)
-            return sweeps[level]
-        out = graph._out
-        masks = {v: 1 << k for k, v in enumerate(graph.layers[level])}
-        for lvl in range(level - 1, -1, -1):
-            for v in graph.layers[lvl]:
-                acc = 0
-                for w in out[v]:
-                    acc |= masks[w]
-                masks[v] = acc
-        sweeps[level] = masks
+        elif derived is not None:
+            parent, first, grown = derived
+            masks, keep = _sweep(parent, first + level), grown[level]
+            sweeps[level] = {v: masks[v] & keep for v in chain(*graph.layers[: level + 1])}
+        else:
+            out = graph._out
+            masks = {v: 1 << k for k, v in enumerate(graph.layers[level])}
+            for lvl in range(level - 1, -1, -1):
+                for v in graph.layers[lvl]:
+                    acc = 0
+                    for w in out[v]:
+                        acc |= masks[w]
+                    masks[v] = acc
+            sweeps[level] = masks
     return sweeps[level]
 
 
@@ -467,9 +482,9 @@ def image(graph: LayeredGraph, zset: Iterable[int], steps: int) -> frozenset:
 
 def image_masks(graph: LayeredGraph, level: int) -> list[int]:
     """The `_sweep` masks of the bottom layer, in layer order; level ranges
-    over 0..height.  A mask's bits are the graph's own (see `_sweep`), so
-    equal graphs may use different bits; `graph._decode(level, mask)`
-    gives a mask's vertices."""
+    over 0..height.  A mask's bits are the graph's (see `_sweep`; a derived
+    graph uses its parent's), so equal graphs may use different bits;
+    `graph._decode(level, mask)` gives a mask's vertices."""
     return list(map(_sweep(graph, level).__getitem__, graph.layers[0]))
 
 
@@ -525,25 +540,22 @@ def _row_sizes(length: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
 
 
 class _Lifted:
-    """A lifted graph's layers: layer i is the layout's int grown[i] at
-    level first + i, and its vertices are layers[i], ascending with their
+    """A sum graph's layers as built on the lift: layer i is the layout's
+    int grown[i], and its vertices are layers[i], ascending with their
     positions.  Masks, edge keys and labels are made from these ints when
     first asked for.
 
     In the masks of level k, a vertex's bit is its position less lows[k],
     the least position of layer k, so masks are no wider than the layer's
     span.  A vertex x of layer i reaches the translate x + (k-i)B, cut to
-    layer k (with C non-empty, or in a path-closed subgraph, a path through
-    a dropped vertex ends in a dropped vertex, so no other vertex of the
-    translate is lost): its mask is (k-i)B, folded once from bit 0, shifted
-    to x's position and folded, one `translates` row per layer.
+    layer k (with C non-empty a path through a dropped vertex ends in a
+    dropped vertex, so no other vertex of the translate is lost): its mask
+    is (k-i)B, folded once from bit 0, shifted to x's position and folded,
+    one `translates` row per layer.
     """
 
-    def __init__(
-        self, layout: _Lift, grown: list[int], layers: tuple, first: int, cut: bool
-    ) -> None:
-        self.layout, self.grown, self.layers, self.first = layout, grown, layers, first
-        self.cut = cut
+    def __init__(self, layout: _Lift, grown: list[int], layers: tuple, cut: bool) -> None:
+        self.layout, self.grown, self.layers, self.cut = layout, grown, layers, cut
         self.lows = [(x & -x).bit_length() - 1 if x else 0 for x in grown]
         # Ids ascend from layer to layer, so bisecting lasts[k], the greatest
         # id of layers 0..k, finds a vertex's layer.
@@ -614,16 +626,12 @@ def _sum_graph(
     starts = list(accumulate(sizes, initial=0))
     layers = tuple(map(tuple, map(range, starts, starts[1:])))
     if isinstance(layout, _Lift):
-        return _lifted(_Lifted(layout, grown, layers, 0, bool(forbidden)))
+        graph = object.__new__(LayeredGraph)
+        lift = _Lifted(layout, grown, layers, bool(forbidden))
+        graph.__dict__.update(height=h, layers=layers, _lift=lift)
+        return graph
     keys = _sum_keys(layout, positions, layers, bool(forbidden))
-    return LayeredGraph._trusted(h, layers, keys, _sum_labels(layout, positions, 0))
-
-
-def _lifted(lift: _Lifted) -> LayeredGraph:
-    # The graph of lift's layers; its stores wait for their first read.
-    graph = object.__new__(LayeredGraph)
-    graph.__dict__.update(height=len(lift.layers) - 1, layers=lift.layers, _lift=lift)
-    return graph
+    return LayeredGraph._trusted(h, layers, keys, _sum_labels(layout, positions))
 
 
 def _sum_keys(
@@ -652,12 +660,12 @@ def _sum_keys(
     return tuple(keys)
 
 
-def _sum_labels(layout: _Box, positions: Iterable[list[int]], first: int) -> tuple[int, ...]:
-    # The label store of the points at positions[i] of level first + i,
-    # from the layout's coordinate columns.
+def _sum_labels(layout: _Box, positions: Iterable[list[int]]) -> tuple[int, ...]:
+    # The label store of the points at positions[i] of level i, from the
+    # layout's coordinate columns.
     rank = len(layout.widths)
     flat: list[int] = []
-    for level, here in enumerate(positions, first):
+    for level, here in enumerate(positions):
         rows = [0] * (len(here) * rank)
         for j, column in enumerate(layout.columns(here, level)):
             rows[j::rank] = column
@@ -706,28 +714,36 @@ def _restrict(graph: LayeredGraph, first: int, layers: tuple) -> LayeredGraph:
     The vertices must be path-closed: every path of the graph between two
     of them runs through kept vertices alone, as a channel's do and a lone
     vertex's trivially do.  Then a kept vertex reaches, in the subgraph,
-    exactly the kept part of what it reaches in the graph.  A derived graph
-    keeps its parent's form: on a lifted graph the layer ints are the kept
-    vertices' own sweep bits, and masks, keys and labels wait for their
-    first read; on any other graph the stores are made at once.
+    exactly the kept part of what it reaches in the graph.  So the derived
+    graph keeps its parent's bits and holds only `_derived`, (parent,
+    first, grown) with grown[k] the OR of the kept vertices' own bits at
+    level first + k: its masks are the parent's cut to grown (`_sweep`),
+    its `_decode` is the parent's, and its edge keys and labels are made
+    on first read from the parent's (`_derived_store`).
     """
-    lift = graph.__dict__.get("_lift")
-    if lift is not None:
-        grown = [
-            reduce(or_, map(_sweep(graph, level).__getitem__, layer), 0) << lift.lows[level]
-            for level, layer in enumerate(layers, first)
-        ]
-        return _lifted(_Lifted(lift.layout, grown, layers, lift.first + first, True))
-    kept = set(chain.from_iterable(layers))
-    out = graph._out
-    lo, span = _frame(layers)
-    keys = sorted(
-        (v - lo) * span + t - lo
-        for layer in layers[:-1] for v in layer for t in out[v] if t in kept
-    )
-    picks = list(map(graph._index.__getitem__, chain(*layers)))
-    flat = tuple(_label_rows(graph, picks)) if picks and graph._flat is not None else None
-    return LayeredGraph._trusted(len(layers) - 1, layers, tuple(keys), flat)
+    grown = [
+        reduce(or_, map(_sweep(graph, level).__getitem__, layer)) if layer else 0
+        for level, layer in enumerate(layers, first)
+    ]
+    sub = object.__new__(LayeredGraph)
+    sub.__dict__.update(height=len(layers) - 1, layers=layers, _derived=(graph, first, grown))
+    return sub
+
+
+def _derived_store(graph: LayeredGraph, name: str) -> tuple[int, ...] | None:
+    # A derived graph's "_keys" or "_flat": the parent's edges between the
+    # kept vertices, or the parent's label rows of them.
+    parent, layers = graph._derived[0], graph.layers
+    if name == "_keys":
+        kept = set(chain.from_iterable(layers))
+        out = parent._out
+        lo, span = _frame(layers)
+        return tuple(sorted(
+            (v - lo) * span + t - lo
+            for layer in layers[:-1] for v in layer for t in out[v] if t in kept
+        ))
+    picks = list(map(parent._index.__getitem__, chain(*layers)))
+    return tuple(_label_rows(parent, picks)) if picks and parent._flat is not None else None
 
 
 def channel(graph: LayeredGraph, u_set: Iterable[int], w_set: Iterable[int]) -> LayeredGraph:
@@ -737,7 +753,7 @@ def channel(graph: LayeredGraph, u_set: Iterable[int], w_set: Iterable[int]) -> 
     level-j sweep mask meets W's bits: each layer is the image of the one
     below, read from the masks one level up, so the walk needs no edge and
     no backward pass.  The result (`_restrict`) re-roots layers to 0..j-i,
-    keeps original vertex ids and labels and its parent's form, and is
+    keeps original vertex ids and labels, reads its parent's masks, and is
     flagged empty (no vertices at all) when no path exists.
     """
     u = sorted(set(u_set))

@@ -673,6 +673,13 @@ def gset_from_json(obj: object) -> GSet:
     space = GroupSpace(tuple(moduli))
     if not isinstance(elements, list):
         raise InputError("'elements' must be a list of coordinate lists")
+    # Whole-list tests first; the loop below only names the culprit.
+    rank = space.rank
+    ints = _int_rows(elements) if elements else None
+    if ints and set(map(type, elements)) == {list} and set(map(len, elements)) == {rank}:
+        cols = [ints[j::rank] for j in range(rank)]
+        cols = [list(map(mod, c, repeat(m))) if m else c for c, m in zip(cols, space.moduli)]
+        return GSet._trusted(space, tuple(sorted(set(zip(*cols)))))
     coords = []
     for row in elements:
         if not isinstance(row, list):

@@ -8,14 +8,16 @@ degenerate singleton blocks of ratio 0, in sorted order, so the bottom layer
 stays exactly covered.  The block is the maximal tight set Z of the others
 under level-1 images cut down to alive, from the Dinkelbach loop of
 `magnification`, and it claims the part of U that Z reaches.  Its subgraph,
-the channel from Z to that part (a degenerate block's lone vertex), keeps
-the graph's form (`graphs._restrict`); it is made the first time it is read
-and then kept: `verify_partition` reads every one, while the bound report
-reads none.  Blocks share no vertex at any level, so top-layer images add
-up block by block.  The alive rule is too loose: a later ratio can fall
-below an earlier one, even with a degenerate block in a sumset graph
-(suite seed 1, instance 80); `verify_partition` reports it, and ROADMAP
-item 1 plans the fix.
+the channel from Z to that part (a degenerate block's lone vertex), is
+derived from the graph (`graphs._restrict`): it reads the graph's masks cut
+to its own bits and makes its edge and label stores only when they are
+read.  It is made the first time it is read and then kept:
+`verify_partition` reads every one, while the bound report reads none.
+Blocks share no vertex at any level, so top-layer images add up block by
+block.  The alive rule is too loose: a later ratio can fall below an
+earlier one, even with a degenerate block in a sumset graph (suite seed 1,
+instance 80); `verify_partition` reports it, and ROADMAP item 1 plans the
+fix.
 """
 
 from __future__ import annotations
@@ -135,9 +137,13 @@ class PartitionCheck:
 def verify_partition(result: PartitionResult) -> PartitionCheck:
     """Re-derive every claimed property of a partition from scratch.
 
-    top_accounted compares the sum of per-block top-layer image sizes with
-    |V_h| of the original graph; equality holds for graphs of sumsets, but a
-    general graph can fail it (say, with a top vertex no path reaches), and
+    The block subgraphs read the graph's masks, cut to their own bits, but
+    the checks stay independent of the peel: each block ratio comes from a
+    fresh Dinkelbach search on its channel's masks, and the cover, the
+    disjointness and the top accounting are recounted.  top_accounted
+    compares the sum of per-block top-layer image sizes with |V_h| of the
+    original graph; equality holds for graphs of sumsets, but a general
+    graph can fail it (say, with a top vertex no path reaches), and
     `PartitionCheck.ok` requires it as it does the four structural checks.
     """
     graph = result.graph

@@ -670,6 +670,33 @@ RESTRICTION_KINDS = {
     (0, 4): dict(channel_between=240, pathless=231, channel_of_channel=15, degenerate_block=3),
     (0, 4, 0): dict(channel_between=240, pathless=192, channel_of_channel=21),
 }
+# The same per space, for the relabelled documents of those graphs
+# (`relabelled`).
+RELABELLED_KINDS = {
+    (0,): dict(channel_between=240, pathless=218, channel_of_channel=23, degenerate_block=4),
+    (0, 0): dict(channel_between=240, pathless=180, channel_of_channel=24),
+    (5, 5): dict(channel_between=240, pathless=152, channel_of_channel=23, degenerate_block=6),
+    (0, 4): dict(channel_between=240, pathless=231, channel_of_channel=19, degenerate_block=3),
+    (0, 4, 0): dict(channel_between=240, pathless=192, channel_of_channel=24),
+}
+
+
+def relabelled(g, rng):
+    """The document of g with its ids moved to negative ids with gaps, which
+    descend from layer to layer and, inside a layer, follow no label order;
+    and the map of the moves."""
+    n = g.vertex_count
+    pool = iter([-(3 * k + rng.randint(1, 2)) for k in range(n)])
+    moved = {}
+    for layer in g.layers:
+        ids = [next(pool) for _ in layer]
+        rng.shuffle(ids)
+        moved.update(zip(layer, ids))
+    doc = graph_to_json(g)
+    doc["layers"] = [sorted(map(moved.get, layer)) for layer in g.layers]
+    doc["edges"] = [[moved[u], moved[v]] for u, v in g.edges]
+    doc["labels"] = {str(moved[int(k)]): row for k, row in doc["labels"].items()}
+    return doc, moved
 
 
 def translate_cases(moduli):
@@ -752,13 +779,13 @@ def restrictions(g, edges):
 
 
 def assert_restriction(derive, make, eager, layers, edges):
-    # A graph derived from a fresh build: its masks first, against the
-    # oracles, then its stores and their readers against the same graph
-    # derived from the set container's build.
+    # A graph derived from a fresh build or load: its masks first, against
+    # the oracles, then its stores and their readers against the same graph
+    # derived from the set container's build and against the checking
+    # constructor.
     parent = make()
     sub = derive(parent)
-    lifted = "_lift" in vars(parent)
-    assert ("_lift" in vars(sub)) == lifted
+    assert "_derived" in vars(sub)
     assert sub.layers == layers
     for level in range(sub.height + 1):
         masks = _sweep(sub, level)
@@ -767,13 +794,15 @@ def assert_restriction(derive, make, eager, layers, edges):
                 want = tuple(sorted(naive_image(edges, {v}, level - lvl)))
                 assert sub._decode(level, masks[v]) == want
     made = {"_keys", "_flat"} & vars(sub).keys()
-    assert made == (set() if lifted else {"_keys", "_flat"})
+    assert made == set()
     want = derive(eager)
     assert set(sub.edges) == edges
     assert (sub.height, sub.layers, sub._keys, sub._flat) == (
         want.height, want.layers, want._keys, want._flat
     )
     assert (sub._flat is None) == (not any(layers))
+    labels = {v: eager.label_of(v) for v in chain(*layers)}
+    assert sub == LayeredGraph(sub.height, layers, edges, labels)
     assert derive(parent) == want
     assert hash(derive(parent)) == hash(want)
     assert pickle.loads(pickle.dumps(derive(parent))) == want
@@ -789,7 +818,8 @@ def test_masks_from_translates_match_oracles(moduli, lift, monkeypatch, tmp_path
     monkeypatch.setattr(groups, "_lift_pays", lambda *args: lift)
     space = GroupSpace(moduli)
     lifted = 0
-    kinds = Counter()
+    kinds, loaded_kinds = Counter(), Counter()
+    rng = rng_for(20261022, f"relabelled {moduli}")
     for a, b, c, h in translate_cases(moduli):
         grown = [naive_iterated(a.elements, b.elements, i, moduli) for i in range(h + 1)]
         shadow = [frozenset()] + [
@@ -843,8 +873,19 @@ def test_masks_from_translates_match_oracles(moduli, lift, monkeypatch, tmp_path
             for derive, layers, sub_edges in restrictions(g, edges):
                 assert_restriction(derive, make, eager, layers, sub_edges)
                 kinds[derive.__name__] += 1
+            # The same derivations on a loaded document whose ids are
+            # negative, gapped and not ascending from layer to layer.
+            doc, moved = relabelled(eager, rng)
+            loaded = graph_from_json(doc)
+            loaded_edges = {(moved[u], moved[v]) for u, v in edges}
+            for derive, layers, sub_edges in restrictions(loaded, loaded_edges):
+                assert_restriction(
+                    derive, lambda: graph_from_json(doc), loaded, layers, sub_edges
+                )
+                loaded_kinds[derive.__name__] += 1
     assert lifted == (48 if lift else 0)
     assert kinds == RESTRICTION_KINDS[moduli]
+    assert loaded_kinds == RELABELLED_KINDS[moduli]
     assert translate_documents(moduli, tmp_path) == TRANSLATE_DOCS[moduli]
 
 

@@ -175,6 +175,27 @@ def test_json_rejects_malformed_documents():
             gset_from_json({"moduli": [0], "elements": [[bad]]})
 
 
+def test_json_set_load_matches_from_coords():
+    # The whole-list path of a set document normalizes as the constructor
+    # does: residues out of range and negative coordinates fold, duplicates
+    # (also after folding) merge, and an empty list stays legal.
+    rng = rng_for(20261022, "set documents")
+    spaces = [(0,), (7,), (5, 5), (0, 4), (3, 0, 2), (1,)]
+    for _ in range(200):
+        moduli = rng.choice(spaces)
+        rows = [
+            [rng.randint(-3 * (m or 5), 3 * (m or 5)) for m in moduli]
+            for _ in range(rng.randint(0, 12))
+        ]
+        rows += rng.sample(rows, len(rows) // 3)
+        rng.shuffle(rows)
+        space = GroupSpace(moduli)
+        got = gset_from_json({"moduli": list(moduli), "elements": rows})
+        assert got == GSet.from_coords(space, rows)
+        assert type(got.elements) is tuple
+        assert {type(c) for c in got.elements} <= {tuple}
+
+
 def test_load_gset_reports_unreadable_and_malformed_files(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(InputError, match=re.escape(f"cannot read set file {missing}")):

@@ -14,14 +14,17 @@ from sumsetlab import (
     PartitionBlock,
     PartitionResult,
     build_addition_graph,
+    build_restricted_graph,
     channel,
     example1,
+    graph_from_json,
+    graph_to_json,
     image,
     partition_graph,
     partition_to_json,
     verify_partition,
 )
-from sumsetlab.instances import random_pair, rng_for
+from sumsetlab.instances import random_pair, random_triple, rng_for
 from sumsetlab.suite import _partition_instance
 
 Z = GroupSpace((0,))
@@ -284,3 +287,29 @@ def test_lazy_subgraphs_equal_the_eager_ones():
         assert [(blk.subgraph, blk.top) for blk in part.blocks] == want
         degenerate += sum(blk.degenerate for blk in part.blocks)
     assert degenerate > 20
+
+
+def test_blocks_of_loaded_graphs_make_no_store():
+    # A block's subgraph reads its parent's masks alone: on a loaded graph
+    # it makes no edge keys, labels or adjacency, sweeps only the levels
+    # that `verify_partition` reads, and leaves the parent's label index
+    # unmade.
+    rng = rng_for(20261022, "loaded blocks")
+    graphs = [_partition_instance(0, i)[3] for i in range(10)]
+    for _ in range(10):
+        a, b, c = random_triple(rng)
+        graphs.append(build_restricted_graph(a, b, c, rng.choice([2, 3])))
+    blocks = degenerate = 0
+    for built in graphs:
+        g = graph_from_json(graph_to_json(built))
+        part = partition_graph(g)
+        assert verify_partition(part).ok
+        for blk in part.blocks:
+            sub = blk.subgraph
+            assert "_derived" in vars(sub)
+            assert not {"_keys", "_flat", "_out", "_layer_of"} & vars(sub).keys()
+            assert vars(sub).get("_sweeps", {}).keys() <= {1, g.height}
+        assert "_index" not in vars(g)
+        blocks += part.k
+        degenerate += sum(blk.degenerate for blk in part.blocks)
+    assert (len(graphs), blocks, degenerate) == (20, 28, 2)

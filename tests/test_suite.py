@@ -162,8 +162,8 @@ def test_mask_readers_make_no_edges(monkeypatch):
         assert not {"_layer_of", "_out"} & vars(g).keys()
     for g in lifted:
         assert not {"_keys", "_flat"} & vars(g).keys()
-    # Criteria 3 and 4 read channels and blocks, which keep their parent's
-    # form: each one of a lifted graph is lifted and makes no store either.
+    # Criteria 3 and 4 read channels and blocks, which read their parent's
+    # masks: each one is derived and makes no store either.
     del built[:]
     channels, parts = [], []
 
@@ -187,5 +187,5 @@ def test_mask_readers_make_no_edges(monkeypatch):
     for g in built:
         assert not {"_keys", "_flat", "_out"} & vars(g).keys()
     for g in derived:
-        assert "_lift" in vars(g)
+        assert "_derived" in vars(g)
         assert not {"_keys", "_flat", "_layer_of", "_out"} & vars(g).keys()
