@@ -115,7 +115,7 @@ def float_up(x) -> float:
     return f
 
 
-def _up(x: Fraction) -> float:
+def _up(x: Fraction | int) -> float:
     """Smallest binary-64 value >= the rational x: `float` rounds to
     nearest, so one step up mends a float that fell below x."""
     f = float(x)
@@ -465,7 +465,7 @@ def bound_report(
     rows.append(("growth_commutative", growth.value, growth.observed, growth.ok, True))
     pv_ok, pv_obs, pv_cap = _per_vertex_binomial(graph)
     note = "worst vertex shown; verdict covers all"
-    rows.append(("per_vertex_binomial", float(pv_cap), pv_obs, pv_ok, True, note))
+    rows.append(("per_vertex_binomial", _up(pv_cap), pv_obs, pv_ok, True, note))
 
     t_value: float | None = None
     if h >= 2 and beta.lt(Fraction(hb) / alpha_1 ** (h - 1)):

@@ -76,7 +76,7 @@ neither, nor either view.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import accumulate, chain, count, islice, pairwise, repeat
@@ -142,7 +142,7 @@ class LayeredGraph:
     built itself as it is.  Either way the adjacency (`_layer_of`, `_out`)
     and the sweeps (`_sweeps`) are built on first use.  A sum graph built
     on the lift keeps its layer ints (`_lift`, a `_Lifted`) instead of its
-    stores, a derived graph (`_restrict`) its parent and its kept bits
+    stores, a derived graph (`_restrict`) its parent and its level offset
     (`_derived`), and `__getattr__` makes each store on its first read.
     Asking for a vertex the graph lacks raises `InputError`.
     """
@@ -251,9 +251,9 @@ class LayeredGraph:
         else:
             positions = list(map(lift.positions, range(len(self.layers))))
             if name == "_keys":
-                value = _sum_keys(lift.layout, positions, self.layers, lift.cut)
+                value = _sum_keys(lift.layout, positions, lift.starts, lift.cut)
             else:
-                value = _sum_labels(lift.layout, positions) if any(positions) else None
+                value = _sum_labels(lift.layout, positions)
         self.__dict__[name] = value
         return value
 
@@ -439,9 +439,10 @@ def _sweep(graph: LayeredGraph, level: int) -> dict[int, int]:
     less the least position of the level layer, and a layer's masks come
     from translates (`_Lifted.masks`) when one of its vertices is first
     read.  A derived graph (`_restrict`) uses its parent's bits: a mask is
-    the parent's, cut to the kept vertices' bits.  In any other graph bit k
-    is the layer's k-th vertex, and one top-down sweep along the edges makes
-    every mask.  Either way ascending bits are ascending ids, and
+    the parent's, cut to keep, the OR of the parent's masks of the level's
+    kept vertices, read when the level is swept.  In any other graph bit k
+    is the layer's k-th vertex, and one top-down sweep along the edges
+    makes every mask.  Ascending bits are ascending ids, and
     `LayeredGraph._decode` reads a mask's vertices back."""
     if not _is_int(level) or not 0 <= level <= graph.height:
         raise InputError(f"step count {level!r} outside 0..{graph.height}")
@@ -451,8 +452,9 @@ def _sweep(graph: LayeredGraph, level: int) -> dict[int, int]:
         if lift is not None:
             sweeps[level] = _LevelMasks(lift, level)
         elif derived is not None:
-            parent, first, grown = derived
-            masks, keep = _sweep(parent, first + level), grown[level]
+            parent, first = derived
+            masks = _sweep(parent, first + level)
+            keep = reduce(or_, map(masks.__getitem__, graph.layers[level]), 0)
             sweeps[level] = {v: masks[v] & keep for v in chain(*graph.layers[: level + 1])}
         else:
             out = graph._out
@@ -541,9 +543,9 @@ def _row_sizes(length: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
 
 class _Lifted:
     """A sum graph's layers as built on the lift: layer i is the layout's
-    int grown[i], and its vertices are layers[i], ascending with their
-    positions.  Masks, edge keys and labels are made from these ints when
-    first asked for.
+    int grown[i], and its vertices are the ids starts[i]..starts[i+1]-1,
+    ascending with their positions.  Masks, edge keys and labels are made
+    from these ints when first asked for.
 
     In the masks of level k, a vertex's bit is its position less lows[k],
     the least position of layer k, so masks are no wider than the layer's
@@ -554,12 +556,9 @@ class _Lifted:
     one `translates` row per layer.
     """
 
-    def __init__(self, layout: _Lift, grown: list[int], layers: tuple, cut: bool) -> None:
-        self.layout, self.grown, self.layers, self.cut = layout, grown, layers, cut
+    def __init__(self, layout: _Lift, grown: list[int], starts: list[int], cut: bool) -> None:
+        self.layout, self.grown, self.starts, self.cut = layout, grown, starts, cut
         self.lows = [(x & -x).bit_length() - 1 if x else 0 for x in grown]
-        # Ids ascend from layer to layer, so bisecting lasts[k], the greatest
-        # id of layers 0..k, finds a vertex's layer.
-        self.lasts = list(accumulate((layer[-1] if layer else -inf for layer in layers), max))
         self.spots: dict[int, list[int]] = {}  # level -> its positions, ascending
         self.reaches = [1]  # jB folded from bit 0, j = 0, 1, ...
 
@@ -592,9 +591,9 @@ class _LevelMasks(dict):
 
     def __missing__(self, v: int) -> int:
         lift = self.lift
-        lvl = bisect_left(lift.lasts, v)
-        if lvl <= self.level:
-            self.update(zip(lift.layers[lvl], lift.masks(self.level, lvl)))
+        lvl = bisect_right(lift.starts, v) - 1
+        if 0 <= lvl <= self.level:
+            self.update(zip(count(lift.starts[lvl]), lift.masks(self.level, lvl)))
         if v not in self:
             raise KeyError(v)
         return self[v]
@@ -617,39 +616,35 @@ def _sum_graph(
     if forbidden:
         cuts = _layers(layout, forbidden, 1, h - 1, max_size)
         grown = map(layout.minus, grown, chain([layout.encode((), 0)], cuts))
-    if isinstance(layout, _Lift):
-        grown = list(grown)
-        sizes = list(map(int.bit_count, grown))
-    else:
-        positions = list(map(layout.ascending, grown))
-        sizes = list(map(len, positions))
-    starts = list(accumulate(sizes, initial=0))
+    grown = list(grown)
+    starts = list(accumulate(map(layout.size, grown), initial=0))
     layers = tuple(map(tuple, map(range, starts, starts[1:])))
     if isinstance(layout, _Lift):
         graph = object.__new__(LayeredGraph)
-        lift = _Lifted(layout, grown, layers, bool(forbidden))
+        lift = _Lifted(layout, grown, starts, bool(forbidden))
         graph.__dict__.update(height=h, layers=layers, _lift=lift)
         return graph
-    keys = _sum_keys(layout, positions, layers, bool(forbidden))
+    positions = list(map(layout.ascending, grown))
+    keys = _sum_keys(layout, positions, starts, bool(forbidden))
     return LayeredGraph._trusted(h, layers, keys, _sum_labels(layout, positions))
 
 
 def _sum_keys(
-    layout: _Box, positions: Sequence[list[int]], layers: Sequence[Sequence[int]], cut: bool
+    layout: _Box, positions: Sequence[list[int]], starts: Sequence[int], cut: bool
 ) -> tuple[int, ...]:
     # The edge keys of the sum graph whose layer i holds the points at
-    # positions[i], with the ids layers[i] in the same order.  Sums come
-    # folded, onto the positions the next layer's ids are keyed by.  The
-    # edges x -> x+b out of a layer have keys (u - lo) * span + v - lo for
-    # its ids u, one run per b; one sort merges the runs.  Only a cut (a
-    # subset of the sums) drops sums from the next layer; such a sum's
-    # v - lo is -span * span, so its key is negative.
-    lo, span = _frame(layers)
+    # positions[i], with the ids starts[i].. in the same order.  Sums come
+    # folded, onto the positions the next layer's ids are keyed by.  Ids
+    # are 0..|V|-1, so lo is 0: the edges x -> x+b out of a layer have keys
+    # u * span + v for its ids u, one run per b; one sort merges the runs.
+    # Only a cut (a subset of the sums) drops sums from the next layer;
+    # such a sum's v is -span * span, so its key is negative.
+    span = starts[-1]
     miss = -span * span
     keys: list[int] = []
-    for (here, above), (ids, up) in zip(pairwise(positions), pairwise(layers)):
-        found = dict(zip(above, map(sub, up, repeat(lo)) if lo else up))
-        bases = list(map(mul, map(sub, ids, repeat(lo)) if lo else ids, repeat(span)))
+    for (here, above), (start, up) in zip(pairwise(positions), pairwise(starts)):
+        found = dict(zip(above, count(up)))
+        bases = range(start * span, up * span, span)
         for targets in layout.sums(here):
             if cut:
                 run = map(add, bases, map(found.get, targets, repeat(miss)))
@@ -716,17 +711,13 @@ def _restrict(graph: LayeredGraph, first: int, layers: tuple) -> LayeredGraph:
     vertex's trivially do.  Then a kept vertex reaches, in the subgraph,
     exactly the kept part of what it reaches in the graph.  So the derived
     graph keeps its parent's bits and holds only `_derived`, (parent,
-    first, grown) with grown[k] the OR of the kept vertices' own bits at
-    level first + k: its masks are the parent's cut to grown (`_sweep`),
-    its `_decode` is the parent's, and its edge keys and labels are made
-    on first read from the parent's (`_derived_store`).
+    first), and makes nothing here: its masks are the parent's cut to the
+    kept vertices' bits, read from the parent's own masks when a level is
+    swept (`_sweep`), its `_decode` is the parent's, and its edge keys and
+    labels are made on first read from the parent's (`_derived_store`).
     """
-    grown = [
-        reduce(or_, map(_sweep(graph, level).__getitem__, layer)) if layer else 0
-        for level, layer in enumerate(layers, first)
-    ]
     sub = object.__new__(LayeredGraph)
-    sub.__dict__.update(height=len(layers) - 1, layers=layers, _derived=(graph, first, grown))
+    sub.__dict__.update(height=len(layers) - 1, layers=layers, _derived=(graph, first))
     return sub
 
 

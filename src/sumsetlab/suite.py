@@ -138,13 +138,6 @@ def check_tight_channel_power(seed: int, cases: int | None = None) -> CheckResul
     )
 
 
-def _partition_instance(seed: int, i: int):
-    rng = rng_for(seed, f"c45/{i}")
-    a, b = random_pair(rng, a_hi=8, b_hi=3)
-    h = rng.choice([2, 3])
-    return a, b, h, build_addition_graph(a, b, h)
-
-
 # Within one `run_suite` call: criterion 5's violation count by (seed, cases),
 # left by criterion 4 from the partitions it made.  None outside a call.
 _certified_counts: ContextVar[dict | None] = ContextVar("_certified_counts", default=None)
@@ -160,7 +153,7 @@ def check_partition_validity(seed: int, cases: int | None = None) -> CheckResult
     counts = _certified_counts.get()
     bad = certified_bad = 0
     for i in range(n):
-        a, b, h, graph = _partition_instance(seed, i)
+        a, b, h, graph = _addition_instance(rng_for(seed, f"c45/{i}"), 8, 3, (2, 3))
         result = partition_graph(graph)
         if not verify_partition(result).ok:
             bad += 1
@@ -183,7 +176,7 @@ def check_certified_chain(seed: int, cases: int | None = None) -> CheckResult:
     if bad is None:
         bad = 0
         for i in range(n):
-            a, b, h, graph = _partition_instance(seed, i)
+            a, b, h, graph = _addition_instance(rng_for(seed, f"c45/{i}"), 8, 3, (2, 3))
             bad += _certified_fails(b, h, graph, partition_graph(graph))
     return CheckResult(
         5,

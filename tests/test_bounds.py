@@ -247,6 +247,19 @@ def test_same_set_rows_frozen():
     assert rep.all_ok
 
 
+def test_per_vertex_binomial_rounds_its_cap_up():
+    # The cap C(34 + 26 - 1, 26) = C(59, 26) is no float, and the nearest
+    # float lies below it: the reported value must not.
+    a = GSet.from_coords(Z, [(0,)])
+    b = GSet.from_coords(Z, [(i,) for i in range(34)])
+    row = bound_report(a, b, 26).bound("per_vertex_binomial")
+    cap = math.comb(59, 26)
+    assert float(cap) < cap
+    assert row.value >= cap
+    assert row.value == math.nextafter(float(cap), math.inf)
+    assert (row.observed, row.ok) == (26 * 33 + 1, True)
+
+
 def test_group_case_certified_frozen():
     space = GroupSpace((4,))
     a = GSet.from_coords(space, [(i,) for i in range(4)])

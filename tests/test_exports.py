@@ -181,7 +181,9 @@ def test_readme_module_table_names_modules():
 
 
 # A `LayeredGraph`'s stores, which only `graphs.py` reads or makes.
-GRAPH_STORES = {"_keys", "_flat", "_lift", "_derived", "_out", "_index"}
+GRAPH_STORES = {
+    "_keys", "_flat", "_lift", "_derived", "_out", "_index", "_sweeps", "_layer_of"
+}
 
 
 @pytest.mark.parametrize(

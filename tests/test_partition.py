@@ -24,14 +24,20 @@ from sumsetlab import (
     partition_to_json,
     verify_partition,
 )
+from sumsetlab.graphs import _sweep
 from sumsetlab.instances import random_pair, random_triple, rng_for
-from sumsetlab.suite import _partition_instance
+from sumsetlab.suite import _addition_instance
 
 Z = GroupSpace((0,))
 
 
 def gs(*coords):
     return GSet.from_coords(Z, [(c,) for c in coords])
+
+
+def partition_instance(seed, i):
+    # Suite criteria 4 and 5's instance i at this seed.
+    return _addition_instance(rng_for(seed, f"c45/{i}"), 8, 3, (2, 3))
 
 
 def labels(graph, vertices):
@@ -222,7 +228,7 @@ def test_peel_matches_naive_peel_on_stranded_graphs():
 def test_peel_matches_naive_peel_where_ratios_fall(seed, index):
     # Suite instances on which the peel's level-1 rule (ROADMAP item 1)
     # lets a later block's ratio fall below an earlier one.
-    _, _, _, g = _partition_instance(seed, index)
+    _, _, _, g = partition_instance(seed, index)
     part = partition_graph(g)
     assert peel_rows(part) == naive_peel(g.layers, g.edges)
     assert not verify_partition(part).ratios_increasing
@@ -241,7 +247,7 @@ def test_one_channel_per_block(monkeypatch):
     monkeypatch.setattr("sumsetlab.partition.channel", counting)
     rng = random.Random(7)
     graphs = [random_layered(rng) for _ in range(40)]
-    graphs.append(_partition_instance(1, 80)[3])
+    graphs.append(partition_instance(1, 80)[3])
     graphs.append(build_addition_graph(gs(0, 1, 2, 3, 100), gs(0, 1), 2))
     for g in graphs:
         calls.clear()
@@ -276,7 +282,7 @@ def eager_subgraphs(g, part):
 def test_lazy_subgraphs_equal_the_eager_ones():
     rng = rng_for(20261019, "lazy blocks")
     graphs = [random_layered(rng) for _ in range(60)]
-    graphs += [_partition_instance(seed, index)[3] for seed, index in ((1, 80), (3, 53))]
+    graphs += [partition_instance(seed, index)[3] for seed, index in ((1, 80), (3, 53))]
     for _ in range(40):
         a, b = random_pair(rng, a_hi=9, b_hi=4)
         graphs.append(build_addition_graph(a, b, rng.randint(1, 3)))
@@ -295,7 +301,7 @@ def test_blocks_of_loaded_graphs_make_no_store():
     # that `verify_partition` reads, and leaves the parent's label index
     # unmade.
     rng = rng_for(20261022, "loaded blocks")
-    graphs = [_partition_instance(0, i)[3] for i in range(10)]
+    graphs = [partition_instance(0, i)[3] for i in range(10)]
     for _ in range(10):
         a, b, c = random_triple(rng)
         graphs.append(build_restricted_graph(a, b, c, rng.choice([2, 3])))
@@ -313,3 +319,45 @@ def test_blocks_of_loaded_graphs_make_no_store():
         blocks += part.k
         degenerate += sum(blk.degenerate for blk in part.blocks)
     assert (len(graphs), blocks, degenerate) == (20, 28, 2)
+
+
+def test_a_derived_graph_holds_only_its_parent():
+    # A block's subgraph holds its parent and its level offset alone, and
+    # making it sweeps nothing: a degenerate block's adds no level to the
+    # parent's sweeps, a channel's only the levels its forward walk reads
+    # (1..h, from the bottom layer to the top).  Reading the blocks never
+    # sweeps the parent's bottom level.
+    built = [partition_instance(0, i)[3] for i in range(12)]
+    assert all("_lift" in vars(g) for g in built)
+    blocks = degenerate = 0
+    for g in built + [graph_from_json(graph_to_json(g)) for g in built]:
+        part = partition_graph(g)
+        for blk in part.blocks:
+            before = set(g._sweeps)
+            derived = vars(blk.subgraph)["_derived"]
+            assert type(derived) is tuple and len(derived) == 2
+            assert derived[0] is g and derived[1] == 0
+            walk = set() if blk.degenerate else set(range(1, g.height + 1))
+            assert set(g._sweeps) == before | walk
+        assert verify_partition(part).ok
+        assert 0 not in g._sweeps
+        blocks += part.k
+        degenerate += sum(blk.degenerate for blk in part.blocks)
+    assert blocks > 2 * len(built) and degenerate > 0
+
+
+def test_lifted_sweeps_refuse_ids_outside_their_levels():
+    # A lifted graph's masks are keyed by ids 0..|V|-1, layer by layer: an
+    # id below 0, at |V| or above the swept level is no key, and asking for
+    # one puts in no other.
+    for i in range(12):
+        g = partition_instance(0, i)[3]
+        assert "_lift" in vars(g)
+        size = g.vertex_count
+        for level in range(g.height + 1):
+            masks = _sweep(g, level)
+            probes = [-1, size] + [layer[0] for layer in g.layers[level + 1 :] if layer]
+            for v in probes:
+                with pytest.raises(KeyError):
+                    masks[v]
+            assert not masks
